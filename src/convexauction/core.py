@@ -34,6 +34,14 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _finite_array(values) -> np.ndarray:
+    """Read-only float copy of a constructor's input; rejects NaN and inf."""
+    arr = _frozen_array(values)
+    if not np.isfinite(arr).all():
+        raise ValueError("values must be finite (got NaN or inf)")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TypeSpace:
     """Sorted grid of non-negative bidder types z_1 < ... < z_K.
@@ -45,7 +53,7 @@ class TypeSpace:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values)
+        arr = _finite_array(self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("type space needs at least one value")
         if arr[0] < 0:
@@ -74,7 +82,7 @@ class DiscreteDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.pmf)
+        arr = _finite_array(self.pmf)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("pmf needs at least one entry")
         if np.any(arr <= 0) or np.any(arr > 1):
@@ -240,7 +248,7 @@ class ExPostAllocation:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.table)
+        arr = _finite_array(self.table)
         if arr.ndim < 2 or arr.shape[0] != arr.ndim - 1:
             raise ValueError("table must have shape (n, K_0, ..., K_{n-1})")
         if np.any(arr < -DEFAULT_TOL) or np.any(arr > 1 + DEFAULT_TOL):
@@ -276,7 +284,7 @@ class InterimAllocation:
     tables: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        tabs = tuple(_frozen_array(t) for t in self.tables)
+        tabs = tuple(_finite_array(t) for t in self.tables)
         for t in tabs:
             if t.ndim != 1:
                 raise ValueError("interim tables are one vector per bidder")
@@ -299,7 +307,7 @@ class RobustPaymentRule:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.table)
+        arr = _finite_array(self.table)
         if np.any(arr < -DEFAULT_TOL):
             raise ValueError("payments must be non-negative")
         object.__setattr__(self, "table", arr)
@@ -316,7 +324,7 @@ class InterimPaymentRule:
     tables: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        tabs = tuple(_frozen_array(t) for t in self.tables)
+        tabs = tuple(_finite_array(t) for t in self.tables)
         for t in tabs:
             if np.any(t < -DEFAULT_TOL):
                 raise ValueError("payments must be non-negative")

@@ -1,31 +1,20 @@
-"""Exact desk-scale solvers, the constraint verifier, and a program exporter.
+"""Certified exact solvers, the constraint verifier, and a program exporter.
 
-The exact solvers replace an external QCP solver with exhaustive grid search
-over allocation tables whose entries are integer multiples of a grid step.
-Payments never need to be searched: for the robust problem they are pinned
-to the allocation by the payment characterization, and for the Bayesian
-problem by its interim analogue.  The search space is cut down in three
-exact (or explicitly documented) ways:
+Both exact problems are concave maximizations over polyhedra.  Robust
+revenue is sum f sqrt(q) with the perceived payments q linear in the
+allocation table, subject to linear supply and own-type monotonicity
+constraints; Bayesian revenue is the same composed with the linear interim
+collapse, with interim monotonicity in place of the ex-post one.  Payments
+never need to be optimized: the payment characterization and its interim
+analogue pin them to the allocation.
 
-* Symmetry quotient.  When all bidders share one type distribution, a
-  symmetric optimum exists in the continuous problem (the objective is
-  concave and the constraint set is convex and permutation-invariant), so
-  the search runs over allocation rules that depend only on a bidder's own
-  type and the multiset of the others' types.  On the grid this can cost at
-  most one grid step of objective value, which the reported slack covers.
-* Top-of-chain closure.  A bidder's allocation at their own highest type
-  enters the objective only through that type's payment term, with a
-  non-negative coefficient, so given everything else it is optimal to raise
-  it as far as feasibility allows.  These variables are closed per supply
-  constraint instead of enumerated; when several distinct top variables
-  share one supply constraint, all but one are scanned exhaustively.
-* Monotonicity pruning.  Robust-problem tables must be monotone in the own
-  type, so enumeration skips non-monotone prefixes.  The Bayesian problem
-  constrains only the interim rule, so there this pruning is applied only
-  in the single-bidder case and interim monotonicity is checked instead.
-
-Searches whose estimated enumeration size exceeds the configured budget are
-refused with an explanation rather than attempted.
+Each problem is built once as dense matrices and solved by a log-barrier
+Newton method.  The solver returns the better of its last iterate and that
+iterate rounded to the configured grid (when the rounded table is still
+feasible), and reports ``grid_slack`` as a certified gap: an upper bound on
+the optimum, from Lagrangian duality at the last iterate, minus the revenue
+of the returned table.  Instances above the variable cap, or that the
+barrier method fails to certify, are refused with an explanation.
 """
 
 from __future__ import annotations
@@ -34,6 +23,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,20 +39,22 @@ from .core import (
 from .mechanisms import Mechanism
 from .virtual import virtual_values
 
-_FAST_PATH_CELLS = 4_000_000
-
 
 class OracleRefusal(ValueError):
-    """Raised when an instance is too large for exhaustive search."""
+    """Raised when an instance is too large for, or not certified by, the solver."""
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid step and size caps for the exhaustive solvers."""
+    """Rounding grid and size cap for the exact solvers.
+
+    The solver's answer is rounded to multiples of ``grid`` when that keeps
+    the table feasible and does not lower revenue; ``max_profile_vars`` caps
+    the allocation variables n * K_0 * ... * K_{n-1} of the dense program.
+    """
 
     grid: float = 1e-3
     max_profile_vars: int = 64
-    max_nodes: int = 1_000_000
 
     def __post_init__(self):
         if not 0 < self.grid <= 0.1:
@@ -70,8 +62,8 @@ class OracleConfig:
         steps = 1.0 / self.grid
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("1/grid must be an integer")
-        if self.max_profile_vars < 1 or self.max_nodes < 1:
-            raise ValueError("caps must be positive")
+        if self.max_profile_vars < 1:
+            raise ValueError("max_profile_vars must be positive")
 
     @property
     def steps(self) -> int:
@@ -141,7 +133,8 @@ def verify(
     ``which`` is an iterable over {"ic", "ir", "bic", "bir", "xp", "xa"}.
     When omitted it defaults to the set matching the mechanism's payment
     style: IC/IR/XP for robust payments, BIC/BIR plus XP or XA for interim
-    ones.  Violations are results, not errors.
+    ones.  Violations are results, not errors; a NaN or infinite worst
+    violation fails its constraint and is reported as is.
     """
     if which is None:
         if mech.robust_payments is not None:
@@ -157,424 +150,217 @@ def verify(
 
     results: dict[str, ConstraintCheck] = {}
     for name in which:
+        # per-bidder worst violations; np.max propagates a NaN where max() drops it
+        parts: list[float] = []
         if name in ("ic", "ir"):
             q = _expost_q(mech, instance)
             if q is None or mech.allocation is None:
                 raise ValueError(f"{name} check needs an ex-post allocation and payments")
-            worst = 0.0
             for i in range(instance.n):
                 z = instance.values(i)
                 x = np.moveaxis(mech.allocation.table[i], i, 0).reshape(instance.shape[i], -1)
                 qi = np.moveaxis(q[i], i, 0).reshape(instance.shape[i], -1)
                 util = z[:, None] * x - qi
                 if name == "ir":
-                    worst = max(worst, float(-util.min()))
+                    parts.append(-util.min())
                 else:
                     # deviation utility of reporting w while holding type v
                     dev = z[:, None, None] * x[None, :, :] - qi[None, :, :]
-                    worst = max(worst, float((dev - util[:, None, :]).max()))
-            results[name] = ConstraintCheck(worst <= tol, max(0.0, worst))
+                    parts.append((dev - util[:, None, :]).max())
         elif name in ("bic", "bir"):
             xhat = _interim_alloc(mech, instance)
             qhat = _interim_qhat(mech, instance)
-            worst = 0.0
             for i in range(instance.n):
                 z = instance.values(i)
                 util = z * xhat[i] - qhat[i]
                 if name == "bir":
-                    worst = max(worst, float(-util.min()))
+                    parts.append(-util.min())
                 else:
                     dev = z[:, None] * xhat[i][None, :] - qhat[i][None, :]
-                    worst = max(worst, float((dev - util[:, None]).max()))
-            results[name] = ConstraintCheck(worst <= tol, max(0.0, worst))
+                    parts.append((dev - util[:, None]).max())
         elif name == "xp":
             if mech.allocation is None:
                 raise ValueError("xp check needs an ex-post allocation")
-            worst = float(mech.allocation.table.sum(axis=0).max() - 1.0)
-            results[name] = ConstraintCheck(worst <= tol, max(0.0, worst))
+            parts.append(mech.allocation.table.sum(axis=0).max() - 1.0)
         else:  # xa
             if mech.allocation is not None:
-                expected = float((mech.allocation.table * instance.joint_pmf).sum())
+                parts.append((mech.allocation.table * instance.joint_pmf).sum() - 1.0)
             else:
                 xhat = _interim_alloc(mech, instance)
-                expected = sum(
-                    float(instance.pmf(i) @ xhat[i]) for i in range(instance.n)
-                )
-            worst = expected - 1.0
-            results[name] = ConstraintCheck(worst <= tol, max(0.0, worst))
+                parts.append(sum(instance.pmf(i) @ xhat[i] for i in range(instance.n)) - 1.0)
+        worst = float(np.max(parts + [0.0]))
+        # a violation that could not be evaluated is a failure, reported as is
+        results[name] = ConstraintCheck(math.isfinite(worst) and worst <= tol, worst)
     return results
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive grid search
+# Log-barrier solver
 # ---------------------------------------------------------------------------
 
+_MU = 50.0  # growth of the barrier parameter t once a point is centred
+_CENTRED = 1e-6  # squared Newton decrement below which a point counts as centred
+_GAP_TOL = 1e-9  # stop once the certified gap is below this times max(1, bound)
+_FP_MARGIN = 1e-12  # relative floating-point margin added to every reported gap
+_RIDGE = 1e-13  # keeps the unit-diagonal Newton system non-singular
+_MAX_NEWTON = 400
 
-@dataclass
-class _Compiled:
-    """Quotiented variable structure for one instance.
 
-    classes: one variable per orbit of table slots; ``slots[c]`` lists the
-    concrete (bidder, profile) entries sharing value c.  ``groups`` holds the
-    distinct supply constraints as {class: multiplicity} maps.  ``orbits``
-    carry the chain structure used by the objective: one entry per
-    representative bidder with its per-context chains of class ids.
+@dataclass(frozen=True)
+class _Program:
+    """maximize w . sqrt(Q x) (w . Q x if linear) subject to A x <= b.
+
+    x is the allocation table flattened in (n, K_0, ..., K_{n-1}) order; the
+    rows of Q x are the perceived payments the objective prices, and A x <= b
+    stacks x >= 0, per-profile supply and monotonicity.
     """
 
-    n: int
-    shape: tuple[int, ...]
-    symmetric: bool
-    slots: list[list[tuple[int, tuple[int, ...]]]]
-    own_idx: list[int]
-    prev: list[int | None]
-    top: list[bool]
-    groups: list[dict[int, int]]
-    orbits: list[tuple[int, int, list[tuple[float, tuple[int, ...]]]]]
-    interiors: list[int]
+    Q: np.ndarray
+    w: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    linear: bool
 
 
-def _compile(instance: AuctionInstance) -> _Compiled:
+def _along(i: int, own: np.ndarray, other: list[np.ndarray]) -> np.ndarray:
+    """Matrix on the flattened (n, *shape) table that applies ``own`` along
+    bidder i's own-type axis of x_i and ``other[j]`` along bidder j's axis."""
+    factors = [np.eye(len(other))[i : i + 1]]
+    factors += [own if j == i else m for j, m in enumerate(other)]
+    return reduce(np.kron, factors)
+
+
+def _program(instance: AuctionInstance, mode: str) -> _Program:
+    """Dense matrices of the robust (``rrm``, ``rrm_linear``) or Bayesian
+    (``brm``) revenue program."""
     n, shape = instance.n, instance.shape
-    symmetric = instance.is_symmetric() and n > 1
-    key_to_id: dict = {}
-    keys: list = []
-    slots: list[list] = []
+    cells = math.prod(shape)
+    bayesian = mode == "brm"
+    # Bayesian payments and monotonicity act on the interim collapse, which
+    # averages the other bidders' types out
+    other = [instance.pmf(j)[None, :] if bayesian else np.eye(k) for j, k in enumerate(shape)]
+    pay_rows, mono_rows = [], []
+    for i, k in enumerate(shape):
+        # q_l = z_l x_l - sum_{j<l} (z_{j+1} - z_j) x_j along one own-type chain
+        chain = np.diag(instance.values(i)) - np.tril(np.tile(instance.space(i).gaps, (k, 1)), -1)
+        pay_rows.append(_along(i, chain, other))
+        mono_rows.append(_along(i, -np.diff(np.eye(k), axis=0), other))
+    Q, mono = np.vstack(pay_rows), np.vstack(mono_rows)
+    if bayesian:
+        w = np.concatenate([instance.pmf(i) for i in range(n)])
+    else:
+        w = np.tile(instance.joint_pmf.ravel(), n)
+    # a zero row (lowest type worth 0) pays nothing and has no sqrt gradient
+    priced = np.any(Q != 0, axis=1)
+    A = np.vstack([-np.eye(n * cells), np.tile(np.eye(cells), n), mono])
+    b = np.concatenate([np.zeros(n * cells), np.ones(cells), np.zeros(len(mono))])
+    return _Program(Q[priced], w[priced], A, b, mode == "rrm_linear")
 
-    def cid(i: int, profile: tuple[int, ...]) -> int:
-        own = profile[i]
-        others = profile[:i] + profile[i + 1 :]
-        key = (own, tuple(sorted(others))) if symmetric else (i, own, others)
-        j = key_to_id.get(key)
-        if j is None:
-            j = len(keys)
-            key_to_id[key] = j
-            keys.append(key)
-            slots.append([])
-        return j
 
-    group_sigs: dict = {}
-    for prof in itertools.product(*(range(k) for k in shape)):
-        counter: dict[int, int] = {}
-        for i in range(n):
-            c = cid(i, prof)
-            slots[c].append((i, prof))
-            counter[c] = counter.get(c, 0) + 1
-        sig = tuple(sorted(counter.items()))
-        group_sigs.setdefault(sig, None)
-    groups = [dict(sig) for sig in group_sigs]
+def _revenue(prog: _Program, x: np.ndarray) -> float:
+    q = prog.Q @ x
+    return float(prog.w @ (q if prog.linear else np.sqrt(np.maximum(q, 0.0))))
 
-    own_idx, prev, top = [], [], []
-    for key in keys:
-        if symmetric:
-            own, ctx = key
-            rep = 0
-            prev_key = (own - 1, ctx)
+
+def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Log-barrier Newton method (Boyd & Vandenberghe, ch. 11) from a strictly
+    feasible x.  Returns the last iterate and an upper bound on the optimum.
+
+    For any multipliers lambda >= 0 with residual r = grad R(x) - A^T lambda,
+    concavity gives R(y) <= R(x) + lambda.s + r.(y - x) for every feasible y,
+    and feasible tables lie in [0, 1]^N.  The multipliers are the Newton-step
+    estimate (1 + A dx / s) / (t s), for which r is the step's own error.
+    """
+    Q, w, A, b = prog.Q, prog.w, prog.A, prog.b
+
+    def phi(x, t):
+        s, q = b - A @ x, Q @ x
+        if np.any(s <= 0) or (not prog.linear and np.any(q <= 0)):
+            return math.inf
+        return -t * _revenue(prog, x) - float(np.log(s).sum())
+
+    t = len(b) / max(_revenue(prog, x), _GAP_TOL)
+    for _ in range(_MAX_NEWTON):
+        s, q = b - A @ x, Q @ x
+        if prog.linear:
+            grad, curv = Q.T @ w, 0.0
         else:
-            rep, own, ctx = key
-            prev_key = (rep, own - 1, ctx)
-        own_idx.append(own)
-        top.append(own == shape[rep] - 1)
-        prev.append(key_to_id[prev_key] if own > 0 else None)
-
-    reps = [0] if symmetric else list(range(n))
-    orbit_mult = n if symmetric else 1
-    orbits = []
-    for i in reps:
-        agg: dict = {}
-        order: list = []
-        other_ranges = [range(shape[j]) for j in range(n) if j != i]
-        pmfs = [instance.pmf(j) for j in range(n) if j != i]
-        for ctx in itertools.product(*other_ranges):
-            prob = math.prod(pmfs[a][k] for a, k in enumerate(ctx))
-            ids = tuple(
-                cid(i, ctx[:i] + (own,) + ctx[i:]) for own in range(shape[i])
-            )
-            ck = tuple(sorted(ctx)) if symmetric else ctx
-            if ck in agg:
-                agg[ck][0] += prob
-            else:
-                agg[ck] = [prob, ids]
-                order.append(ck)
-        orbits.append((orbit_mult, i, [(agg[ck][0], agg[ck][1]) for ck in order]))
-
-    interiors, seen = [], set()
-    for _, _, chains in orbits:
-        for _, ids in chains:
-            for c in ids[:-1]:
-                if c not in seen:
-                    seen.add(c)
-                    interiors.append(c)
-    return _Compiled(
-        n=n, shape=shape, symmetric=symmetric, slots=slots, own_idx=own_idx,
-        prev=prev, top=top, groups=groups, orbits=orbits, interiors=interiors,
+            root = np.sqrt(q)
+            grad = Q.T @ (w / (2 * root))
+            curv = (Q.T * (w / (4 * q * root))) @ Q
+        g = A.T @ (1 / s) - t * grad
+        H = (A.T / s**2) @ A + t * curv
+        # Scaled to a unit diagonal, plus a ridge: where a linear program's
+        # optimal face is not a point, H is singular in floating point for
+        # large t.  The bound below holds whatever step is taken.
+        d = 1 / np.sqrt(np.diag(H))
+        try:
+            dx = -d * np.linalg.solve(H * np.outer(d, d) + _RIDGE * np.eye(len(x)), d * g)
+        except np.linalg.LinAlgError as exc:
+            raise OracleRefusal(f"barrier Newton system is singular: {exc}") from exc
+        lam2 = float(-g @ dx)
+        dual = np.maximum((1 + (A @ dx) / s) / (t * s), 0.0)
+        r = grad - A.T @ dual
+        value = _revenue(prog, x)
+        bound = value + float(dual @ s) + float(np.maximum(r * (1 - x), -r * x).sum())
+        if bound - value <= _GAP_TOL * max(1.0, bound):
+            return x, bound
+        if lam2 <= _CENTRED:
+            t *= _MU
+            continue
+        # 0.99 of the longest step that keeps every slack and priced q positive
+        alpha = 1.0
+        for level, rate in ((s, A @ dx), (q, -(Q @ dx))):
+            if prog.linear and level is q:
+                continue
+            hit = rate > 0
+            if hit.any():
+                alpha = min(alpha, 0.99 * float(np.min(level[hit] / rate[hit])))
+        if lam2 > 0.25**2:
+            # Armijo backtracking far from the centre only; near it the
+            # barrier values differ by less than their rounding error
+            start = phi(x, t)
+            while alpha > 1e-12 and phi(x + alpha * dx, t) > start - 0.25 * alpha * lam2:
+                alpha *= 0.5
+        x = x + alpha * dx
+    raise OracleRefusal(
+        f"barrier method did not certify a gap of {_GAP_TOL:g} within "
+        f"{_MAX_NEWTON} Newton steps"
     )
 
 
-def _objective(comp: _Compiled, instance: AuctionInstance, vals, g: float, mode: str):
-    """Search objective for class values (ints or int ndarrays) on grid g.
+def _solve(
+    instance: AuctionInstance, config: OracleConfig, mode: str
+) -> tuple[ExPostAllocation, float, float]:
+    """Best certified table, its objective value and the optimum's upper bound.
 
-    Returns (value, feasible) where ``feasible`` carries the interim
-    monotonicity mask for the Bayesian mode (True otherwise).
+    Returns the better of the barrier iterate and that iterate rounded to
+    multiples of ``config.grid``, if the rounded table is still feasible.
     """
-    total = 0.0
-    feasible = True
-    for mult, i, chains in comp.orbits:
-        z = instance.values(i)
-        f = instance.pmf(i)
-        gaps = instance.space(i).gaps
-        if mode == "brm":
-            k_count = instance.shape[i]
-            xhat = []
-            for ell in range(k_count):
-                acc = 0.0
-                for prob, ids in chains:
-                    acc = acc + prob * vals[ids[ell]]
-                xhat.append(acc * g)
-            for ell in range(1, k_count):
-                feasible = feasible & (xhat[ell] >= xhat[ell - 1] - 1e-12)
-            prefix, rev = 0.0, 0.0
-            for ell in range(k_count):
-                q = z[ell] * xhat[ell] - prefix
-                rev = rev + f[ell] * np.sqrt(np.maximum(q, 0.0))
-                prefix = prefix + gaps[ell] * xhat[ell]
-            total = total + mult * rev
-        else:
-            for prob, ids in chains:
-                prefix, rev = 0.0, 0.0
-                for ell, c in enumerate(ids):
-                    x = vals[c] * g
-                    q = z[ell] * x - prefix
-                    if mode == "rrm":
-                        rev = rev + f[ell] * np.sqrt(np.maximum(q, 0.0))
-                    else:  # linear perceived payments
-                        rev = rev + f[ell] * q
-                    prefix = prefix + gaps[ell] * x
-                total = total + mult * prob * rev
-    return total, feasible
-
-
-def _estimate_nodes(comp: _Compiled, G: int, prune_monotone: bool) -> float:
-    est = 1.0
-    for _, _, chains in comp.orbits:
-        for _, ids in chains:
-            L = len(ids) - 1
-            if L <= 0:
-                continue
-            est *= math.comb(G + L, L) if prune_monotone else float(G + 1) ** L
-            if est > 1e18:
-                return est
-    for grp in comp.groups:
-        distinct_tops = sum(1 for c in grp if comp.top[c])
-        if distinct_tops >= 2:
-            est *= float(G + 1) ** (distinct_tops - 1)
-    return est
-
-
-def _close_single_tops(comp, vals, G, prune_monotone):
-    """Fill every top class that alone completes its supply constraint.
-
-    Returns (scan_groups, ok): groups holding >= 2 distinct unfilled top
-    classes are left for exhaustive scanning.
-    """
-    scan_groups = []
-    for grp in comp.groups:
-        tops = [c for c in grp if comp.top[c]]
-        if not tops:
-            continue
-        if len(tops) == 1:
-            c = tops[0]
-            cap = G - sum(m * vals[cc] for cc, m in grp.items() if not comp.top[cc])
-            v = min(G, cap // grp[c])
-            lo = vals[comp.prev[c]] if prune_monotone and comp.prev[c] is not None else 0
-            if v < lo:
-                return None, False
-            vals[c] = v
-        else:
-            scan_groups.append(grp)
-    return scan_groups, True
-
-
-def _dfs_search(comp, instance, config, mode):
-    G = config.steps
-    g = config.grid
-    prune = mode != "brm" or instance.n == 1
-    interiors = comp.interiors
-
-    group_list = comp.groups
-    member_groups: dict[int, list[int]] = {}
-    for gi, grp in enumerate(group_list):
-        for c in grp:
-            member_groups.setdefault(c, []).append(gi)
-    assigned_sum = [0] * len(group_list)
-
-    vals = [0] * len(comp.slots)
-    best = {"obj": -math.inf, "vals": None}
-    budget = {"nodes": 0}
-
-    def leaf():
-        work = list(vals)
-        scan_groups, ok = _close_single_tops(comp, work, G, prune)
-        if not ok:
-            return
-        # exhaustively split the supply constraints shared by several
-        # distinct top variables; the last one takes the grid remainder
-        def scan(idx):
-            if idx == len(scan_groups):
-                obj, feas = _objective(comp, instance, work, g, mode)
-                if feas and obj > best["obj"]:
-                    best["obj"] = obj
-                    best["vals"] = list(work)
-                return
-            grp = scan_groups[idx]
-            tops = sorted(c for c in grp if comp.top[c])
-            fixed = sum(m * work[c] for c, m in grp.items() if not comp.top[c])
-
-            def inner(t, used):
-                budget["nodes"] += 1
-                if budget["nodes"] > config.max_nodes:
-                    raise OracleRefusal(
-                        "search exceeded the node budget; coarsen the grid "
-                        "or raise max_nodes"
-                    )
-                c = tops[t]
-                lo = (
-                    work[comp.prev[c]]
-                    if prune and comp.prev[c] is not None
-                    else 0
-                )
-                if t == len(tops) - 1:
-                    v = min(G, (G - fixed - used) // grp[c])
-                    if v < lo:
-                        return
-                    work[c] = v
-                    scan(idx + 1)
-                    return
-                hi = min(G, (G - fixed - used) // grp[c])
-                for v in range(lo, hi + 1):
-                    work[c] = v
-                    inner(t + 1, used + grp[c] * v)
-
-            inner(0, 0)
-
-        scan(0)
-
-    def assign(k):
-        budget["nodes"] += 1
-        if budget["nodes"] > config.max_nodes:
-            raise OracleRefusal(
-                "search exceeded the node budget; coarsen the grid or raise max_nodes"
-            )
-        if k == len(interiors):
-            leaf()
-            return
-        c = interiors[k]
-        lo = 0
-        if prune and comp.prev[c] is not None and not comp.top[comp.prev[c]]:
-            lo = vals[comp.prev[c]]
-        hi = G
-        for gi in member_groups[c]:
-            grp = group_list[gi]
-            hi = min(hi, (G - assigned_sum[gi]) // grp[c])
-        for v in range(lo, hi + 1):
-            vals[c] = v
-            for gi in member_groups[c]:
-                assigned_sum[gi] += group_list[gi][c] * v
-            assign(k + 1)
-            for gi in member_groups[c]:
-                assigned_sum[gi] -= group_list[gi][c] * v
-        vals[c] = 0
-
-    assign(0)
-    return best["obj"], best["vals"]
-
-
-def _vector_search(comp, instance, config, mode):
-    """Vectorized search over meshgrids of the interior variables."""
-    G = config.steps
-    g = config.grid
-    prune = mode != "brm" or instance.n == 1
-    interiors = comp.interiors
-    if interiors:
-        axes = np.meshgrid(*([np.arange(G + 1)] * len(interiors)), indexing="ij")
-    else:
-        axes = []
-    vals: list = [None] * len(comp.slots)
-    for pos, c in enumerate(interiors):
-        vals[c] = axes[pos]
-    mask = np.ones(axes[0].shape if axes else (), dtype=bool)
-
-    if prune:
-        for c in interiors:
-            p = comp.prev[c]
-            if p is not None and not comp.top[p]:
-                mask &= vals[c] >= vals[p]
-
-    for grp in comp.groups:
-        tops = [c for c in grp if comp.top[c]]
-        interior_part = sum(m * vals[c] for c, m in grp.items() if not comp.top[c])
-        if not tops:
-            mask &= interior_part <= G
-            continue
-        (c,) = tops
-        cap = G - interior_part
-        mask &= cap >= 0
-        v = np.minimum(G, np.maximum(cap, 0) // grp[c])
-        if prune and comp.prev[c] is not None:
-            mask &= v >= vals[comp.prev[c]]
-        vals[c] = v
-
-    obj, feas = _objective(comp, instance, vals, g, mode)
-    obj = np.where(mask & feas, obj, -np.inf)
-    flat = int(np.argmax(obj))
-    best_obj = float(obj.ravel()[flat])
-    if not math.isfinite(best_obj):
-        return -math.inf, None
-    idx = np.unravel_index(flat, obj.shape) if interiors else ()
-    out = [0] * len(comp.slots)
-    for pos, c in enumerate(interiors):
-        out[c] = int(axes[pos][idx])
-    work = list(out)
-    scan_groups, ok = _close_single_tops(comp, work, G, prune)
-    assert ok and not scan_groups
-    return best_obj, work
-
-
-def _search(instance: AuctionInstance, config: OracleConfig, mode: str):
-    if instance.n * math.prod(instance.shape) > config.max_profile_vars:
+    n, shape = instance.n, instance.shape
+    if n * math.prod(shape) > config.max_profile_vars:
         raise OracleRefusal(
-            f"instance has {instance.n * math.prod(instance.shape)} allocation "
+            f"instance has {n * math.prod(shape)} allocation "
             f"variables, above the max_profile_vars cap of {config.max_profile_vars}"
         )
-    comp = _compile(instance)
-    G = config.steps
-    multi_top = any(
-        sum(1 for c in grp if comp.top[c]) >= 2 for grp in comp.groups
+    prog = _program(instance, mode)
+    # x_i(v) = (v_i + 1) / ((K_i + 1) n): strictly monotone, strictly inside supply
+    sizes = np.array(shape).reshape(n, *([1] * n))
+    start = ((np.indices(shape) + 1) / ((sizes + 1) * n)).ravel()
+    x, bound = _barrier(prog, start)
+    best = max(
+        (c for c in (x, np.round(x * config.steps) / config.steps)
+         if np.all(prog.A @ c <= prog.b + 1e-12)),
+        key=lambda c: _revenue(prog, c),
     )
-    cells = float(G + 1) ** len(comp.interiors)
-    if not multi_top and cells <= _FAST_PATH_CELLS:
-        obj, vals = _vector_search(comp, instance, config, mode)
-    else:
-        prune = mode != "brm" or instance.n == 1
-        est = _estimate_nodes(comp, G, prune)
-        if est > config.max_nodes:
-            raise OracleRefusal(
-                f"estimated {est:.2e} search nodes exceeds the budget of "
-                f"{config.max_nodes}; coarsen the grid or shrink the instance"
-            )
-        obj, vals = _dfs_search(comp, instance, config, mode)
-    if vals is None:
-        raise RuntimeError("grid search found no feasible allocation")
-    table = np.zeros((instance.n, *instance.shape))
-    for c, slot_list in enumerate(comp.slots):
-        x = vals[c] * config.grid
-        for i, prof in slot_list:
-            table[(i, *prof)] = x
-    return obj, ExPostAllocation(table)
+    return ExPostAllocation(best.reshape(n, *shape)), _revenue(prog, best), bound
 
 
-def _grid_slack(instance: AuctionInstance, config: OracleConfig) -> float:
-    max_value = max(float(instance.values(i)[-1]) for i in range(instance.n))
-    return instance.n * max_value * config.grid
+def _certified_gap(bound: float, revenue: float) -> float:
+    gap = bound - revenue + _FP_MARGIN * bound
+    if not gap >= 0:
+        raise RuntimeError("returned table beats the barrier's upper bound")
+    return gap
 
 
 def exact_rrm(
@@ -582,18 +368,19 @@ def exact_rrm(
     config: OracleConfig = OracleConfig(),
     perceived: str = "quadratic",
 ) -> tuple[Mechanism, MechanismReport]:
-    """Grid-exhaustive robust revenue maximization.
+    """Certified robust revenue maximization.
 
-    Searches monotone, ex-post feasible allocation tables on the grid and
-    pins payments via the payment characterization.  ``perceived`` selects
+    Maximizes over monotone, ex-post feasible allocation tables and pins
+    payments via the payment characterization.  ``perceived`` selects
     quadratic (p = sqrt(q)) or linear (p = q) payments; the linear mode is
-    the classic Myerson problem and serves as a cross-check oracle.
+    the classic Myerson problem (a linear program) and serves as a
+    cross-check oracle.
     """
     if perceived not in ("quadratic", "linear"):
         raise ValueError("perceived must be 'quadratic' or 'linear'")
     start = time.perf_counter()
     mode = "rrm" if perceived == "quadratic" else "rrm_linear"
-    obj, alloc = _search(instance, config, mode)
+    alloc, obj, bound = _solve(instance, config, mode)
     q = pay.perceived_payment(alloc, instance)
     if perceived == "quadratic":
         rule = RobustPaymentRule(np.sqrt(np.maximum(q, 0.0)))
@@ -601,7 +388,7 @@ def exact_rrm(
         rule = RobustPaymentRule(np.maximum(q, 0.0))
     revenue = pay.expected_revenue(rule, instance)
     if abs(revenue - obj) > 1e-6:
-        raise RuntimeError("search objective and recomputed revenue disagree")
+        raise RuntimeError("solver objective and recomputed revenue disagree")
     mech = Mechanism(
         alloc, robust_payments=rule,
         provenance=f"exact_rrm[grid={config.grid}]", perceived=perceived,
@@ -610,7 +397,7 @@ def exact_rrm(
         revenue, ObjectiveKind.EXACT_ORACLE, revenue=revenue,
         verification=verify(instance, mech, ("ic", "ir", "xp")),
         runtime_s=time.perf_counter() - start,
-        grid_slack=_grid_slack(instance, config),
+        grid_slack=_certified_gap(bound, revenue),
     )
     return mech, report
 
@@ -618,19 +405,19 @@ def exact_rrm(
 def exact_brm(
     instance: AuctionInstance, config: OracleConfig = OracleConfig()
 ) -> tuple[Mechanism, MechanismReport]:
-    """Grid-exhaustive Bayesian revenue maximization.
+    """Certified Bayesian revenue maximization.
 
-    Searches ex-post feasible allocation tables (interim feasibility alone
-    does not imply an ex-post implementation), requires the collapsed
-    interim rule to be monotone, and pays the per-type interim payments.
+    Maximizes over ex-post feasible allocation tables (interim feasibility
+    alone does not imply an ex-post implementation) whose collapsed interim
+    rule is monotone, and pays the per-type interim payments.
     """
     start = time.perf_counter()
-    obj, alloc = _search(instance, config, "brm")
+    alloc, obj, bound = _solve(instance, config, "brm")
     interim = pay.interim_collapse(alloc, instance)
     h = pay.bayesian_payment(interim, instance)
     revenue = pay.expected_revenue(h, instance)
     if abs(revenue - obj) > 1e-6:
-        raise RuntimeError("search objective and recomputed revenue disagree")
+        raise RuntimeError("solver objective and recomputed revenue disagree")
     mech = Mechanism(
         alloc, interim_allocation=interim, interim_payments=h,
         provenance=f"exact_brm[grid={config.grid}]",
@@ -639,7 +426,7 @@ def exact_brm(
         revenue, ObjectiveKind.EXACT_ORACLE, revenue=revenue,
         verification=verify(instance, mech, ("bic", "bir", "xp")),
         runtime_s=time.perf_counter() - start,
-        grid_slack=_grid_slack(instance, config),
+        grid_slack=_certified_gap(bound, revenue),
     )
     return mech, report
 

@@ -199,6 +199,38 @@ class TestCommands:
         assert main(["check", str(mech_path), "--constraints", "xp"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_check_exit_one_on_non_finite_violation(self, tmp_path, capsys):
+        import json
+
+        mech_path = tmp_path / "m.json"
+        main([
+            "solve", "--dist", "categorical:3,10,0.8", "--n", "2",
+            "--method", "heur_rrm_cf", "--output", str(mech_path),
+        ])
+        doc = json.loads(mech_path.read_text())
+        # finite payments whose squares overflow: IC's worst violation is NaN
+        doc["robust_payments"] = [[1e200] * 4, [1e200] * 4]
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(mech_path), "--constraints", "ic"]) == 1
+        assert "ic: FAIL (worst violation nan)" in capsys.readouterr().out
+
+    def test_check_rejects_nan_mechanism_file(self, tmp_path, capsys):
+        import json
+
+        mech_path = tmp_path / "m.json"
+        main([
+            "solve", "--dist", "categorical:3,10,0.8", "--n", "2",
+            "--method", "heur_rrm_cf", "--output", str(mech_path),
+        ])
+        doc = json.loads(mech_path.read_text())
+        doc["robust_payments"] = [[float("nan")] * 4, [float("nan")] * 4]
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(mech_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_usage_errors_exit_two(self, capsys):
         assert main(["solve", "--dist", "categorical:3,10,0.8", "--n", "2",
                      "--method", "not_a_method"]) == 2

@@ -7,6 +7,9 @@ from convexauction import (
     AuctionInstance,
     DiscreteDistribution,
     ExPostAllocation,
+    InterimAllocation,
+    InterimPaymentRule,
+    RobustPaymentRule,
     TypeSpace,
     make_binomial,
     make_categorical,
@@ -139,3 +142,22 @@ class TestAllocationTables:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ExPostAllocation(np.full((1, 2), 1.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: TypeSpace(np.array([0.0, bad])),
+        lambda bad: DiscreteDistribution(np.array([0.5, bad])),
+        lambda bad: ExPostAllocation(np.array([[0.0, bad]])),
+        lambda bad: InterimAllocation((np.array([0.0, bad]),)),
+        lambda bad: RobustPaymentRule(np.array([[0.0, bad]])),
+        lambda bad: InterimPaymentRule((np.array([0.0, bad]),)),
+    ],
+    ids=["TypeSpace", "DiscreteDistribution", "ExPostAllocation",
+         "InterimAllocation", "RobustPaymentRule", "InterimPaymentRule"],
+)
+def test_constructors_reject_non_finite(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)

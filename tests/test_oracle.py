@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-import convexauction.oracle as oracle_mod
 from convexauction import (
     AuctionInstance,
     DiscreteDistribution,
@@ -23,7 +22,12 @@ from convexauction import (
     symmetric_instance,
     verify,
 )
-from convexauction import bayesian_payment, InterimAllocation
+from convexauction import (
+    InterimAllocation,
+    InterimPaymentRule,
+    RobustPaymentRule,
+    bayesian_payment,
+)
 from conftest import single_type_instance
 
 
@@ -65,6 +69,28 @@ class TestVerify:
         assert not checks["ir"].passed
         assert math.isclose(checks["ir"].worst_violation, 25.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_robust_violations_fail_ic_ir(self, two_bidder_0_100):
+        # p = 1e200 squares to inf: IR's worst violation is inf, IC's inf - inf = NaN
+        mech = Mechanism(
+            ExPostAllocation(np.full((2, 2, 2), 0.5)),
+            robust_payments=RobustPaymentRule(np.full((2, 2, 2), 1e200)),
+        )
+        checks = verify(two_bidder_0_100, mech, ("ic", "ir"))
+        assert math.isnan(checks["ic"].worst_violation)
+        assert math.isinf(checks["ir"].worst_violation)
+        assert not checks["ic"].passed and not checks["ir"].passed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_interim_violations_fail_bic_bir(self, two_bidder_0_100):
+        interim = InterimAllocation((np.array([0.0, 0.75]), np.array([0.0, 0.75])))
+        h = InterimPaymentRule((np.full(2, 1e200), np.full(2, 1e200)))
+        mech = Mechanism(None, interim_allocation=interim, interim_payments=h)
+        checks = verify(two_bidder_0_100, mech, ("bic", "bir"))
+        assert math.isnan(checks["bic"].worst_violation)
+        assert math.isinf(checks["bir"].worst_violation)
+        assert not checks["bic"].passed and not checks["bir"].passed
+
     def test_unknown_constraint_rejected(self, two_bidder_0_100):
         mech = Mechanism(ExPostAllocation(np.zeros((2, 2, 2))))
         with pytest.raises(ValueError):
@@ -85,6 +111,16 @@ class TestExactRrm:
         _, report = exact_rrm(inst, config)
         expected = 0.5 * (math.sqrt(v) + math.sqrt(v / 2))
         assert abs(report.revenue - expected) <= report.grid_slack
+
+    @pytest.mark.parametrize("v", [25.0, 64.0])
+    def test_three_bidder_closed_form_off_grid(self, v):
+        # the high bidders of each profile split the item equally, so the
+        # optimum holds 1/3 shares that no grid point reaches
+        inst = two_value_uniform(0, v, n=3)
+        mech, report = exact_rrm(inst, OracleConfig(grid=1e-3))
+        expected = math.sqrt(v) / 8 * (3 + 6 / math.sqrt(2) + 3 / math.sqrt(3))
+        assert 0.0 <= expected - report.revenue <= report.grid_slack
+        assert math.isclose(mech.allocation.table[0][1, 1, 1], 1 / 3, abs_tol=1e-9)
 
     def test_dominates_heuristics(self, categorical_pair):
         config = OracleConfig(grid=1e-3)
@@ -115,19 +151,17 @@ class TestExactRrm:
         assert math.isclose(report.revenue, 0.5 * 6.0, abs_tol=report.grid_slack)
         assert math.isclose(mech.allocation.table[0][1, 0], 1.0)
 
-    def test_dfs_matches_vectorized_path(self, two_bidder_0_100, monkeypatch):
-        config = OracleConfig(grid=0.05)
-        _, fast = exact_rrm(two_bidder_0_100, config)
-        monkeypatch.setattr(oracle_mod, "_FAST_PATH_CELLS", 0)
-        _, slow = exact_rrm(two_bidder_0_100, config)
-        assert math.isclose(fast.revenue, slow.revenue, rel_tol=1e-12)
+    def test_uniform5_pair_solves_and_beats_heuristic(self):
+        # 2 x 25 variables: the largest symmetric pair under the variable cap
+        inst = symmetric_instance(*make_uniform(5), 2)
+        mech, report = exact_rrm(inst, OracleConfig(grid=1e-3))
+        assert all(c.passed for c in verify(inst, mech, ("ic", "ir", "xp")).values())
+        assert 0.0 <= report.grid_slack <= 1e-6
+        _, heur = heuristic_lb_rrm(inst, "closed_form")
+        assert report.revenue >= heur.revenue - report.grid_slack
 
     def test_refusal_on_large_instance(self):
         space, dist = make_uniform(5)
-        # 2 x 25 variables fits the variable cap but not the node budget
-        inst = symmetric_instance(space, dist, 2)
-        with pytest.raises(OracleRefusal, match="node|budget"):
-            exact_rrm(inst, OracleConfig(grid=1e-3))
         inst_big = symmetric_instance(space, dist, 3)
         with pytest.raises(OracleRefusal, match="max_profile_vars"):
             exact_rrm(inst_big, OracleConfig(grid=0.1))
@@ -202,12 +236,13 @@ class TestExactBrm:
         _, heur = heuristic_brm(categorical_pair, "closed_form")
         assert oracle_report.revenue >= heur.revenue - oracle_report.grid_slack
 
-    def test_dfs_matches_vectorized_path(self, two_bidder_0_100, monkeypatch):
-        config = OracleConfig(grid=0.05)
-        _, fast = exact_brm(two_bidder_0_100, config)
-        monkeypatch.setattr(oracle_mod, "_FAST_PATH_CELLS", 0)
-        _, slow = exact_brm(two_bidder_0_100, config)
-        assert math.isclose(fast.revenue, slow.revenue, rel_tol=1e-12)
+    def test_uniform5_pair_solves_and_beats_heuristic(self):
+        inst = symmetric_instance(*make_uniform(5), 2)
+        mech, report = exact_brm(inst, OracleConfig(grid=1e-3))
+        assert all(c.passed for c in verify(inst, mech, ("bic", "bir", "xp")).values())
+        assert 0.0 <= report.grid_slack <= 1e-6
+        _, heur = heuristic_brm(inst, "closed_form")
+        assert report.revenue >= heur.revenue - report.grid_slack
 
     def test_no_random_feasible_table_beats_the_oracle(self, two_bidder_0_100):
         config = OracleConfig(grid=0.01)
@@ -230,6 +265,16 @@ class TestExactBrm:
             )
             best = max(best, rev)
         assert best <= report.revenue + report.grid_slack
+
+
+@pytest.mark.parametrize("solver", [exact_rrm, exact_brm])
+def test_symmetric_instance_gives_swap_invariant_table(solver):
+    # the barrier's central points are unique, so on a symmetric instance
+    # they are symmetric without any symmetry quotient
+    inst = symmetric_instance(*make_uniform(3), 2)
+    mech, _ = solver(inst, OracleConfig(grid=0.05))
+    table = mech.allocation.table
+    np.testing.assert_allclose(table[0], table[1].T, rtol=0, atol=1e-9)
 
 
 class TestLinearOracle:

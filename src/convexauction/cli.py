@@ -6,6 +6,14 @@ bidder counts, and one CSV row is emitted per (method, n) with the objective
 kind, value, runtime and verification outcome.  Identical configurations
 produce byte-identical CSV when timing is suppressed with --no-timing.
 
+One registry, ``METHODS``, serves ``experiment`` and ``solve``: each entry
+names its pipeline, the constraint sets it is verified against and the
+report field its CSV value comes from.  ``experiment`` solves and verifies
+every non-exact method on the orbit space of its symmetric instance (K *
+C(n+K-2, K-1) cells of own type and count of the other bidders' types; see
+``spaces``).  The exact methods, ``solve``, ``check``, ``discretize`` and
+mechanism files work on dense ``(n, K_0, ..., K_{n-1})`` tables.
+
 Mechanism files are JSON with explicit field order; allocation and payment
 tables are nested arrays indexed [bidder][profile index], profiles flattened
 in the lexicographic order documented in ``core``.
@@ -23,17 +31,20 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import mechanisms as mech_mod
 from . import oracle as oracle_mod
+from .alloc import GreedyConfig
 from .core import (
     AuctionInstance,
     DiscreteDistribution,
     ExPostAllocation,
     InterimAllocation,
     InterimPaymentRule,
+    ObjectiveKind,
     RobustPaymentRule,
     TypeSpace,
     make_binomial,
@@ -44,19 +55,56 @@ from .core import (
 from .discretization import discretization_gap
 from .mechanisms import Mechanism
 from .oracle import OracleConfig, OracleRefusal
+from .spaces import DenseSpace, OrbitSpace
 
-METHODS = (
-    "exact_rrm",
-    "exact_brm",
-    "pseudo_surplus_greedy",
-    "pseudo_surplus_cf",
-    "heur_lb_greedy",
-    "heur_lb_cf",
-    "heur_rrm_rev",
-    "heur_brm_rev",
-    "ex_ante",
-    "ex_ante_trunc",
-)
+ROBUST, BAYESIAN, EX_ANTE = ("ic", "ir", "xp"), ("bic", "bir", "xp"), ("bic", "bir", "xa")
+
+
+@dataclass(frozen=True)
+class Method:
+    """A registered method: its pipeline, its checks and its CSV value.
+
+    ``run`` maps (profile space, GreedyConfig) to (Tables, report); an
+    ``exact`` method's ``run`` maps (instance, OracleConfig) to a verified
+    (Mechanism, report) instead.  ``column`` names the report field the
+    experiment CSV reports: "objective" under the report's own kind, or
+    "revenue" under ``revenue_robust``.
+    """
+
+    run: Callable
+    constraints: tuple[str, ...]
+    column: str = "objective"
+    exact: bool = False
+
+
+def _with_engine(pipeline, engine, constraints, column="objective") -> Method:
+    return Method(lambda space, greedy: pipeline(space, engine, greedy), constraints, column)
+
+
+_heur_lb_greedy = _with_engine(mech_mod.heuristic_lb_rrm_tables, "greedy", ROBUST)
+_heur_lb_cf = _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form", ROBUST)
+_heur_brm_cf = _with_engine(mech_mod.heuristic_brm_tables, "closed_form", BAYESIAN)
+METHODS = {
+    "exact_rrm": Method(oracle_mod.exact_rrm, ROBUST, exact=True),
+    "exact_brm": Method(oracle_mod.exact_brm, BAYESIAN, exact=True),
+    "surplus": Method(lambda space, greedy: mech_mod.surplus_tables(space), ROBUST),
+    "virtual_surplus": Method(lambda space, greedy: mech_mod.virtual_surplus_tables(space),
+                              ROBUST),
+    "pseudo_surplus_greedy": _with_engine(mech_mod.pseudo_surplus_tables, "greedy", ROBUST),
+    "pseudo_surplus_cf": _with_engine(mech_mod.pseudo_surplus_tables, "closed_form", ROBUST),
+    "heur_lb_greedy": _heur_lb_greedy,
+    "heur_lb_cf": _heur_lb_cf,
+    "heur_rrm_greedy": _heur_lb_greedy,
+    "heur_rrm_cf": _heur_lb_cf,
+    "heur_rrm_rev": _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form", ROBUST,
+                                 "revenue"),
+    "heur_brm_greedy": _with_engine(mech_mod.heuristic_brm_tables, "greedy", BAYESIAN),
+    "heur_brm_cf": _heur_brm_cf,
+    "heur_brm_rev": _heur_brm_cf,
+    "ex_ante": Method(lambda space, greedy: mech_mod.ex_ante_tables(space, False), EX_ANTE),
+    "ex_ante_trunc": Method(lambda space, greedy: mech_mod.ex_ante_tables(space, True),
+                            EX_ANTE),
+}
 
 CSV_COLUMNS = (
     "method", "distribution", "n_bidders", "objective_kind",
@@ -111,44 +159,24 @@ def _thread_count() -> int:
     return max(1, value)
 
 
-def _run_method(method: str, instance: AuctionInstance, cfg: ExperimentConfig):
+def _run_method(method: str, space: OrbitSpace, cfg: ExperimentConfig):
     """Run one method; returns (kind, value, runtime_s, verified) or None to skip."""
-    from .alloc import GreedyConfig
-
-    greedy = GreedyConfig(epsilon=cfg.epsilon)
-    oracle_cfg = OracleConfig(grid=cfg.oracle_grid)
+    entry = METHODS[method]
     start = time.perf_counter()
     try:
-        if method in ("exact_rrm", "exact_brm"):
-            exact = oracle_mod.exact_rrm if method == "exact_rrm" else oracle_mod.exact_brm
-            mech, report = exact(instance, oracle_cfg)
+        if entry.exact:
+            mech, report = entry.run(space.instance, OracleConfig(grid=cfg.oracle_grid))
             checks = report.verification  # the oracle verified its own output
-        elif method in ("pseudo_surplus_greedy", "pseudo_surplus_cf"):
-            how = "greedy" if method.endswith("greedy") else "closed_form"
-            mech, report = mech_mod.pseudo_surplus_maximizer(instance, how, greedy)
-            checks = oracle_mod.verify(instance, mech, ("ic", "ir", "xp"))
-        elif method in ("heur_lb_greedy", "heur_lb_cf"):
-            how = "greedy" if method.endswith("greedy") else "closed_form"
-            mech, report = mech_mod.heuristic_lb_rrm(instance, how, greedy)
-            checks = oracle_mod.verify(instance, mech, ("ic", "ir", "xp"))
-        elif method == "heur_rrm_rev":
-            mech, report = mech_mod.heuristic_lb_rrm(instance, "closed_form", greedy)
-            checks = oracle_mod.verify(instance, mech, ("ic", "ir", "xp"))
-            runtime = time.perf_counter() - start
-            verified = all(c.passed for c in checks.values())
-            return "revenue_robust", float(report.revenue), runtime, verified
-        elif method == "heur_brm_rev":
-            mech, report = mech_mod.heuristic_brm(instance, "closed_form", greedy)
-            checks = oracle_mod.verify(instance, mech, ("bic", "bir", "xp"))
         else:
-            truncate = method == "ex_ante_trunc"
-            mech, report = mech_mod.ex_ante_relaxation(instance, truncate)
-            checks = oracle_mod.verify(instance, mech, ("bic", "bir", "xa"))
+            tables, report = entry.run(space, GreedyConfig(epsilon=cfg.epsilon))
+            checks = oracle_mod.check(tables, entry.constraints)
     except OracleRefusal as exc:
-        print(f"notice: skipping {method} for n={instance.n}: {exc}", file=sys.stderr)
+        print(f"notice: skipping {method} for n={space.instance.n}: {exc}", file=sys.stderr)
         return None
     runtime = time.perf_counter() - start
     verified = all(c.passed for c in checks.values())
+    if entry.column == "revenue":
+        return ObjectiveKind.REVENUE_ROBUST.value, float(report.revenue), runtime, verified
     return report.kind.value, float(report.objective_value), runtime, verified
 
 
@@ -160,14 +188,14 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         for method in cfg.methods
         for n in range(cfg.n_min, cfg.n_max + 1)
     ]
-    instances = {
-        n: symmetric_instance(space, dist, n)
+    orbits = {
+        n: OrbitSpace(symmetric_instance(space, dist, n))
         for n in range(cfg.n_min, cfg.n_max + 1)
     }
 
     def work(job):
         method, n = job
-        return _run_method(method, instances[n], cfg)
+        return _run_method(method, orbits[n], cfg)
 
     workers = _thread_count()
     if workers > 1 and len(jobs) > 1:
@@ -289,39 +317,18 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_SOLVE_METHODS = {
-    "surplus": lambda inst, eps: mech_mod.surplus_maximizer(inst),
-    "pseudo_surplus_greedy": lambda inst, eps: mech_mod.pseudo_surplus_maximizer(
-        inst, "greedy", eps
-    ),
-    "pseudo_surplus_cf": lambda inst, eps: mech_mod.pseudo_surplus_maximizer(
-        inst, "closed_form", eps
-    ),
-    "virtual_surplus": lambda inst, eps: mech_mod.virtual_surplus_maximizer(inst),
-    "heur_rrm_greedy": lambda inst, eps: mech_mod.heuristic_lb_rrm(inst, "greedy", eps),
-    "heur_rrm_cf": lambda inst, eps: mech_mod.heuristic_lb_rrm(inst, "closed_form", eps),
-    "heur_brm_greedy": lambda inst, eps: mech_mod.heuristic_brm(inst, "greedy", eps),
-    "heur_brm_cf": lambda inst, eps: mech_mod.heuristic_brm(inst, "closed_form", eps),
-    "ex_ante": lambda inst, eps: mech_mod.ex_ante_relaxation(inst, False),
-    "ex_ante_trunc": lambda inst, eps: mech_mod.ex_ante_relaxation(inst, True),
-}
-
-
 def _cmd_solve(args) -> int:
-    from .alloc import GreedyConfig
-
     space, dist = parse_distribution(args.dist)
     instance = symmetric_instance(space, dist, args.n)
-    greedy = GreedyConfig(epsilon=args.epsilon)
-    if args.method in _SOLVE_METHODS:
-        mech, report = _SOLVE_METHODS[args.method](instance, greedy)
-    elif args.method == "exact_rrm":
-        mech, report = oracle_mod.exact_rrm(instance, OracleConfig(grid=args.oracle_grid))
-    elif args.method == "exact_brm":
-        mech, report = oracle_mod.exact_brm(instance, OracleConfig(grid=args.oracle_grid))
-    else:
+    entry = METHODS.get(args.method)
+    if entry is None:
         print(f"error: unknown method {args.method!r}", file=sys.stderr)
         return 2
+    if entry.exact:
+        mech, report = entry.run(instance, OracleConfig(grid=args.oracle_grid))
+    else:
+        tables, report = entry.run(DenseSpace(instance), GreedyConfig(epsilon=args.epsilon))
+        mech = tables.mechanism()
     print(f"method={args.method} kind={report.kind.value}")
     print(f"objective={report.objective_value!r}")
     if report.revenue is not None:
@@ -432,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="categorical:L,H,p | uniform:K | binomial:t,p")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", required=True,
-                   help="|".join(list(_SOLVE_METHODS) + ["exact_rrm", "exact_brm"]))
+                   help="|".join(METHODS))
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--oracle-grid", type=float, default=1e-3)
     p.add_argument("--output", help="write the mechanism file here")

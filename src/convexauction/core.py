@@ -10,7 +10,9 @@ That order is the contract for every table in this package: ex-post
 allocation and payment tables are ndarrays of shape ``(n, K_0, ..., K_{n-1})``
 indexed by ``[bidder][type index of bidder 0]...[type index of bidder n-1]``,
 and flattened profile indices in CSV or serialized output use the same
-C-order convention.
+C-order convention.  Symmetric ``experiment`` rows are solved on type-count
+orbit tables of shape ``(K, C(n+K-2, K-1))`` instead (see ``spaces``); every
+serialized table stays dense.
 """
 
 from __future__ import annotations
@@ -183,15 +185,20 @@ def profiles(instance: AuctionInstance) -> Iterator[tuple[TypeProfile, float]]:
         yield TypeProfile(idx), prob
 
 
-def values_matrix(instance: AuctionInstance) -> np.ndarray:
-    """v_i at every profile, shape ``(n, *instance.shape)``."""
+def own_type_matrix(instance: AuctionInstance, per_bidder) -> np.ndarray:
+    """``per_bidder[i][v_i]`` at every profile, shape ``(n, *instance.shape)``."""
     n, shape = instance.n, instance.shape
     out = np.empty((n, *shape))
     for i in range(n):
         view = [1] * n
         view[i] = shape[i]
-        out[i] = instance.values(i).reshape(view)
+        out[i] = np.asarray(per_bidder[i]).reshape(view)
     return out
+
+
+def values_matrix(instance: AuctionInstance) -> np.ndarray:
+    """v_i at every profile, shape ``(n, *instance.shape)``."""
+    return own_type_matrix(instance, [instance.values(i) for i in range(instance.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +348,7 @@ class ObjectiveKind(str, Enum):
     PSEUDO_SURPLUS = "pseudo_surplus"
     SURPLUS = "surplus"
     HEURISTIC_LOWER_BOUND = "heuristic_lower_bound"
-    EX_ANTE_BOUND = "ex_ante_bound"
+    EX_ANTE_RELAXATION = "ex_ante_relaxation"  # a relaxation's value, not a bound
     EXACT_ORACLE = "exact_oracle"
 
 

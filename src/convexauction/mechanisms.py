@@ -7,6 +7,15 @@ allocation with the matching payment formula.  Greedy and closed-form
 variants of the concave objectives are interchangeable up to the greedy
 increment.
 
+Each pipeline is written once over a profile space (``spaces``) as a
+``*_tables`` function returning its ``Tables`` in the space's layout.  The
+public pipelines run it on the instance's dense space and return a
+``Mechanism`` with ``(n, K_0, ..., K_{n-1})`` tables.  The ``experiment``
+command runs it on the ``OrbitSpace`` of its symmetric instance instead:
+K * C(n+K-2, K-1) cells (own type, count of the other bidders' types) in
+place of n * K^n.  ``bound_report``, ``solve``, mechanism files, ``check``
+and discretization stay dense.
+
 Reports carry both the optimized objective and the realized revenue; the two
 are close in practice but not the same quantity, so they are never conflated.
 Irregular instances are not aborted: the pipeline emits a warning, payments
@@ -40,6 +49,7 @@ from .core import (
     RobustPaymentRule,
     values_matrix,
 )
+from .spaces import DenseSpace, ProfileSpace
 from .virtual import is_regular, virtual_values, virtual_values_matrix
 
 
@@ -64,70 +74,193 @@ class Mechanism:
             raise ValueError("perceived must be 'quadratic' or 'linear'")
 
 
+@dataclass(frozen=True, eq=False)
+class Tables:
+    """A mechanism's rules in one profile space's own layout.
+
+    ``x`` and ``p`` are ex-post allocation and payment tables shaped like the
+    space's tables; ``xhat`` and ``h`` hold one interim vector per block.
+    """
+
+    space: ProfileSpace
+    x: np.ndarray | None = None
+    p: np.ndarray | None = None
+    xhat: tuple[np.ndarray, ...] | None = None
+    h: tuple[np.ndarray, ...] | None = None
+    provenance: str = ""
+    perceived: str = "quadratic"
+
+    @classmethod
+    def of(cls, instance: AuctionInstance, mech: Mechanism) -> Tables:
+        """A mechanism's tables on the instance's dense space."""
+        return cls(
+            DenseSpace(instance),
+            x=None if mech.allocation is None else mech.allocation.table,
+            p=None if mech.robust_payments is None else mech.robust_payments.table,
+            xhat=None if mech.interim_allocation is None else mech.interim_allocation.tables,
+            h=None if mech.interim_payments is None else mech.interim_payments.tables,
+            provenance=mech.provenance,
+            perceived=mech.perceived,
+        )
+
+    def mechanism(self) -> Mechanism:
+        """The dense tables wrapped (and validated) as a ``Mechanism``."""
+        if not isinstance(self.space, DenseSpace):
+            raise ValueError("only dense tables make a Mechanism")
+        return Mechanism(
+            None if self.x is None else ExPostAllocation(self.x),
+            robust_payments=None if self.p is None else RobustPaymentRule(self.p),
+            interim_allocation=None if self.xhat is None else InterimAllocation(self.xhat),
+            interim_payments=None if self.h is None else InterimPaymentRule(self.h),
+            provenance=self.provenance,
+            perceived=self.perceived,
+        )
+
+
 def _allocate(
-    instance: AuctionInstance, scores: np.ndarray, engine: str, config: GreedyConfig
-) -> ExPostAllocation:
-    """Run one allocation engine per profile over a (n, *shape) score tensor."""
-    n = instance.n
-    flat = scores.reshape(n, -1).T
+    space: ProfileSpace, scores: list[np.ndarray], engine: str, config: GreedyConfig
+) -> np.ndarray:
+    """Run one allocation engine on every cell's score row."""
+    rows = space.rows(scores)
     if engine == "pointwise":
-        rows = pointwise_max_batch(flat)
+        out = pointwise_max_batch(rows)
     elif engine == "greedy":
-        rows = eqp_solver_batch(flat, config)
+        out = eqp_solver_batch(rows, config)
     elif engine == "closed_form":
-        rows = closed_form_alloc_batch(flat, 0.5)
+        out = closed_form_alloc_batch(rows, 0.5)
     else:
         raise ValueError(f"unknown allocation engine {engine!r}")
-    return ExPostAllocation(rows.T.reshape(n, *instance.shape))
+    return space.cells(out)
 
 
-def _quadratic_payments(alloc, instance, warnings):
-    """Robust sqrt payments, clamped (with a warning) if non-monotone."""
-    if alloc.is_monotone():
-        return pay.robust_payment(alloc, instance), warnings
-    q = np.empty_like(alloc.table)
-    for i in range(instance.n):
-        q[i] = pay._perceived_one_bidder(alloc.table[i], instance, i)
-    warnings = warnings + (
-        "allocation is not monotone; payments clamped, IC/IR not guaranteed",
+def _support(space, alloc, perceived, warnings, what="allocation"):
+    """Chain payments for one allocation block (or interim vector) per block.
+
+    Monotonicity is checked once; where it fails the payments are clamped at
+    zero and a warning is added.  Returns (payment blocks, warnings).
+    """
+    monotone = all(np.all(np.diff(a, axis=0) >= -DEFAULT_TOL) for a in alloc)
+    if not monotone:
+        checks = "IC/IR" if what == "allocation" else "BIC/BIR"
+        warnings += (f"{what} is not monotone; payments clamped, {checks} not guaranteed",)
+    q = [pay.clamp(pay.chain(a, b.values, b.gaps), monotone)
+         for a, b in zip(alloc, space.blocks)]
+    return [np.sqrt(qi) if perceived == "quadratic" else qi for qi in q], warnings
+
+
+def _virtual(space: ProfileSpace, plus: bool = True):
+    """Virtual values (or their positive part) per block, the instance's
+    virtual value table, and a warning naming any irregular bidders."""
+    table = virtual_values(space.instance)
+    bad = [str(i) for i, ok in enumerate(is_regular(table)) if not ok]
+    warnings = ("irregular distribution for bidder(s) " + ", ".join(bad),) if bad else ()
+    scores = [(table.phi_plus if plus else table.phi)[b.bidder] for b in space.blocks]
+    return scores, table, warnings
+
+
+def _check_method(method: str) -> None:
+    if method not in ("greedy", "closed_form"):
+        raise ValueError("method must be 'greedy' or 'closed_form'")
+
+
+def _robust(space, scores, engine, config, perceived, kind, provenance,
+            warnings=(), value=None):
+    """Allocate on ``scores`` at every cell and attach chain payments.
+
+    The objective is E[sum_i value(score_i x_i)], or the revenue when
+    ``value`` is None.
+    """
+    start = time.perf_counter()
+    x = _allocate(space, scores, engine, config)
+    xs = space.split(x)
+    p, warnings = _support(space, xs, perceived, warnings)
+    revenue = space.expect(p)
+    objective = revenue if value is None else space.expect(
+        [value(s[:, None] * m) for s, m in zip(scores, xs)]
     )
-    return RobustPaymentRule(np.sqrt(np.maximum(q, 0.0))), warnings
+    tables = Tables(space, x, space.join(p), provenance=provenance, perceived=perceived)
+    report = MechanismReport(objective, kind, revenue=revenue,
+                             runtime_s=time.perf_counter() - start, warnings=warnings)
+    return tables, report
 
 
-def _linear_payments(alloc, instance, warnings):
-    """Linear-q Myerson payments p = q, clamped (with a warning) if non-monotone."""
-    if alloc.is_monotone():
-        return RobustPaymentRule(pay.perceived_payment(alloc, instance)), warnings
-    q = np.empty_like(alloc.table)
-    for i in range(instance.n):
-        q[i] = pay._perceived_one_bidder(alloc.table[i], instance, i)
-    warnings = warnings + (
-        "allocation is not monotone; payments clamped, IC/IR not guaranteed",
-    )
-    return RobustPaymentRule(np.maximum(q, 0.0)), warnings
+def _interim(space, start, xhat, warnings, kind, provenance, x=None):
+    """Attach per-type Bayesian payments to an interim rule; the objective is
+    the revenue."""
+    h, warnings = _support(space, xhat, "quadratic", warnings, "interim allocation")
+    revenue = space.mean(h)
+    tables = Tables(space, x, xhat=tuple(xhat), h=tuple(h), provenance=provenance)
+    report = MechanismReport(revenue, kind, revenue=revenue,
+                             runtime_s=time.perf_counter() - start, warnings=warnings)
+    return tables, report
 
 
-def _regularity_warnings(instance) -> tuple[str, ...]:
-    flags = is_regular(virtual_values(instance))
-    bad = [str(i) for i, ok in enumerate(flags) if not ok]
-    if bad:
-        return ("irregular distribution for bidder(s) " + ", ".join(bad),)
-    return ()
+def surplus_tables(space: ProfileSpace) -> tuple[Tables, MechanismReport]:
+    """``surplus_maximizer`` on a profile space."""
+    return _robust(space, [b.values for b in space.blocks], "pointwise", GreedyConfig(),
+                   "linear", ObjectiveKind.SURPLUS, "surplus_maximizer", value=np.asarray)
+
+
+def pseudo_surplus_tables(
+    space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
+) -> tuple[Tables, MechanismReport]:
+    """``pseudo_surplus_maximizer`` on a profile space."""
+    _check_method(method)
+    return _robust(space, [b.values for b in space.blocks], method, config, "quadratic",
+                   ObjectiveKind.PSEUDO_SURPLUS, f"pseudo_surplus_maximizer[{method}]",
+                   value=np.sqrt)
+
+
+def virtual_surplus_tables(space: ProfileSpace) -> tuple[Tables, MechanismReport]:
+    """``virtual_surplus_maximizer`` on a profile space."""
+    phi, _, warnings = _virtual(space, plus=False)
+    return _robust(space, phi, "pointwise", GreedyConfig(), "linear",
+                   ObjectiveKind.REVENUE_ROBUST, "virtual_surplus_maximizer", warnings)
+
+
+def heuristic_lb_rrm_tables(
+    space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
+) -> tuple[Tables, MechanismReport]:
+    """``heuristic_lb_rrm`` on a profile space."""
+    _check_method(method)
+    phi_plus, _, warnings = _virtual(space)
+    return _robust(space, phi_plus, method, config, "quadratic",
+                   ObjectiveKind.HEURISTIC_LOWER_BOUND, f"heuristic_lb_rrm[{method}]",
+                   warnings, value=np.sqrt)
+
+
+def heuristic_brm_tables(
+    space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
+) -> tuple[Tables, MechanismReport]:
+    """``heuristic_brm`` on a profile space."""
+    _check_method(method)
+    start = time.perf_counter()
+    phi_plus, _, warnings = _virtual(space)
+    x = _allocate(space, phi_plus, method, config)
+    return _interim(space, start, space.collapse(space.split(x)), warnings,
+                    ObjectiveKind.REVENUE_BAYESIAN, f"heuristic_brm[{method}]", x)
+
+
+def ex_ante_tables(
+    space: ProfileSpace, truncate: bool = False
+) -> tuple[Tables, MechanismReport]:
+    """``ex_ante_relaxation`` on a profile space."""
+    start = time.perf_counter()
+    _, table, warnings = _virtual(space)
+    solution = ex_ante_closed_form(space.instance, table, truncate)
+    xhat = tuple(solution.interim.tables[b.bidder] for b in space.blocks)
+    return _interim(space, start, xhat, warnings, ObjectiveKind.EX_ANTE_RELAXATION,
+                    "ex_ante_relaxation" + ("_truncated" if truncate else ""))
+
+
+def _dense(result: tuple[Tables, MechanismReport]) -> tuple[Mechanism, MechanismReport]:
+    tables, report = result
+    return tables.mechanism(), report
 
 
 def surplus_maximizer(instance: AuctionInstance) -> tuple[Mechanism, MechanismReport]:
     """Classic surplus-maximizing auction: pointwise winner, linear payments."""
-    start = time.perf_counter()
-    vals = values_matrix(instance)
-    alloc = _allocate(instance, vals, "pointwise", GreedyConfig())
-    rule, warnings = _linear_payments(alloc, instance, ())
-    surplus = float((vals * alloc.table * instance.joint_pmf).sum())
-    revenue = pay.expected_revenue(rule, instance)
-    mech = Mechanism(alloc, robust_payments=rule, provenance="surplus_maximizer",
-                     perceived="linear")
-    report = MechanismReport(surplus, ObjectiveKind.SURPLUS, revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
-    return mech, report
+    return _dense(surplus_tables(DenseSpace(instance)))
 
 
 def pseudo_surplus_maximizer(
@@ -136,19 +269,7 @@ def pseudo_surplus_maximizer(
     config: GreedyConfig = GreedyConfig(),
 ) -> tuple[Mechanism, MechanismReport]:
     """Maximize E[sum sqrt(v_i x_i)] per profile, then attach sqrt payments."""
-    if method not in ("greedy", "closed_form"):
-        raise ValueError("method must be 'greedy' or 'closed_form'")
-    start = time.perf_counter()
-    vals = values_matrix(instance)
-    alloc = _allocate(instance, vals, method, config)
-    rule, warnings = _quadratic_payments(alloc, instance, ())
-    pseudo = float((np.sqrt(vals * alloc.table) * instance.joint_pmf).sum())
-    revenue = pay.expected_revenue(rule, instance)
-    mech = Mechanism(alloc, robust_payments=rule,
-                     provenance=f"pseudo_surplus_maximizer[{method}]")
-    report = MechanismReport(pseudo, ObjectiveKind.PSEUDO_SURPLUS, revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
-    return mech, report
+    return _dense(pseudo_surplus_tables(DenseSpace(instance), method, config))
 
 
 def virtual_surplus_maximizer(
@@ -159,17 +280,7 @@ def virtual_surplus_maximizer(
     For linear perceived payments, expected revenue equals expected virtual
     surplus, so the report's objective is the realized revenue itself.
     """
-    start = time.perf_counter()
-    warnings = _regularity_warnings(instance)
-    phi = virtual_values_matrix(instance)
-    alloc = _allocate(instance, phi, "pointwise", GreedyConfig())
-    rule, warnings = _linear_payments(alloc, instance, warnings)
-    revenue = pay.expected_revenue(rule, instance)
-    mech = Mechanism(alloc, robust_payments=rule,
-                     provenance="virtual_surplus_maximizer", perceived="linear")
-    report = MechanismReport(revenue, ObjectiveKind.REVENUE_ROBUST, revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
-    return mech, report
+    return _dense(virtual_surplus_tables(DenseSpace(instance)))
 
 
 def heuristic_lb_rrm(
@@ -182,23 +293,7 @@ def heuristic_lb_rrm(
     The report's objective is the heuristic lower bound E[sum sqrt(phi^+ x)];
     the realized revenue of the supported auction rides alongside.
     """
-    if method not in ("greedy", "closed_form"):
-        raise ValueError("method must be 'greedy' or 'closed_form'")
-    start = time.perf_counter()
-    warnings = _regularity_warnings(instance)
-    phi = virtual_values_matrix(instance)
-    alloc = _allocate(instance, np.maximum(phi, 0.0), method, config)
-    rule, warnings = _quadratic_payments(alloc, instance, warnings)
-    lb_value = float(
-        (np.sqrt(np.maximum(phi, 0.0) * alloc.table) * instance.joint_pmf).sum()
-    )
-    revenue = pay.expected_revenue(rule, instance)
-    mech = Mechanism(alloc, robust_payments=rule,
-                     provenance=f"heuristic_lb_rrm[{method}]")
-    report = MechanismReport(lb_value, ObjectiveKind.HEURISTIC_LOWER_BOUND,
-                             revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
-    return mech, report
+    return _dense(heuristic_lb_rrm_tables(DenseSpace(instance), method, config))
 
 
 def heuristic_brm(
@@ -207,27 +302,7 @@ def heuristic_brm(
     config: GreedyConfig = GreedyConfig(),
 ) -> tuple[Mechanism, MechanismReport]:
     """Bayesian heuristic: same phi^+ allocation, collapsed to interim payments."""
-    if method not in ("greedy", "closed_form"):
-        raise ValueError("method must be 'greedy' or 'closed_form'")
-    start = time.perf_counter()
-    warnings = _regularity_warnings(instance)
-    phi = virtual_values_matrix(instance)
-    alloc = _allocate(instance, np.maximum(phi, 0.0), method, config)
-    interim = pay.interim_collapse(alloc, instance)
-    if interim.is_monotone():
-        h = pay.bayesian_payment(interim, instance)
-    else:
-        qhat = pay.interim_perceived(interim, instance)
-        h = InterimPaymentRule(tuple(np.sqrt(np.maximum(q, 0.0)) for q in qhat))
-        warnings = warnings + (
-            "interim allocation is not monotone; payments clamped, BIC/BIR not guaranteed",
-        )
-    revenue = pay.expected_revenue(h, instance)
-    mech = Mechanism(alloc, interim_allocation=interim, interim_payments=h,
-                     provenance=f"heuristic_brm[{method}]")
-    report = MechanismReport(revenue, ObjectiveKind.REVENUE_BAYESIAN, revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
-    return mech, report
+    return _dense(heuristic_brm_tables(DenseSpace(instance), method, config))
 
 
 def ex_ante_relaxation(
@@ -237,19 +312,10 @@ def ex_ante_relaxation(
 
     The untruncated rule saturates the ex-ante constraint and may assign
     interim shares above 1; the truncated variant caps them at 1 before
-    computing payments, without re-normalizing.
+    computing payments, without re-normalizing.  Its revenue is the value of
+    a relaxation, not a bound: ex-post feasible mechanisms can earn more.
     """
-    start = time.perf_counter()
-    warnings = _regularity_warnings(instance)
-    solution = ex_ante_closed_form(instance, virtual_values(instance), truncate)
-    h = pay.bayesian_payment(solution.interim, instance)
-    revenue = pay.expected_revenue(h, instance)
-    name = "ex_ante_relaxation" + ("_truncated" if truncate else "")
-    mech = Mechanism(None, interim_allocation=solution.interim, interim_payments=h,
-                     provenance=name)
-    report = MechanismReport(revenue, ObjectiveKind.EX_ANTE_BOUND, revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
-    return mech, report
+    return _dense(ex_ante_tables(DenseSpace(instance), truncate))
 
 
 @dataclass(frozen=True)

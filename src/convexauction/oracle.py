@@ -36,7 +36,7 @@ from .core import (
     ObjectiveKind,
     RobustPaymentRule,
 )
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, Tables
 from .virtual import virtual_values
 
 
@@ -83,52 +83,13 @@ class ConstraintCheck:
     worst_violation: float
 
 
-def _expost_q(mech: Mechanism, instance: AuctionInstance) -> np.ndarray | None:
-    """Per-profile perceived payments implied by the mechanism's payments."""
-    if mech.robust_payments is not None:
-        p = mech.robust_payments.table
-        return p**2 if mech.perceived == "quadratic" else p
-    if mech.interim_payments is not None and mech.allocation is not None:
-        n, shape = instance.n, instance.shape
-        q = np.empty((n, *shape))
-        for i in range(n):
-            view = [1] * n
-            view[i] = shape[i]
-            h = mech.interim_payments.tables[i]
-            q[i] = np.broadcast_to(
-                (h**2 if mech.perceived == "quadratic" else h).reshape(view), shape
-            )
-        return q
-    return None
-
-
-def _interim_qhat(mech: Mechanism, instance: AuctionInstance):
-    if mech.interim_payments is not None:
-        h = mech.interim_payments.tables
-        if mech.perceived == "quadratic":
-            return tuple(hi**2 for hi in h)
-        return h
-    q = _expost_q(mech, instance)
-    out = []
-    for i in range(instance.n):
-        own_first = np.moveaxis(q[i], i, 0)
-        out.append(own_first.reshape(instance.shape[i], -1) @ instance.context_pmf(i).ravel())
-    return tuple(out)
-
-
-def _interim_alloc(mech: Mechanism, instance: AuctionInstance):
-    if mech.interim_allocation is not None:
-        return mech.interim_allocation.tables
-    return pay.interim_collapse(mech.allocation, instance).tables
-
-
 def verify(
     instance: AuctionInstance,
     mech: Mechanism,
     which=None,
     tol: float = DEFAULT_TOL,
 ) -> dict[str, ConstraintCheck]:
-    """Exhaustively evaluate the requested constraint sets.
+    """Exhaustively evaluate the requested constraint sets on a mechanism.
 
     ``which`` is an iterable over {"ic", "ir", "bic", "bir", "xp", "xa"}.
     When omitted it defaults to the set matching the mechanism's payment
@@ -136,10 +97,22 @@ def verify(
     ones.  Violations are results, not errors; a NaN or infinite worst
     violation fails its constraint and is reported as is.
     """
+    return check(Tables.of(instance, mech), which, tol)
+
+
+def check(
+    tables: Tables, which=None, tol: float = DEFAULT_TOL
+) -> dict[str, ConstraintCheck]:
+    """``verify`` on any profile space.
+
+    Every constraint but XP is evaluated block by block on (own type x
+    context) matrices; XP asks the space for the bidders' total share at
+    each profile.
+    """
     if which is None:
-        if mech.robust_payments is not None:
+        if tables.p is not None:
             which = ("ic", "ir", "xp")
-        elif mech.allocation is not None:
+        elif tables.x is not None:
             which = ("bic", "bir", "xp")
         else:
             which = ("bic", "bir", "xa")
@@ -148,46 +121,54 @@ def verify(
         if w not in CONSTRAINTS:
             raise ValueError(f"unknown constraint {w!r}")
 
+    space = tables.space
+
+    def perceived(p):
+        return p**2 if tables.perceived == "quadratic" else p
+
+    xs = None if tables.x is None else space.split(tables.x)
+    if tables.p is not None:
+        qs = [perceived(p) for p in space.split(tables.p)]
+    elif tables.h is not None and xs is not None:
+        qs = [np.broadcast_to(perceived(h)[:, None], x.shape) for h, x in zip(tables.h, xs)]
+    else:
+        qs = None
+
     results: dict[str, ConstraintCheck] = {}
     for name in which:
-        # per-bidder worst violations; np.max propagates a NaN where max() drops it
+        # per-block worst violations; np.max propagates a NaN where max() drops it
         parts: list[float] = []
-        if name in ("ic", "ir"):
-            q = _expost_q(mech, instance)
-            if q is None or mech.allocation is None:
-                raise ValueError(f"{name} check needs an ex-post allocation and payments")
-            for i in range(instance.n):
-                z = instance.values(i)
-                x = np.moveaxis(mech.allocation.table[i], i, 0).reshape(instance.shape[i], -1)
-                qi = np.moveaxis(q[i], i, 0).reshape(instance.shape[i], -1)
-                util = z[:, None] * x - qi
-                if name == "ir":
+        if name in ("ic", "ir", "bic", "bir"):
+            if name in ("ic", "ir"):
+                if xs is None or qs is None:
+                    raise ValueError(f"{name} check needs an ex-post allocation and payments")
+                pairs = list(zip(xs, qs))
+            else:
+                if tables.h is None and qs is None:
+                    raise ValueError(f"{name} check needs payments")
+                xhat = tables.xhat if tables.xhat is not None else space.collapse(xs)
+                qhat = ([perceived(h) for h in tables.h] if tables.h is not None
+                        else space.collapse(qs))
+                # an interim rule is a block with a single context
+                pairs = [(a[:, None], b[:, None]) for a, b in zip(xhat, qhat)]
+            for block, (x, q) in zip(space.blocks, pairs):
+                z = block.values
+                util = z[:, None] * x - q
+                if name.endswith("ir"):
                     parts.append(-util.min())
                 else:
                     # deviation utility of reporting w while holding type v
-                    dev = z[:, None, None] * x[None, :, :] - qi[None, :, :]
+                    dev = z[:, None, None] * x[None, :, :] - q[None, :, :]
                     parts.append((dev - util[:, None, :]).max())
-        elif name in ("bic", "bir"):
-            xhat = _interim_alloc(mech, instance)
-            qhat = _interim_qhat(mech, instance)
-            for i in range(instance.n):
-                z = instance.values(i)
-                util = z * xhat[i] - qhat[i]
-                if name == "bir":
-                    parts.append(-util.min())
-                else:
-                    dev = z[:, None] * xhat[i][None, :] - qhat[i][None, :]
-                    parts.append((dev - util[:, None]).max())
         elif name == "xp":
-            if mech.allocation is None:
+            if xs is None:
                 raise ValueError("xp check needs an ex-post allocation")
-            parts.append(mech.allocation.table.sum(axis=0).max() - 1.0)
+            parts.append(space.supply(tables.x))
         else:  # xa
-            if mech.allocation is not None:
-                parts.append((mech.allocation.table * instance.joint_pmf).sum() - 1.0)
+            if xs is not None:
+                parts.append(space.expect(xs) - 1.0)
             else:
-                xhat = _interim_alloc(mech, instance)
-                parts.append(sum(instance.pmf(i) @ xhat[i] for i in range(instance.n)) - 1.0)
+                parts.append(space.mean(tables.xhat) - 1.0)
         worst = float(np.max(parts + [0.0]))
         # a violation that could not be evaluated is a failure, reported as is
         results[name] = ConstraintCheck(math.isfinite(worst) and worst <= tol, worst)

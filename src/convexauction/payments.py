@@ -11,8 +11,12 @@ per-type payment h_i is the square root of the same expression evaluated on
 the interim allocation.  The general invertible-convex-cost variant (replace
 the square/square-root pair by C_i and its inverse) is out of scope here.
 
-Radicands in [-1e-9, 0) are clamped to zero; anything more negative means
-the input allocation was not monotone and is a hard error.
+The formula is written once, in ``chain``, over one bidder's block of a
+profile space (own types as rows, contexts as columns; see ``spaces``).  The
+functions below apply it to dense tables; the pipelines in ``mechanisms``
+apply it on any profile space.  Radicands in [-1e-9, 0) are clamped to
+zero; anything more negative means the input allocation was not monotone
+and is a hard error.
 """
 
 from __future__ import annotations
@@ -26,8 +30,35 @@ from .core import (
     InterimPaymentRule,
     RobustPaymentRule,
 )
+from .spaces import DenseSpace
 
 _CLAMP = 1e-9
+
+
+def chain(x: np.ndarray, values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Perceived payments along axis 0 (own type) of an allocation block.
+
+    ``x`` is an ``(own type x context)`` matrix or an interim vector; the
+    context, if any, is held fixed along each own-type chain.
+    """
+    view = (-1,) + (1,) * (x.ndim - 1)
+    weighted = gaps.reshape(view) * x
+    # exclusive prefix sum of (z_{j+1} - z_j) x(z_j) along the own-type axis
+    prefix = np.cumsum(weighted, axis=0) - weighted
+    return values.reshape(view) * x - prefix
+
+
+def clamp(q: np.ndarray, monotone: bool) -> np.ndarray:
+    """Perceived payments clamped at zero.
+
+    A monotone allocation has q >= 0 up to rounding, so there a radicand
+    below -1e-9 means malformed input and is an error.
+    """
+    if monotone and np.any(q < -_CLAMP):
+        raise ValueError(
+            "negative perceived payment: allocation is non-monotone or malformed"
+        )
+    return np.maximum(q, 0.0)
 
 
 def perceived_payment(
@@ -42,36 +73,16 @@ def perceived_payment(
         raise ValueError("allocation table does not match instance dimensions")
     if not alloc.is_monotone():
         raise ValueError("perceived payments require a monotone allocation")
-    q = np.empty_like(alloc.table)
-    for i in range(instance.n):
-        q[i] = _perceived_one_bidder(alloc.table[i], instance, i)
-    return q
-
-
-def _perceived_one_bidder(x_i: np.ndarray, instance: AuctionInstance, i: int) -> np.ndarray:
-    z = instance.values(i)
-    gaps = instance.space(i).gaps
-    view = [1] * instance.n
-    view[i] = instance.shape[i]
-    weighted = gaps.reshape(view) * x_i
-    # exclusive prefix sum of (z_{j+1} - z_j) x(z_j) along the own-type axis
-    prefix = np.cumsum(weighted, axis=i) - weighted
-    return z.reshape(view) * x_i - prefix
-
-
-def _sqrt_payments(q: np.ndarray) -> np.ndarray:
-    if np.any(q < -_CLAMP):
-        raise ValueError(
-            "negative perceived payment: allocation is non-monotone or malformed"
-        )
-    return np.sqrt(np.maximum(q, 0.0))
+    space = DenseSpace(instance)
+    return space.join([chain(x, b.values, b.gaps)
+                       for x, b in zip(space.split(alloc.table), space.blocks)])
 
 
 def robust_payment(
     alloc: ExPostAllocation, instance: AuctionInstance
 ) -> RobustPaymentRule:
     """Actual payments p_i(v) = sqrt(q_i(v)) under quadratic perceived payments."""
-    return RobustPaymentRule(_sqrt_payments(perceived_payment(alloc, instance)))
+    return RobustPaymentRule(np.sqrt(clamp(perceived_payment(alloc, instance), True)))
 
 
 def interim_collapse(
@@ -80,26 +91,18 @@ def interim_collapse(
     """Expected allocation over the other bidders' types, per bidder and type."""
     if alloc.table.shape != (instance.n, *instance.shape):
         raise ValueError("allocation table does not match instance dimensions")
-    out = []
-    for i in range(instance.n):
-        own_first = np.moveaxis(alloc.table[i], i, 0)
-        weights = instance.context_pmf(i).ravel()
-        out.append(own_first.reshape(instance.shape[i], -1) @ weights)
-    return InterimAllocation(tuple(out))
+    space = DenseSpace(instance)
+    return InterimAllocation(space.collapse(space.split(alloc.table)))
 
 
 def interim_perceived(
     interim: InterimAllocation, instance: AuctionInstance
 ) -> tuple[np.ndarray, ...]:
     """Interim perceived payments q_hat_i(v_i) from an interim allocation."""
-    out = []
-    for i in range(instance.n):
-        z = instance.values(i)
-        gaps = instance.space(i).gaps
-        weighted = gaps * interim.tables[i]
-        prefix = np.cumsum(weighted) - weighted
-        out.append(z * interim.tables[i] - prefix)
-    return tuple(out)
+    return tuple(
+        chain(t, instance.values(i), instance.space(i).gaps)
+        for i, t in enumerate(interim.tables)
+    )
 
 
 def bayesian_payment(
@@ -109,20 +112,19 @@ def bayesian_payment(
     if interim.n != instance.n:
         raise ValueError("interim allocation does not match instance dimensions")
     qhat = interim_perceived(interim, instance)
-    return InterimPaymentRule(tuple(_sqrt_payments(q) for q in qhat))
+    return InterimPaymentRule(tuple(np.sqrt(clamp(q, True)) for q in qhat))
 
 
 def expected_revenue(
     rule: RobustPaymentRule | InterimPaymentRule, instance: AuctionInstance
 ) -> float:
     """Total expected payments to the auctioneer."""
+    space = DenseSpace(instance)
     if isinstance(rule, RobustPaymentRule):
         if rule.table.shape != (instance.n, *instance.shape):
             raise ValueError("payment table does not match instance dimensions")
-        return float((rule.table * instance.joint_pmf).sum())
-    total = 0.0
+        return space.expect(space.split(rule.table))
     for i in range(instance.n):
         if rule.tables[i].shape != (instance.shape[i],):
             raise ValueError("payment table does not match instance dimensions")
-        total += float(instance.pmf(i) @ rule.tables[i])
-    return total
+    return space.mean(rule.tables)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AuctionInstance, _frozen_array
+from .core import AuctionInstance, _frozen_array, own_type_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +66,4 @@ def virtual_values_matrix(
     """phi_i(v_i) at every profile, shape ``(n, *instance.shape)``."""
     if table is None:
         table = virtual_values(instance)
-    n, shape = instance.n, instance.shape
-    out = np.empty((n, *shape))
-    for i in range(n):
-        view = [1] * n
-        view[i] = shape[i]
-        out[i] = table.phi[i].reshape(view)
-    return out
+    return own_type_matrix(instance, table.phi)

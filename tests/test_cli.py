@@ -129,6 +129,29 @@ class TestExperiment:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["heur_brm_rev"]
 
+    def test_registry_serves_both_commands_and_aliases(self, tmp_path, capsys):
+        out = tmp_path / "names.csv"
+        run_experiment(ExperimentConfig(
+            distribution="uniform:5", n_min=3, n_max=3,
+            methods=("heur_lb_cf", "heur_rrm_cf", "heur_brm_cf", "heur_brm_rev",
+                     "surplus", "ex_ante"),
+            output_path=str(out), timing=False,
+        ))
+        with open(out) as fh:
+            rows = {r["method"]: r for r in csv.DictReader(fh)}
+        for alias, name in (("heur_rrm_cf", "heur_lb_cf"), ("heur_brm_rev", "heur_brm_cf")):
+            assert rows[alias]["value"] == rows[name]["value"]
+        assert rows["ex_ante"]["objective_kind"] == "ex_ante_relaxation"
+        assert all(r["verified"] == "true" for r in rows.values())
+        # an experiment name solves and saves a dense mechanism
+        path = tmp_path / "lb.json"
+        assert main(["solve", "--dist", "uniform:5", "--n", "3", "--method", "heur_lb_cf",
+                     "--output", str(path)]) == 0
+        objective = float(capsys.readouterr().out.split("objective=")[1].split()[0])
+        assert math.isclose(objective, float(rows["heur_lb_cf"]["value"]), rel_tol=1e-12)
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+
     def test_experiment_missing_required_keys(self, capsys):
         assert main(["experiment", "--dist", "uniform:3"]) == 2
         capsys.readouterr()

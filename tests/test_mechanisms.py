@@ -7,12 +7,14 @@ from convexauction import (
     AuctionInstance,
     DiscreteDistribution,
     GreedyConfig,
+    ObjectiveKind,
     TypeSpace,
     bound_report,
     ex_ante_relaxation,
     exact_rrm,
     heuristic_brm,
     heuristic_lb_rrm,
+    make_uniform,
     pseudo_surplus_maximizer,
     surplus_maximizer,
     symmetric_instance,
@@ -213,6 +215,22 @@ class TestExAnteRelaxation:
         checks = verify(categorical_pair, mech, ("bic", "bir", "xa"))
         assert all(c.passed for c in checks.values())
         assert report.revenue > 0
+
+    def test_value_is_labelled_a_relaxation_not_a_bound(self):
+        """uniform:5, n = 3: a verified ex-post feasible mechanism earns more."""
+        inst = symmetric_instance(*make_uniform(5), 3)
+        values = []
+        for truncate in (False, True):
+            _, report = ex_ante_relaxation(inst, truncate)
+            assert report.kind is ObjectiveKind.EX_ANTE_RELAXATION
+            assert report.kind.value == "ex_ante_relaxation"
+            values.append(report.objective_value)
+        assert math.isclose(values[0], 0.97891, abs_tol=1e-5)
+        assert math.isclose(values[1], 0.94407, abs_tol=1e-5)
+        mech, heur = heuristic_brm(inst, "closed_form")
+        assert all(c.passed for c in verify(inst, mech, ("bic", "bir", "xp")).values())
+        assert math.isclose(heur.revenue, 1.00783, abs_tol=1e-5)
+        assert heur.revenue > max(values)
 
     def test_truncated_verifies(self, categorical_pair):
         mech, report = ex_ante_relaxation(categorical_pair, truncate=True)

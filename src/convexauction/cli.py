@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -160,7 +161,8 @@ def _thread_count() -> int:
 
 
 def _run_method(method: str, space: OrbitSpace, cfg: ExperimentConfig):
-    """Run one method; returns (kind, value, runtime_s, verified) or None to skip."""
+    """Run one method; returns (kind, value, runtime_s, verified, warnings) or None
+    to skip."""
     entry = METHODS[method]
     start = time.perf_counter()
     try:
@@ -176,12 +178,17 @@ def _run_method(method: str, space: OrbitSpace, cfg: ExperimentConfig):
     runtime = time.perf_counter() - start
     verified = all(c.passed for c in checks.values())
     if entry.column == "revenue":
-        return ObjectiveKind.REVENUE_ROBUST.value, float(report.revenue), runtime, verified
-    return report.kind.value, float(report.objective_value), runtime, verified
+        kind, value = ObjectiveKind.REVENUE_ROBUST.value, float(report.revenue)
+        return kind, value, runtime, verified, report.warnings
+    return report.kind.value, float(report.objective_value), runtime, verified, report.warnings
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
-    """Produce the experiment CSV; returns the output path."""
+    """Produce the experiment CSV; returns the output path.
+
+    Each method's warnings go to stderr after the run, in job order, as
+    ``warning: <method> n=<n>: <text>``; the CSV does not carry them.
+    """
     space, dist = parse_distribution(cfg.distribution)
     jobs = [
         (method, n)
@@ -210,12 +217,14 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         for (method, n), outcome in zip(jobs, results):
             if outcome is None:
                 continue
-            kind, value, runtime, verified = outcome
+            kind, value, runtime, verified, warnings = outcome
             runtime_ms = f"{runtime * 1000:.3f}" if cfg.timing else ""
             writer.writerow(
                 [method, cfg.distribution, n, kind, repr(value), runtime_ms,
                  str(verified).lower()]
             )
+            for text in warnings:
+                print(f"warning: {method} n={n}: {text}", file=sys.stderr)
     return cfg.output_path
 
 
@@ -428,7 +437,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (``main`` runs it per call)."""
     parser = argparse.ArgumentParser(
         prog="convexauction",
         description="Auction design with quadratic perceived payments",

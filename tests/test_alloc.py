@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexauction import (
     GreedyConfig,
@@ -13,8 +15,47 @@ from convexauction import (
     symmetric_instance,
     virtual_values,
 )
-from convexauction.alloc import closed_form_alloc_batch, eqp_solver_batch
+from convexauction.alloc import TIE_TOL, closed_form_alloc_batch, eqp_solver_batch
 from conftest import single_type_instance
+
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+EPSILONS = (1.0, 0.5, 0.25, 0.1, 0.05, 0.01, 1e-3)
+
+
+def _reference_eqp(scores, eps):
+    """The greedy as a 1/eps loop: each step gives eps/|M| to the bidders M tied
+    (within TIE_TOL) for the largest gain sqrt(c^+) (sqrt(x + eps) - sqrt(x)).
+    Returns (x, whether some step was split across different scores)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    root, active = np.sqrt(np.maximum(scores, 0.0)), scores > 0
+    x, split = np.zeros_like(scores), False
+    if not active.any():
+        return x, split
+    for _ in range(round(1 / eps)):
+        gain = np.where(active, root * (np.sqrt(x + eps) - np.sqrt(x)), -np.inf)
+        members = active & (gain >= gain.max() - TIE_TOL)
+        split |= np.unique(scores[members]).size > 1
+        x += np.where(members, eps / members.sum(), 0.0)
+    return x, split
+
+
+# Negative, zero, one tiny positive and distinct positive scores, drawn with
+# repeats.  Only one tiny value: once every positive gain is below TIE_TOL the
+# loop ties all of them at every step and splits evenly, whatever the scores.
+# The second kind of row, up to 20 scores from a few quarter values as in the
+# orbit rows of uniform:5, often makes the loop split a step between groups.
+SCORES = st.one_of(
+    st.sampled_from([-1.5, 0.0, 1e-16, 0.25, 0.5, 1.0, 2.0, 4.0, 9.0]),
+    st.floats(0.01, 10.0),
+)
+ROWS = st.one_of(
+    st.lists(SCORES, min_size=1, max_size=8),
+    st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=20),
+).map(np.array)
+
+
+def _greedy(row, eps):
+    return eqp_solver(row, GreedyConfig(epsilon=eps))
 
 
 class TestPointwiseMax:
@@ -76,6 +117,70 @@ class TestEqpSolver:
             greedy = eqp_solver_batch(scores, cfg)
             closed = closed_form_alloc_batch(scores, 0.5)
             assert np.abs(greedy - closed).max() <= 2 * cfg.epsilon
+
+
+class TestEqpAgainstReference:
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @PROPERTY_SETTINGS
+    @given(row=ROWS)
+    def test_matches_the_loop(self, eps, row):
+        expected, split = _reference_eqp(row, eps)
+        x = _greedy(row, eps)
+        if not split:
+            np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
+        assert np.abs(x - expected).max() <= eps + 1e-12
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @PROPERTY_SETTINGS
+    @given(row=ROWS, data=st.data())
+    def test_invariants(self, eps, row, data):
+        x = _greedy(row, eps)
+        if np.any(row > 0):
+            assert math.isclose(x.sum(), 1.0, abs_tol=1e-12)
+        else:
+            assert np.all(x == 0.0)
+        assert np.all(x[row <= 0] == 0.0)
+        for value in np.unique(row):
+            assert np.ptp(x[row == value]) == 0.0
+        perm = np.array(data.draw(st.permutations(range(row.size))))
+        np.testing.assert_array_equal(_greedy(row[perm], eps), x[perm])
+        assert np.abs(x - closed_form_alloc(row)).max() <= 2 * eps
+
+    def test_mid_run_tie_regression(self):
+        """[0, 0.5 x3, 1 x16]: the loop splits a step between the two groups
+        mid-run (sqrt(9 eps/8) - sqrt(eps/8) = sqrt(0.5 eps)), which leaves its
+        shares off the group-step grid; the engine counts whole group steps."""
+        row = np.array([0.0] + [0.5] * 3 + [1.0] * 16)
+        eps = 1e-3
+        expected, split = _reference_eqp(row, eps)
+        x = _greedy(row, eps)
+        assert split
+        assert x[0] == 0.0 and np.ptp(x[1:4]) == 0.0 and np.ptp(x[4:]) == 0.0
+        np.testing.assert_allclose(x[1:4] * 3 / eps, 85.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(x[4:] * 16 / eps, 915.0, rtol=0, atol=1e-9)
+        assert 1e-12 < np.abs(x - expected).max() < eps
+        assert math.isclose(x.sum(), 1.0, abs_tol=1e-12)
+
+    def test_last_step_tie_is_split_among_members(self):
+        """[0.25, 1 x16] at eps = 0.1: the 16-group's tenth step gains
+        sqrt(eps/16) (5 - 3) = sqrt(eps)/2, exactly the singleton's first, and
+        it is the last step, so all 17 bidders share it as the loop does."""
+        row = np.array([0.25] + [1.0] * 16)
+        x = _greedy(row, 0.1)
+        np.testing.assert_allclose(x, [0.1 / 17] + [0.9 / 16 + 0.1 / 17] * 16,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x, _reference_eqp(row, 0.1)[0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(_greedy(row[::-1], 0.1), x[::-1])
+
+    def test_scores_equal_up_to_rounding_move_together(self):
+        """1 and 1 + 1e-15 form one group of two, as in the loop, whose gains
+        tie within TIE_TOL at every step; as two singletons the pair's shares
+        would be whole eps steps and differ from the loop by eps here."""
+        cfg = GreedyConfig(epsilon=0.01)
+        row = np.array([4.0, 1.0, 1.0 + 1e-15])
+        x = eqp_solver(row, cfg)
+        np.testing.assert_allclose(x, eqp_solver([4.0, 1.0, 1.0], cfg), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x, _reference_eqp(row, 0.01)[0], rtol=0, atol=1e-12)
 
 
 class TestClosedForm:

@@ -6,6 +6,7 @@ import pytest
 
 from convexauction.cli import (
     ExperimentConfig,
+    build_parser,
     load_mechanism,
     main,
     parse_distribution,
@@ -104,6 +105,22 @@ class TestExperiment:
         threaded = tmp_path / "threaded.csv"
         run_experiment(ExperimentConfig(output_path=str(threaded), **cfg))
         assert serial.read_bytes() == threaded.read_bytes()
+
+    def test_warnings_go_to_stderr(self, tmp_path, capsys):
+        """At eps = 0.05 the greedy pseudo-surplus rule on uniform:5, n = 20 is
+        not monotone in own type; the clamp's warning says why it fails."""
+        out = tmp_path / "warn.csv"
+        assert main(["experiment", "--dist", "uniform:5", "--bidders", "20..20",
+                     "--methods", "pseudo_surplus_greedy,heur_lb_cf", "--epsilon", "0.05",
+                     "--output", str(out), "--no-timing"]) == 0
+        with open(out) as fh:
+            verified = {r["method"]: r["verified"] for r in csv.DictReader(fh)}
+        assert verified == {"pseudo_surplus_greedy": "false", "heur_lb_cf": "true"}
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            "warning: pseudo_surplus_greedy n=20: allocation is not monotone; payments clamped")
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "exp.cfg"
@@ -260,6 +277,12 @@ class TestCommands:
         assert main(["nonsense"]) == 2
         assert main(["solve", "--dist", "bogus:1", "--n", "1", "--method", "surplus"]) == 2
         capsys.readouterr()
+
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        assert main(["--help"]) == 0
+        assert main(["experiment", "--help"]) == 0
+        assert "--no-timing" in capsys.readouterr().out
 
     def test_export_stdout(self, capsys):
         assert main(["export", "--dist", "uniform:2", "--n", "2",

@@ -130,3 +130,15 @@ def test_experiment_at_twenty_bidders_verifies_every_method(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows] == methods
     assert all(r["verified"] == "true" for r in rows)
+
+
+def test_greedy_methods_at_twenty_bidders_verify_at_default_epsilon(tmp_path):
+    """The greedy engine on 44,275 orbit rows of 20 scores, at eps = 1e-3."""
+    methods = ["heur_lb_greedy", "pseudo_surplus_greedy", "heur_brm_greedy"]
+    out = tmp_path / "greedy20.csv"
+    assert main(["experiment", "--dist", "uniform:5", "--bidders", "20..20",
+                 "--methods", ",".join(methods), "--output", str(out), "--no-timing"]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == methods
+    assert all(r["verified"] == "true" for r in rows)

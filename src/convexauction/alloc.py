@@ -77,8 +77,8 @@ def pointwise_max_batch(scores: np.ndarray) -> np.ndarray:
 def eqp_solver(c, config: GreedyConfig = GreedyConfig()) -> np.ndarray:
     """Greedy equi-marginal allocation for the square-root objective.
 
-    Bidders whose sqrt(c_i^+) agree within ``TIE_TOL`` form a group of m; a
-    group step gives each of them epsilon/m and gains
+    Bidders whose sqrt(c_i^+) agree within ``TIE_TOL`` times the largest one
+    form a group of m; a group step gives each of them epsilon/m and gains
     sqrt(c^+) * (sqrt(x + eps) - sqrt(x)) at their current share x.  The
     result takes the 1/epsilon largest group-step gains, splitting a tie at
     the last step evenly among the members of the tied groups; all zeros when
@@ -90,13 +90,14 @@ def eqp_solver(c, config: GreedyConfig = GreedyConfig()) -> np.ndarray:
 def eqp_solver_batch(scores: np.ndarray, config: GreedyConfig = GreedyConfig()) -> np.ndarray:
     """Row-wise greedy equi-marginal allocation, computed from whole group steps.
 
-    Each row is sorted by s = sqrt(c^+); scores within ``TIE_TOL`` of their
-    neighbour form a group of m members that share one representative s (the
-    group's largest).  Group step t gives each member eps/m and gains
+    Each row is sorted by s = sqrt(c^+); scores within tol = ``TIE_TOL`` times
+    the row's largest s of their neighbour form a group of m members that
+    share one representative s (the group's largest).  Group step t gives
+    each member eps/m and gains
     s * (sqrt(t eps/m + eps) - sqrt(t eps/m)), which falls with t, so the
     greedy takes the S = 1/eps largest step gains of its row.  The step counts
     start at floor(m x_cf / eps) from the closed form and are corrected by an
-    exchange; where the S-th gain ties (within ``TIE_TOL``) across groups, the
+    exchange; where the S-th gain ties (within tol) across groups, the
     boundary steps are split evenly among all members of the tied groups.
     Everything is computed in sorted order, so permuting a row's columns
     permutes its output exactly.
@@ -111,8 +112,9 @@ def eqp_solver_batch(scores: np.ndarray, config: GreedyConfig = GreedyConfig()) 
     order = np.argsort(-root, axis=1, kind="stable")
     s = np.take_along_axis(root, order, axis=1)
     rows, cols = s.shape
+    tol = TIE_TOL * s[:, :1]
     head = np.ones_like(s, dtype=bool)
-    head[:, 1:] = (s[:, :-1] - s[:, 1:] > TIE_TOL) | ((s[:, :-1] > 0) != (s[:, 1:] > 0))
+    head[:, 1:] = (s[:, :-1] - s[:, 1:] > tol) | ((s[:, :-1] > 0) != (s[:, 1:] > 0))
     group = np.cumsum(head, axis=1) - 1  # column -> group, groups in score order
     lin = group + cols * np.arange(rows)[:, None]
     m = np.bincount(lin.ravel(), minlength=rows * cols).reshape(rows, cols)
@@ -159,8 +161,8 @@ def eqp_solver_batch(scores: np.ndarray, config: GreedyConfig = GreedyConfig()) 
     # evenly among every member of the groups tied there.
     nxt, last = frontier(steps, sg, width, valid)
     cut = last.min(axis=1, keepdims=True)
-    waiting = nxt >= cut - TIE_TOL
-    taken = (last <= cut + TIE_TOL) & waiting.any(axis=1, keepdims=True)
+    waiting = nxt >= cut - tol
+    taken = (last <= cut + tol) & waiting.any(axis=1, keepdims=True)
     band = taken.astype(np.int64) + waiting
     freed = taken.sum(axis=1, keepdims=True) * eps
     members = np.maximum((band * m).sum(axis=1, keepdims=True), 1)

@@ -154,7 +154,7 @@ def _thread_count() -> int:
     try:
         value = int(raw)
     except ValueError:
-        value = 0
+        raise ValueError(f"CONVEX_AUCTION_THREADS must be an integer, got {raw!r}") from None
     if value == 0:
         return min(4, os.cpu_count() or 1)
     return max(1, value)
@@ -189,6 +189,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     Each method's warnings go to stderr after the run, in job order, as
     ``warning: <method> n=<n>: <text>``; the CSV does not carry them.
     """
+    workers = _thread_count()
     space, dist = parse_distribution(cfg.distribution)
     jobs = [
         (method, n)
@@ -204,7 +205,6 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         method, n = job
         return _run_method(method, orbits[n], cfg)
 
-    workers = _thread_count()
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, jobs))
@@ -235,12 +235,13 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 _FORMAT = "convexauction-mechanism/1"
 
 
-def _tables_to_lists(table: np.ndarray) -> list:
-    n = table.shape[0]
-    return [table[i].ravel().tolist() for i in range(n)]
-
-
 def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> None:
+    def expost(rule):
+        return None if rule is None else rule.table.reshape(instance.n, -1).tolist()
+
+    def interim(rule):
+        return None if rule is None else [t.tolist() for t in rule.tables]
+
     doc = {
         "format": _FORMAT,
         "instance": {
@@ -251,24 +252,10 @@ def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> Non
         },
         "provenance": mech.provenance,
         "perceived": mech.perceived,
-        "allocation": (
-            _tables_to_lists(mech.allocation.table) if mech.allocation else None
-        ),
-        "robust_payments": (
-            _tables_to_lists(mech.robust_payments.table)
-            if mech.robust_payments
-            else None
-        ),
-        "interim_allocation": (
-            [t.tolist() for t in mech.interim_allocation.tables]
-            if mech.interim_allocation
-            else None
-        ),
-        "interim_payments": (
-            [t.tolist() for t in mech.interim_payments.tables]
-            if mech.interim_payments
-            else None
-        ),
+        "allocation": expost(mech.allocation),
+        "robust_payments": expost(mech.robust_payments),
+        "interim_allocation": interim(mech.interim_allocation),
+        "interim_payments": interim(mech.interim_payments),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -276,48 +263,45 @@ def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> Non
 
 
 def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
+    """Read a mechanism file.  A missing field, or a table that does not match
+    the instance's type counts, raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a mechanism file: {path}")
-    instance = AuctionInstance(
-        tuple(
-            (TypeSpace(np.array(b["values"])), DiscreteDistribution(np.array(b["pmf"])))
-            for b in doc["instance"]["bidders"]
-        )
-    )
+
+    def field(obj, key):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"mechanism file {path} has no {key!r} field")
+        return obj[key]
+
+    instance = AuctionInstance(tuple(
+        (TypeSpace(np.array(field(b, "values"))), DiscreteDistribution(np.array(field(b, "pmf"))))
+        for b in field(field(doc, "instance"), "bidders")
+    ))
     shape = instance.shape
 
-    def as_expost(rows):
-        return np.array(rows).reshape(instance.n, *shape)
+    def expost(key, rule):
+        rows = field(doc, key)
+        return None if rows is None else rule(np.array(rows).reshape(instance.n, *shape))
 
-    allocation = (
-        ExPostAllocation(as_expost(doc["allocation"]))
-        if doc["allocation"] is not None
-        else None
-    )
-    robust = (
-        RobustPaymentRule(as_expost(doc["robust_payments"]))
-        if doc["robust_payments"] is not None
-        else None
-    )
-    interim_alloc = (
-        InterimAllocation(tuple(np.array(t) for t in doc["interim_allocation"]))
-        if doc["interim_allocation"] is not None
-        else None
-    )
-    interim_pay = (
-        InterimPaymentRule(tuple(np.array(t) for t in doc["interim_payments"]))
-        if doc["interim_payments"] is not None
-        else None
-    )
+    def interim(key, rule):
+        tables = field(doc, key)
+        if tables is None:
+            return None
+        if (not isinstance(tables, list) or len(tables) != instance.n
+                or any(np.shape(t) != (k,) for t, k in zip(tables, shape))):
+            raise ValueError(f"mechanism file {path}: {key!r} needs one entry per type, "
+                             f"{list(shape)} per bidder")
+        return rule(tuple(np.array(t) for t in tables))
+
     mech = Mechanism(
-        allocation,
-        robust_payments=robust,
-        interim_allocation=interim_alloc,
-        interim_payments=interim_pay,
-        provenance=doc["provenance"],
-        perceived=doc["perceived"],
+        expost("allocation", ExPostAllocation),
+        robust_payments=expost("robust_payments", RobustPaymentRule),
+        interim_allocation=interim("interim_allocation", InterimAllocation),
+        interim_payments=interim("interim_payments", InterimPaymentRule),
+        provenance=field(doc, "provenance"),
+        perceived=field(doc, "perceived"),
     )
     return instance, mech
 

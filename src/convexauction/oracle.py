@@ -8,18 +8,20 @@ collapse, with interim monotonicity in place of the ex-post one.  Payments
 never need to be optimized: the payment characterization and its interim
 analogue pin them to the allocation.
 
-Each problem is built once as dense matrices and solved by a log-barrier
-Newton method.  The solver returns the better of its last iterate and that
-iterate rounded to the configured grid (when the rounded table is still
-feasible), and reports ``grid_slack`` as a certified gap: an upper bound on
-the optimum, from Lagrangian duality at the last iterate, minus the revenue
-of the returned table.  Instances above the variable cap, or that the
-barrier method fails to certify, are refused with an explanation.
+Both are composed from one set of linear blocks (``_Blocks``: supply, bounds,
+monotonicity, payment chains, the interim collapse, the XA row and objective
+weights) and solved by a log-barrier Newton method; ``export_program``
+prints rows of the same blocks.  The solver returns the better of its last
+iterate and that iterate rounded to the configured grid (when the rounded
+table is still feasible), and reports ``grid_slack`` as a certified gap: an
+upper bound on the optimum, from Lagrangian duality at the last iterate,
+minus the revenue of the returned table.  Instances above the variable cap,
+or that the barrier method fails to certify, are refused with an
+explanation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .core import (
     MechanismReport,
     ObjectiveKind,
     RobustPaymentRule,
+    own_type_matrix,
 )
 from .mechanisms import Mechanism, Tables
 from .virtual import virtual_values
@@ -211,30 +214,101 @@ def _along(i: int, own: np.ndarray, other: list[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
+class _Blocks:
+    """The linear pieces of the revenue programs, each built when asked for.
+
+    Ex-post pieces act on the allocation table x flattened in (n, K_0, ...,
+    K_{n-1}) order; interim pieces (``hat=True``) act on the interim rule x̂,
+    flattened bidder by bidder.  The solver composes its matrices from these
+    pieces and the exporter prints their rows, so every constraint has one
+    definition.  Labels are the index part of the exported names:
+    ``[i][(v_0,...,v_{n-1})]`` ex post, ``[i][k]`` interim.
+    """
+
+    def __init__(self, instance: AuctionInstance):
+        self.instance = instance
+        self.cells = math.prod(instance.shape)
+
+    def profile_labels(self) -> list[str]:
+        return [f"[({','.join(map(str, v))})]" for v in np.ndindex(*self.instance.shape)]
+
+    def labels(self, hat: bool) -> list[str]:
+        shape = self.instance.shape
+        if hat:
+            return [f"[{i}][{k}]" for i, size in enumerate(shape) for k in range(size)]
+        profiles = self.profile_labels()
+        return [f"[{i}]{v}" for i in range(len(shape)) for v in profiles]
+
+    def per_type(self, per_bidder, hat: bool) -> np.ndarray:
+        """``per_bidder[i][k]`` at every entry whose bidder is i with own type k."""
+        if hat:
+            return np.concatenate(per_bidder)
+        return own_type_matrix(self.instance, per_bidder).ravel()
+
+    def _stack(self, own, hat: bool) -> np.ndarray:
+        """``own(i)``, a matrix on bidder i's own types, applied to every
+        bidder: block-diagonally on x̂, and on x along each own-type axis with
+        the other bidders' types held fixed."""
+        shape = self.instance.shape
+        mats = [own(i) for i in range(self.instance.n)]
+        if hat:
+            return np.vstack([
+                np.hstack([m if j == i else np.zeros((len(m), k)) for j, k in enumerate(shape)])
+                for i, m in enumerate(mats)
+            ])
+        eyes = [np.eye(k) for k in shape]
+        return np.vstack([_along(i, m, eyes) for i, m in enumerate(mats)])
+
+    def box(self, hat: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of -x <= 0 and x <= 1, entry by entry."""
+        eye = np.eye(sum(self.instance.shape) if hat else self.instance.n * self.cells)
+        return -eye, eye
+
+    def supply(self) -> np.ndarray:
+        """The bidders' total share at each profile; supply is sum <= 1."""
+        return np.tile(np.eye(self.cells), self.instance.n)
+
+    def mono(self, hat: bool) -> np.ndarray:
+        """x at own type k - 1 minus x at own type k, for every k >= 1 (<= 0)."""
+        return self._stack(lambda i: -np.diff(np.eye(self.instance.shape[i]), axis=0), hat)
+
+    def chain(self, hat: bool) -> np.ndarray:
+        """Perceived payments along each own-type chain: ``payments.chain``,
+        the payment characterization, applied to the identity."""
+        inst = self.instance
+        return self._stack(
+            lambda i: pay.chain(np.eye(inst.shape[i]), inst.values(i), inst.space(i).gaps), hat)
+
+    def collapse(self) -> np.ndarray:
+        """x̂ = C x: each bidder's share averaged over the other bidders' types."""
+        pmfs = [self.instance.pmf(j)[None, :] for j in range(self.instance.n)]
+        return np.vstack([_along(i, np.eye(k), pmfs) for i, k in enumerate(self.instance.shape)])
+
+    def pmf(self) -> np.ndarray:
+        """f_i(k) per interim entry: the Bayesian objective's weights and the
+        XA row (expected total share <= 1)."""
+        return np.concatenate([self.instance.pmf(i) for i in range(self.instance.n)])
+
+    def joint(self) -> np.ndarray:
+        """f(v) per ex-post entry: the robust objective's weights."""
+        return np.tile(self.instance.joint_pmf.ravel(), self.instance.n)
+
+
 def _program(instance: AuctionInstance, mode: str) -> _Program:
     """Dense matrices of the robust (``rrm``, ``rrm_linear``) or Bayesian
     (``brm``) revenue program."""
-    n, shape = instance.n, instance.shape
-    cells = math.prod(shape)
-    bayesian = mode == "brm"
-    # Bayesian payments and monotonicity act on the interim collapse, which
-    # averages the other bidders' types out
-    other = [instance.pmf(j)[None, :] if bayesian else np.eye(k) for j, k in enumerate(shape)]
-    pay_rows, mono_rows = [], []
-    for i, k in enumerate(shape):
-        # q_l = z_l x_l - sum_{j<l} (z_{j+1} - z_j) x_j along one own-type chain
-        chain = np.diag(instance.values(i)) - np.tril(np.tile(instance.space(i).gaps, (k, 1)), -1)
-        pay_rows.append(_along(i, chain, other))
-        mono_rows.append(_along(i, -np.diff(np.eye(k), axis=0), other))
-    Q, mono = np.vstack(pay_rows), np.vstack(mono_rows)
-    if bayesian:
-        w = np.concatenate([instance.pmf(i) for i in range(n)])
+    blk = _Blocks(instance)
+    if mode == "brm":
+        # Bayesian payments and monotonicity act on the interim collapse
+        collapse = blk.collapse()
+        Q, mono, w = blk.chain(True) @ collapse, blk.mono(True) @ collapse, blk.pmf()
     else:
-        w = np.tile(instance.joint_pmf.ravel(), n)
+        Q, mono, w = blk.chain(False), blk.mono(False), blk.joint()
     # a zero row (lowest type worth 0) pays nothing and has no sqrt gradient
     priced = np.any(Q != 0, axis=1)
-    A = np.vstack([-np.eye(n * cells), np.tile(np.eye(cells), n), mono])
-    b = np.concatenate([np.zeros(n * cells), np.ones(cells), np.zeros(len(mono))])
+    lower, _ = blk.box(False)
+    A = np.vstack([lower, blk.supply(), mono])
+    b = np.concatenate([np.zeros(len(lower)), np.ones(blk.cells), np.zeros(len(mono))])
     return _Program(Q[priced], w[priced], A, b, mode == "rrm_linear")
 
 
@@ -326,8 +400,7 @@ def _solve(
         )
     prog = _program(instance, mode)
     # x_i(v) = (v_i + 1) / ((K_i + 1) n): strictly monotone, strictly inside supply
-    sizes = np.array(shape).reshape(n, *([1] * n))
-    start = ((np.indices(shape) + 1) / ((sizes + 1) * n)).ravel()
+    start = own_type_matrix(instance, [(np.arange(k) + 1) / ((k + 1) * n) for k in shape]).ravel()
     x, bound = _barrier(prog, start)
     best = max(
         (c for c in (x, np.round(x * config.steps) / config.steps)
@@ -337,11 +410,20 @@ def _solve(
     return ExPostAllocation(best.reshape(n, *shape)), _revenue(prog, best), bound
 
 
-def _certified_gap(bound: float, revenue: float) -> float:
+def _report(instance, mech, payments, which, objective, bound, start) -> MechanismReport:
+    """Exact-oracle report: the recomputed revenue, the verified constraint
+    sets ``which`` and the certified gap."""
+    revenue = pay.expected_revenue(payments, instance)
+    if abs(revenue - objective) > 1e-6:
+        raise RuntimeError("solver objective and recomputed revenue disagree")
     gap = bound - revenue + _FP_MARGIN * bound
     if not gap >= 0:
         raise RuntimeError("returned table beats the barrier's upper bound")
-    return gap
+    return MechanismReport(
+        revenue, ObjectiveKind.EXACT_ORACLE, revenue=revenue,
+        verification=verify(instance, mech, which),
+        runtime_s=time.perf_counter() - start, grid_slack=gap,
+    )
 
 
 def exact_rrm(
@@ -362,25 +444,13 @@ def exact_rrm(
     start = time.perf_counter()
     mode = "rrm" if perceived == "quadratic" else "rrm_linear"
     alloc, obj, bound = _solve(instance, config, mode)
-    q = pay.perceived_payment(alloc, instance)
-    if perceived == "quadratic":
-        rule = RobustPaymentRule(np.sqrt(np.maximum(q, 0.0)))
-    else:
-        rule = RobustPaymentRule(np.maximum(q, 0.0))
-    revenue = pay.expected_revenue(rule, instance)
-    if abs(revenue - obj) > 1e-6:
-        raise RuntimeError("solver objective and recomputed revenue disagree")
+    q = np.maximum(pay.perceived_payment(alloc, instance), 0.0)
+    rule = RobustPaymentRule(np.sqrt(q) if perceived == "quadratic" else q)
     mech = Mechanism(
         alloc, robust_payments=rule,
         provenance=f"exact_rrm[grid={config.grid}]", perceived=perceived,
     )
-    report = MechanismReport(
-        revenue, ObjectiveKind.EXACT_ORACLE, revenue=revenue,
-        verification=verify(instance, mech, ("ic", "ir", "xp")),
-        runtime_s=time.perf_counter() - start,
-        grid_slack=_certified_gap(bound, revenue),
-    )
-    return mech, report
+    return mech, _report(instance, mech, rule, ("ic", "ir", "xp"), obj, bound, start)
 
 
 def exact_brm(
@@ -396,20 +466,11 @@ def exact_brm(
     alloc, obj, bound = _solve(instance, config, "brm")
     interim = pay.interim_collapse(alloc, instance)
     h = pay.bayesian_payment(interim, instance)
-    revenue = pay.expected_revenue(h, instance)
-    if abs(revenue - obj) > 1e-6:
-        raise RuntimeError("solver objective and recomputed revenue disagree")
     mech = Mechanism(
         alloc, interim_allocation=interim, interim_payments=h,
         provenance=f"exact_brm[grid={config.grid}]",
     )
-    report = MechanismReport(
-        revenue, ObjectiveKind.EXACT_ORACLE, revenue=revenue,
-        verification=verify(instance, mech, ("bic", "bir", "xp")),
-        runtime_s=time.perf_counter() - start,
-        grid_slack=_certified_gap(bound, revenue),
-    )
-    return mech, report
+    return mech, _report(instance, mech, h, ("bic", "bir", "xp"), obj, bound, start)
 
 
 # ---------------------------------------------------------------------------
@@ -422,221 +483,93 @@ PROGRAMS = (
 )
 
 
-def _plabel(prof: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, prof)) + ")"
+def _expressions(M: np.ndarray, names: list[str]) -> list[str]:
+    """Each row of M as a sum of coef*name over its nonzero entries ("0" if none)."""
+    rows, cols = np.nonzero(M)
+    terms = [""] * len(M)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()):
+        terms[r] += f" {'-' if v < 0 else '+'} {abs(v)!r}*{names[c]}"
+    return [("-" + t[3:] if t.startswith(" -") else t[3:]) or "0" for t in terms]
 
 
-def _profiles_of(instance):
-    return list(itertools.product(*(range(k) for k in instance.shape)))
-
-
-def _radicand_expr(instance, i, ell, var):
-    """z_l*var_l - sum_{j<l} gap_j*var_j for either x or xhat variables."""
-    z = instance.values(i)
-    gaps = instance.space(i).gaps
-    terms = [f"{float(z[ell])!r}*{var(ell)}"]
-    for j in range(ell):
-        terms.append(f"- {float(gaps[j])!r}*{var(j)}")
-    return " ".join(terms)
+def _rows(kind: str, form: str, labels, M: np.ndarray, names) -> list[str]:
+    """One constraint line per row of M; ``form`` places the row's
+    expression ({0}) and its label ({1})."""
+    return [f"CONSTRAINT {kind}{label}: " + form.format(expr, label)
+            for label, expr in zip(labels, _expressions(M, names))]
 
 
 def export_program(instance: AuctionInstance, which: str) -> str:
     """Emit one mathematical program as deterministic text.
 
     One variable or constraint per line; objective first.  Constraint lines
-    read ``CONSTRAINT <name>: <expr> <= | == <rhs>``.
+    read ``CONSTRAINT <name>: <expr> <= | == <rhs>``.  Every constraint row is
+    a row of a ``_Blocks`` matrix, the pieces the exact solvers compose their
+    programs from; a program is a choice of blocks.  Robust programs price the ex-post table x, Bayesian
+    ones the interim rule x̂: ``brm_xp`` ties x̂ to a feasible x through the
+    collapse, ``brm_xp_naive`` also collapses ex-post payments p, and the
+    ``brm_xa*`` programs keep only the ex-ante (XA) row.
     """
     if which not in PROGRAMS:
         raise ValueError(f"unknown program {which!r}; choose from {PROGRAMS}")
-    n = instance.n
-    profs = _profiles_of(instance)
-    joint = instance.joint_pmf
-    phi_plus = virtual_values(instance).phi_plus
-    lines: list[str] = []
+    blk = _Blocks(instance)
+    hat = which.startswith("brm")
+    ex_ante, relaxed = which.startswith("brm_xa"), which.startswith("brm_xa_rel")
+    # the priced variables: x for robust programs, x̂ for Bayesian ones
+    labels = blk.labels(hat)
+    priced = [("xhat" if hat else "x") + label for label in labels]
+    paid = {"rrm_xp": "p", "brm_xp_naive": "phat", "brm_xp": "h", "brm_xa": "h"}.get(which)
+    if paid:
+        terms = [paid + label for label in labels]
+    else:
+        if which.endswith("pseudo"):
+            coefs = [instance.values(i) for i in range(instance.n)]
+        else:
+            coefs = virtual_values(instance).phi_plus
+        form = "sqrt({!r})*sqrt({})" if which.endswith("trunc") else "sqrt({!r}*{})"
+        terms = [form.format(c, v) for c, v in zip(blk.per_type(coefs, hat).tolist(), priced)]
+    weights = (blk.pmf() if hat else blk.joint()).tolist()
+    lines = ["OBJECTIVE maximize: " + " + ".join(f"{w!r}*{t}" for w, t in zip(weights, terms))]
 
-    def xvar(i, prof):
-        return f"x[{i}][{_plabel(prof)}]"
+    def monotone(kind, labels, names, hat):
+        # a row is labelled by its upper entry, the one it subtracts
+        mono = blk.mono(hat)
+        return _rows(kind, "{} <= 0", [labels[j] for j in mono.argmin(axis=1)], mono, names)
 
-    def add_expost_block(with_ub=True, monotone_expost=True):
-        for i in range(n):
-            for prof in profs:
-                lines.append(f"VAR {xvar(i, prof)} in [0,1]")
-        for prof in profs:
-            expr = " + ".join(xvar(i, prof) for i in range(n))
-            lines.append(f"CONSTRAINT xp[{_plabel(prof)}]: {expr} <= 1")
-        for i in range(n):
-            for prof in profs:
-                lines.append(f"CONSTRAINT lb_x[{i}][{_plabel(prof)}]: -{xvar(i, prof)} <= 0")
-                if with_ub:
-                    lines.append(f"CONSTRAINT ub_x[{i}][{_plabel(prof)}]: {xvar(i, prof)} <= 1")
-        if monotone_expost:
-            for i in range(n):
-                for prof in profs:
-                    if prof[i] == 0:
-                        continue
-                    lower = prof[:i] + (prof[i] - 1,) + prof[i + 1 :]
-                    lines.append(
-                        f"CONSTRAINT mono_x[{i}][{_plabel(prof)}]: "
-                        f"{xvar(i, lower)} - {xvar(i, prof)} <= 0"
-                    )
-
-    def add_xhat_vars(with_ub):
-        for i in range(n):
-            for k in range(instance.shape[i]):
-                lines.append(f"VAR xhat[{i}][{k}] in " + ("[0,1]" if with_ub else "[0,inf)"))
-
-    def add_xhat_bounds(with_ub):
-        for i in range(n):
-            for k in range(instance.shape[i]):
-                lines.append(f"CONSTRAINT lb_xhat[{i}][{k}]: -xhat[{i}][{k}] <= 0")
-                if with_ub:
-                    lines.append(f"CONSTRAINT ub_xhat[{i}][{k}]: xhat[{i}][{k}] <= 1")
-
-    def add_collapse(var_name, transform=lambda s: s):
-        for i in range(n):
-            ctx_pmf = instance.context_pmf(i)
-            for k in range(instance.shape[i]):
-                terms = []
-                for prof in profs:
-                    if prof[i] != k:
-                        continue
-                    ctx = prof[:i] + prof[i + 1 :]
-                    w = float(ctx_pmf[ctx]) if ctx else 1.0
-                    terms.append(f"{w!r}*{transform(xvar(i, prof))}")
-                expr = " + ".join(terms)
-                lines.append(
-                    f"CONSTRAINT collapse_{var_name}[{i}][{k}]: "
-                    f"{var_name}[{i}][{k}] == {expr}"
-                )
-
-    def add_interim_monotone():
-        for i in range(n):
-            for k in range(1, instance.shape[i]):
-                lines.append(
-                    f"CONSTRAINT mono_xhat[{i}][{k}]: "
-                    f"xhat[{i}][{k - 1}] - xhat[{i}][{k}] <= 0"
-                )
-
-    def add_xa():
-        terms = []
-        for i in range(n):
-            f = instance.pmf(i)
-            for k in range(instance.shape[i]):
-                terms.append(f"{float(f[k])!r}*xhat[{i}][{k}]")
-        lines.append("CONSTRAINT xa: " + " + ".join(terms) + " <= 1")
-
-    if which == "rrm_xp":
-        obj = " + ".join(
-            f"{float(joint[prof])!r}*p[{i}][{_plabel(prof)}]"
-            for prof in profs for i in range(n)
-        )
-        lines.append(f"OBJECTIVE maximize: {obj}")
-        add_expost_block()
-        for i in range(n):
-            for prof in profs:
-                lines.append(f"VAR p[{i}][{_plabel(prof)}] in [0,inf)")
-        for i in range(n):
-            for prof in profs:
-                rad = _radicand_expr(
-                    instance, i, prof[i],
-                    lambda j, i=i, prof=prof: xvar(i, prof[:i] + (j,) + prof[i + 1 :]),
-                )
-                lines.append(
-                    f"CONSTRAINT pay[{i}][{_plabel(prof)}]: "
-                    f"p[{i}][{_plabel(prof)}]^2 == {rad}"
-                )
-    elif which in ("rrm_pseudo", "rrm_lb"):
-        terms = []
-        for prof in profs:
-            for i in range(n):
-                coef = (
-                    float(instance.values(i)[prof[i]])
-                    if which == "rrm_pseudo"
-                    else float(phi_plus[i][prof[i]])
-                )
-                terms.append(f"{float(joint[prof])!r}*sqrt({coef!r}*{xvar(i, prof)})")
-        lines.append("OBJECTIVE maximize: " + " + ".join(terms))
-        add_expost_block()
-    elif which == "brm_xp_naive":
-        terms = []
-        for i in range(n):
-            f = instance.pmf(i)
-            for k in range(instance.shape[i]):
-                terms.append(f"{float(f[k])!r}*phat[{i}][{k}]")
-        lines.append("OBJECTIVE maximize: " + " + ".join(terms))
-        add_expost_block(monotone_expost=False)
-        for i in range(n):
-            for prof in profs:
-                lines.append(f"VAR p[{i}][{_plabel(prof)}] in [0,inf)")
-        add_xhat_vars(with_ub=True)
-        for i in range(n):
-            for k in range(instance.shape[i]):
-                lines.append(f"VAR phat[{i}][{k}] in [0,inf)")
-                lines.append(f"VAR qhat[{i}][{k}] in [0,inf)")
-        add_collapse("xhat")
-        add_collapse("phat", transform=lambda s: s.replace("x[", "p[", 1))
-        add_collapse("qhat", transform=lambda s: s.replace("x[", "p[", 1) + "^2")
-        add_interim_monotone()
-        for i in range(n):
-            for k in range(instance.shape[i]):
-                rad = _radicand_expr(instance, i, k, lambda j, i=i: f"xhat[{i}][{j}]")
-                lines.append(f"CONSTRAINT pay[{i}][{k}]: qhat[{i}][{k}] == {rad}")
-    elif which in ("brm_xp", "brm_pseudo"):
-        terms = []
-        for i in range(n):
-            f = instance.pmf(i)
-            z = instance.values(i)
-            for k in range(instance.shape[i]):
-                if which == "brm_xp":
-                    terms.append(f"{float(f[k])!r}*h[{i}][{k}]")
-                else:
-                    terms.append(f"{float(f[k])!r}*sqrt({float(z[k])!r}*xhat[{i}][{k}])")
-        lines.append("OBJECTIVE maximize: " + " + ".join(terms))
-        add_expost_block(monotone_expost=False)
-        add_xhat_vars(with_ub=True)
-        if which == "brm_xp":
-            for i in range(n):
-                for k in range(instance.shape[i]):
-                    lines.append(f"VAR h[{i}][{k}] in [0,inf)")
-        add_collapse("xhat")
-        add_interim_monotone()
-        if which == "brm_xp":
-            for i in range(n):
-                for k in range(instance.shape[i]):
-                    rad = _radicand_expr(instance, i, k, lambda j, i=i: f"xhat[{i}][{j}]")
-                    lines.append(f"CONSTRAINT pay[{i}][{k}]: h[{i}][{k}]^2 == {rad}")
-    elif which == "brm_xa":
-        terms = []
-        for i in range(n):
-            f = instance.pmf(i)
-            for k in range(instance.shape[i]):
-                terms.append(f"{float(f[k])!r}*h[{i}][{k}]")
-        lines.append("OBJECTIVE maximize: " + " + ".join(terms))
-        add_xhat_vars(with_ub=True)
-        for i in range(n):
-            for k in range(instance.shape[i]):
-                lines.append(f"VAR h[{i}][{k}] in [0,inf)")
-        add_xa()
-        add_xhat_bounds(with_ub=True)
-        add_interim_monotone()
-        for i in range(n):
-            for k in range(instance.shape[i]):
-                rad = _radicand_expr(instance, i, k, lambda j, i=i: f"xhat[{i}][{j}]")
-                lines.append(f"CONSTRAINT pay[{i}][{k}]: h[{i}][{k}]^2 == {rad}")
-    else:  # brm_xa_rel and brm_xa_rel_trunc
-        terms = []
-        for i in range(n):
-            f = instance.pmf(i)
-            for k in range(instance.shape[i]):
-                if which == "brm_xa_rel":
-                    terms.append(f"{float(f[k])!r}*sqrt({float(phi_plus[i][k])!r}*xhat[{i}][{k}])")
-                else:
-                    terms.append(
-                        f"{float(f[k])!r}*sqrt({float(phi_plus[i][k])!r})*sqrt(xhat[{i}][{k}])"
-                    )
-        lines.append("OBJECTIVE maximize: " + " + ".join(terms))
-        add_xhat_vars(with_ub=False)
-        add_xa()
-        add_xhat_bounds(with_ub=False)
-        add_interim_monotone()
+    if not ex_ante:
+        xlabels = blk.labels(False)
+        x = [f"x{label}" for label in xlabels]
+        lower, upper = blk.box(False)
+        lines += [f"VAR {v} in [0,1]" for v in x]
+        lines += _rows("xp", "{} <= 1", blk.profile_labels(), blk.supply(), x)
+        lines += _rows("lb_x", "{} <= 0", xlabels, lower, x)
+        lines += _rows("ub_x", "{} <= 1", xlabels, upper, x)
+        if not hat:
+            lines += monotone("mono_x", xlabels, x, False)
+        if which in ("rrm_xp", "brm_xp_naive"):
+            p = [f"p{label}" for label in xlabels]
+            lines += [f"VAR {v} in [0,inf)" for v in p]
+    if hat:
+        lines += [f"VAR {v} in {'[0,inf)' if relaxed else '[0,1]'}" for v in priced]
+        if ex_ante:
+            lower, upper = blk.box(True)
+            lines += _rows("xa", "{} <= 1", [""], blk.pmf()[None, :], priced)
+            lines += _rows("lb_xhat", "{} <= 0", labels, lower, priced)
+            if not relaxed:
+                lines += _rows("ub_xhat", "{} <= 1", labels, upper, priced)
+        else:
+            collapse = blk.collapse()
+            lines += _rows("collapse_xhat", "xhat{1} == {0}", labels, collapse, x)
+        if which == "brm_xp_naive":
+            lines += [f"VAR {v}{label} in [0,inf)" for label in labels for v in ("phat", "qhat")]
+            lines += _rows("collapse_phat", "phat{1} == {0}", labels, collapse, p)
+            squares = [f"{v}^2" for v in p]
+            lines += _rows("collapse_qhat", "qhat{1} == {0}", labels, collapse, squares)
+        elif paid == "h":
+            lines += [f"VAR h{label} in [0,inf)" for label in labels]
+        lines += monotone("mono_xhat", labels, priced, True)
+    if paid:
+        # the payment characterization: perceived payment = chain . x (or x̂)
+        form = {"p": "p{1}^2 == {0}", "h": "h{1}^2 == {0}", "phat": "qhat{1} == {0}"}[paid]
+        lines += _rows("pay", form, labels, blk.chain(hat), priced)
     return "\n".join(lines) + "\n"

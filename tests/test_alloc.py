@@ -24,7 +24,8 @@ EPSILONS = (1.0, 0.5, 0.25, 0.1, 0.05, 0.01, 1e-3)
 
 def _reference_eqp(scores, eps):
     """The greedy as a 1/eps loop: each step gives eps/|M| to the bidders M tied
-    (within TIE_TOL) for the largest gain sqrt(c^+) (sqrt(x + eps) - sqrt(x)).
+    (within TIE_TOL times the largest sqrt(c^+)) for the largest gain
+    sqrt(c^+) (sqrt(x + eps) - sqrt(x)).
     Returns (x, whether some step was split across different scores)."""
     scores = np.asarray(scores, dtype=np.float64)
     root, active = np.sqrt(np.maximum(scores, 0.0)), scores > 0
@@ -33,19 +34,18 @@ def _reference_eqp(scores, eps):
         return x, split
     for _ in range(round(1 / eps)):
         gain = np.where(active, root * (np.sqrt(x + eps) - np.sqrt(x)), -np.inf)
-        members = active & (gain >= gain.max() - TIE_TOL)
+        members = active & (gain >= gain.max() - TIE_TOL * root.max())
         split |= np.unique(scores[members]).size > 1
         x += np.where(members, eps / members.sum(), 0.0)
     return x, split
 
 
-# Negative, zero, one tiny positive and distinct positive scores, drawn with
-# repeats.  Only one tiny value: once every positive gain is below TIE_TOL the
-# loop ties all of them at every step and splits evenly, whatever the scores.
-# The second kind of row, up to 20 scores from a few quarter values as in the
-# orbit rows of uniform:5, often makes the loop split a step between groups.
+# Negative, zero, tiny positive and distinct positive scores, drawn with
+# repeats.  The second kind of row, up to 20 scores from a few quarter values
+# as in the orbit rows of uniform:5, often makes the loop split a step between
+# groups.
 SCORES = st.one_of(
-    st.sampled_from([-1.5, 0.0, 1e-16, 0.25, 0.5, 1.0, 2.0, 4.0, 9.0]),
+    st.sampled_from([-1.5, 0.0, 1e-16, 4e-16, 0.25, 0.5, 1.0, 2.0, 4.0, 9.0]),
     st.floats(0.01, 10.0),
 )
 ROWS = st.one_of(
@@ -145,6 +145,27 @@ class TestEqpAgainstReference:
         perm = np.array(data.draw(st.permutations(range(row.size))))
         np.testing.assert_array_equal(_greedy(row[perm], eps), x[perm])
         assert np.abs(x - closed_form_alloc(row)).max() <= 2 * eps
+
+    @pytest.mark.parametrize("eps", (0.1, 1e-3))
+    @PROPERTY_SETTINGS
+    @given(row=ROWS)
+    def test_scale_invariant(self, eps, row):
+        """Scaling every score by 4^k scales each sqrt(c^+) and gain by 2^k
+        exactly, so with ties relative to the row's largest score the shares
+        do not change, down to scores near 1e-270."""
+        x = _greedy(row, eps)
+        for scale in (4.0**-450, 4.0**-20, 4.0**100):
+            np.testing.assert_array_equal(_greedy(row * scale, eps), x)
+
+    def test_tiny_scores_are_not_one_tie(self):
+        """Below c ~ 1e-24 an absolute tie tolerance made every positive score
+        one group, so [1e-300, 4e-300] split evenly; the closed form and the
+        scale-free greedy give [0.2, 0.8]."""
+        for row in ([1e-300, 4e-300], [1e-30, 4e-30], [1.0, 4.0]):
+            x = eqp_solver(row, GreedyConfig(epsilon=1e-3))
+            np.testing.assert_allclose(x, [0.2, 0.8], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x, closed_form_alloc(row), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x, _reference_eqp(row, 1e-3)[0], rtol=0, atol=1e-12)
 
     def test_mid_run_tie_regression(self):
         """[0, 0.5 x3, 1 x16]: the loop splits a step between the two groups

@@ -271,6 +271,60 @@ class TestCommands:
         assert main(["check", str(mech_path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @staticmethod
+    def _solved_file(tmp_path, method):
+        import json
+
+        mech_path = tmp_path / "m.json"
+        assert main(["solve", "--dist", "categorical:3,10,0.8", "--n", "2",
+                     "--method", method, "--output", str(mech_path)]) == 0
+        return mech_path, json.loads(mech_path.read_text())
+
+    @pytest.mark.parametrize("field", ["perceived", "provenance", "allocation", "instance"])
+    def test_missing_field_exits_two_naming_it(self, tmp_path, capsys, field):
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "heur_rrm_cf")
+        del doc[field]
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command in (["check", str(mech_path)],
+                        ["discretize", str(mech_path), "--delta", "0.05"]):
+            assert main(command) == 2
+            assert f"no {field!r} field" in capsys.readouterr().err
+
+    def test_missing_bidder_field_exits_two(self, tmp_path, capsys):
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "heur_rrm_cf")
+        del doc["instance"]["bidders"][1]["pmf"]
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(mech_path)]) == 2
+        assert "no 'pmf' field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["interim_allocation", "interim_payments"])
+    def test_interim_table_of_wrong_length_exits_two(self, tmp_path, capsys, field):
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "heur_brm_cf")
+        assert main(["check", str(mech_path)]) == 0
+        doc[field][1] = doc[field][1][:1]
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(mech_path)]) == 2
+        assert f"{field!r} needs one entry per type" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="one entry per type"):
+            load_mechanism(str(mech_path))
+
+    def test_non_integer_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONVEX_AUCTION_THREADS", "abc")
+        out = tmp_path / "exp.csv"
+        assert main(["experiment", "--dist", "uniform:2", "--bidders", "1..2",
+                     "--methods", "heur_lb_cf", "--output", str(out)]) == 2
+        assert "CONVEX_AUCTION_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_errors_exit_two(self, capsys):
         assert main(["solve", "--dist", "categorical:3,10,0.8", "--n", "2",
                      "--method", "not_a_method"]) == 2

@@ -322,3 +322,50 @@ class TestExportProgram:
         inst = single_type_instance(1.0, 1)
         with pytest.raises(ValueError):
             export_program(inst, "nope")
+
+
+_VAR = re.compile(r"[a-z]+\[\d+\]\[[^\]]*\]")
+
+
+def _evaluate(expr: str, env: dict[str, float]) -> float:
+    """Value of an exported expression with every variable replaced by env's."""
+    text = _VAR.sub(lambda m: f"({env[m.group()]!r})", expr).replace("^", "**")
+    return eval(text, {"__builtins__": {}, "sqrt": math.sqrt})
+
+
+def _asymmetric_pair():
+    return AuctionInstance((
+        (TypeSpace(np.array([1.0, 2.5, 4.0])), DiscreteDistribution(np.array([0.2, 0.5, 0.3]))),
+        (TypeSpace(np.array([0.5, 3.0])), DiscreteDistribution(np.array([0.6, 0.4]))),
+    ))
+
+
+class TestExportMatchesSolver:
+    """The exported program is the one the exact solver solves: its table
+    satisfies every exported constraint and the objective prices it at the
+    reported revenue."""
+
+    @pytest.mark.parametrize("which", ["rrm_xp", "brm_xp"])
+    def test_solver_table_satisfies_every_exported_row(self, which, two_bidder_0_100):
+        for inst in (two_bidder_0_100, _asymmetric_pair()):
+            mech, report = (exact_rrm if which == "rrm_xp" else exact_brm)(inst)
+            env = {}
+            for (i, *v), value in np.ndenumerate(mech.allocation.table):
+                env[f"x[{i}][({','.join(map(str, v))})]"] = float(value)
+                if which == "rrm_xp":
+                    env[f"p[{i}][({','.join(map(str, v))})]"] = float(
+                        mech.robust_payments.table[(i, *v)])
+            if which == "brm_xp":
+                for i in range(inst.n):
+                    for k in range(inst.shape[i]):
+                        env[f"xhat[{i}][{k}]"] = float(mech.interim_allocation.tables[i][k])
+                        env[f"h[{i}][{k}]"] = float(mech.interim_payments.tables[i][k])
+            lines = export_program(inst, which).splitlines()
+            objective = lines[0].removeprefix("OBJECTIVE maximize: ")
+            assert abs(_evaluate(objective, env) - report.revenue) <= 1e-9
+            rows = [line for line in lines if line.startswith("CONSTRAINT ")]
+            assert rows
+            for line in rows:
+                lhs, sense, rhs = re.match(r"CONSTRAINT [^:]+: (.+) (<=|==) (.+)$", line).groups()
+                gap = _evaluate(lhs, env) - _evaluate(rhs, env)
+                assert (gap <= 1e-9 if sense == "<=" else abs(gap) <= 1e-9), (line, gap)

@@ -27,6 +27,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -235,13 +236,12 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 _FORMAT = "convexauction-mechanism/1"
 
 
+def _tables_to_lists(table: np.ndarray) -> list:
+    n = table.shape[0]
+    return [table[i].ravel().tolist() for i in range(n)]
+
+
 def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> None:
-    def expost(rule):
-        return None if rule is None else rule.table.reshape(instance.n, -1).tolist()
-
-    def interim(rule):
-        return None if rule is None else [t.tolist() for t in rule.tables]
-
     doc = {
         "format": _FORMAT,
         "instance": {
@@ -252,10 +252,24 @@ def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> Non
         },
         "provenance": mech.provenance,
         "perceived": mech.perceived,
-        "allocation": expost(mech.allocation),
-        "robust_payments": expost(mech.robust_payments),
-        "interim_allocation": interim(mech.interim_allocation),
-        "interim_payments": interim(mech.interim_payments),
+        "allocation": (
+            _tables_to_lists(mech.allocation.table) if mech.allocation else None
+        ),
+        "robust_payments": (
+            _tables_to_lists(mech.robust_payments.table)
+            if mech.robust_payments
+            else None
+        ),
+        "interim_allocation": (
+            [t.tolist() for t in mech.interim_allocation.tables]
+            if mech.interim_allocation
+            else None
+        ),
+        "interim_payments": (
+            [t.tolist() for t in mech.interim_payments.tables]
+            if mech.interim_payments
+            else None
+        ),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -281,19 +295,31 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
     ))
     shape = instance.shape
 
+    def array(key, value, want, need):
+        try:
+            table = np.array(value)
+        except ValueError:  # a ragged table
+            table = None
+        if table is None or table.shape != want:
+            raise ValueError(f"mechanism file {path}: {key!r} needs {need}")
+        return table
+
     def expost(key, rule):
         rows = field(doc, key)
-        return None if rows is None else rule(np.array(rows).reshape(instance.n, *shape))
+        if rows is None:
+            return None
+        cells = math.prod(shape)
+        need = f"{instance.n} rows of {cells} entries, one per profile"
+        return rule(array(key, rows, (instance.n, cells), need).reshape(instance.n, *shape))
 
     def interim(key, rule):
         tables = field(doc, key)
         if tables is None:
             return None
-        if (not isinstance(tables, list) or len(tables) != instance.n
-                or any(np.shape(t) != (k,) for t, k in zip(tables, shape))):
-            raise ValueError(f"mechanism file {path}: {key!r} needs one entry per type, "
-                             f"{list(shape)} per bidder")
-        return rule(tuple(np.array(t) for t in tables))
+        need = f"one entry per type, {list(shape)} per bidder"
+        if not isinstance(tables, list) or len(tables) != instance.n:
+            raise ValueError(f"mechanism file {path}: {key!r} needs {need}")
+        return rule(tuple(array(key, t, (k,), need) for t, k in zip(tables, shape)))
 
     mech = Mechanism(
         expost("allocation", ExPostAllocation),

@@ -8,10 +8,10 @@ collapse, with interim monotonicity in place of the ex-post one.  Payments
 never need to be optimized: the payment characterization and its interim
 analogue pin them to the allocation.
 
-Both are composed from one set of linear blocks (``_Blocks``: supply, bounds,
-monotonicity, payment chains, the interim collapse, the XA row and objective
-weights) and solved by a log-barrier Newton method; ``export_program``
-prints rows of the same blocks.  The solver returns the better of its last
+Both are composed from one set of sparse linear blocks (``_Blocks``: supply,
+monotonicity, payment chains, the interim collapse and the objective weights,
+which also give the XA row) and solved by a log-barrier Newton method;
+``export_program`` prints rows of the same blocks.  The solver returns the better of its last
 iterate and that iterate rounded to the configured grid (when the rounded
 table is still feasible), and reports ``grid_slack`` as a certified gap: an
 upper bound on the optimum, from Lagrangian duality at the last iterate,
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -206,12 +205,44 @@ class _Program:
     linear: bool
 
 
-def _along(i: int, own: np.ndarray, other: list[np.ndarray]) -> np.ndarray:
-    """Matrix on the flattened (n, *shape) table that applies ``own`` along
-    bidder i's own-type axis of x_i and ``other[j]`` along bidder j's axis."""
-    factors = [np.eye(len(other))[i : i + 1]]
-    factors += [own if j == i else m for j, m in enumerate(other)]
-    return reduce(np.kron, factors)
+@dataclass(frozen=True)
+class _Sparse:
+    """A matrix by its nonzero entries, sorted by row and then by column."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
+def _kron(factors: list[np.ndarray]) -> _Sparse:
+    """The Kronecker product of small dense matrices, entry by nonzero entry."""
+    rows, cols, vals = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1)
+    for m in factors:
+        r, c = np.nonzero(m)
+        rows = (rows[:, None] * m.shape[0] + r).ravel()
+        cols = (cols[:, None] * m.shape[1] + c).ravel()
+        vals = (vals[:, None] * m[r, c]).ravel()
+    order = np.lexsort((cols, rows))
+    shape = (math.prod(m.shape[0] for m in factors), math.prod(m.shape[1] for m in factors))
+    return _Sparse(rows[order], cols[order], vals[order], shape)
+
+
+def _diagonal(blocks: list[_Sparse]) -> _Sparse:
+    """The blocks along the diagonal of one matrix."""
+    r0 = np.cumsum([0] + [b.shape[0] for b in blocks])
+    c0 = np.cumsum([0] + [b.shape[1] for b in blocks])
+    return _Sparse(
+        np.concatenate([b.rows + r for b, r in zip(blocks, r0)]),
+        np.concatenate([b.cols + c for b, c in zip(blocks, c0)]),
+        np.concatenate([b.vals for b in blocks]),
+        (int(r0[-1]), int(c0[-1])),
+    )
 
 
 class _Blocks:
@@ -219,79 +250,57 @@ class _Blocks:
 
     Ex-post pieces act on the allocation table x flattened in (n, K_0, ...,
     K_{n-1}) order; interim pieces (``hat=True``) act on the interim rule x̂,
-    flattened bidder by bidder.  The solver composes its matrices from these
-    pieces and the exporter prints their rows, so every constraint has one
-    definition.  Labels are the index part of the exported names:
-    ``[i][(v_0,...,v_{n-1})]`` ex post, ``[i][k]`` interim.
+    flattened bidder by bidder.  Each piece is a small matrix per bidder on
+    its own types, expanded across the other bidders' types by a sparse
+    Kronecker product.  The solver densifies the pieces (its programs are
+    capped at a few dozen variables) and the exporter prints their nonzero
+    entries, so every constraint has one definition and exports stay
+    proportional to their text.
     """
 
     def __init__(self, instance: AuctionInstance):
         self.instance = instance
-        self.cells = math.prod(instance.shape)
 
-    def profile_labels(self) -> list[str]:
-        return [f"[({','.join(map(str, v))})]" for v in np.ndindex(*self.instance.shape)]
+    def _along(self, own, other) -> _Sparse:
+        """Block-diagonal over bidders: bidder i's block applies ``own(i)``
+        along its own-type axis and ``other(j)`` along each other bidder j's."""
+        n = self.instance.n
+        return _diagonal([_kron([own(i) if j == i else other(j) for j in range(n)])
+                          for i in range(n)])
 
-    def labels(self, hat: bool) -> list[str]:
+    def _per_bidder(self, own, hat: bool) -> _Sparse:
+        """``own(i)`` applied to x̂, or to x with the other bidders' types held
+        fixed; x̂ has no other-type axes, and a 1 x 1 factor adds none."""
         shape = self.instance.shape
-        if hat:
-            return [f"[{i}][{k}]" for i, size in enumerate(shape) for k in range(size)]
-        profiles = self.profile_labels()
-        return [f"[{i}]{v}" for i in range(len(shape)) for v in profiles]
+        return self._along(own, (lambda j: np.ones((1, 1))) if hat else (lambda j: np.eye(shape[j])))
 
-    def per_type(self, per_bidder, hat: bool) -> np.ndarray:
-        """``per_bidder[i][k]`` at every entry whose bidder is i with own type k."""
-        if hat:
-            return np.concatenate(per_bidder)
-        return own_type_matrix(self.instance, per_bidder).ravel()
-
-    def _stack(self, own, hat: bool) -> np.ndarray:
-        """``own(i)``, a matrix on bidder i's own types, applied to every
-        bidder: block-diagonally on x̂, and on x along each own-type axis with
-        the other bidders' types held fixed."""
-        shape = self.instance.shape
-        mats = [own(i) for i in range(self.instance.n)]
-        if hat:
-            return np.vstack([
-                np.hstack([m if j == i else np.zeros((len(m), k)) for j, k in enumerate(shape)])
-                for i, m in enumerate(mats)
-            ])
-        eyes = [np.eye(k) for k in shape]
-        return np.vstack([_along(i, m, eyes) for i, m in enumerate(mats)])
-
-    def box(self, hat: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of -x <= 0 and x <= 1, entry by entry."""
-        eye = np.eye(sum(self.instance.shape) if hat else self.instance.n * self.cells)
-        return -eye, eye
-
-    def supply(self) -> np.ndarray:
+    def supply(self) -> _Sparse:
         """The bidders' total share at each profile; supply is sum <= 1."""
-        return np.tile(np.eye(self.cells), self.instance.n)
+        return _kron([np.ones((1, self.instance.n))] + [np.eye(k) for k in self.instance.shape])
 
-    def mono(self, hat: bool) -> np.ndarray:
+    def mono(self, hat: bool) -> _Sparse:
         """x at own type k - 1 minus x at own type k, for every k >= 1 (<= 0)."""
-        return self._stack(lambda i: -np.diff(np.eye(self.instance.shape[i]), axis=0), hat)
+        return self._per_bidder(lambda i: -np.diff(np.eye(self.instance.shape[i]), axis=0), hat)
 
-    def chain(self, hat: bool) -> np.ndarray:
+    def chain(self, hat: bool) -> _Sparse:
         """Perceived payments along each own-type chain: ``payments.chain``,
         the payment characterization, applied to the identity."""
         inst = self.instance
-        return self._stack(
+        return self._per_bidder(
             lambda i: pay.chain(np.eye(inst.shape[i]), inst.values(i), inst.space(i).gaps), hat)
 
-    def collapse(self) -> np.ndarray:
+    def collapse(self) -> _Sparse:
         """x̂ = C x: each bidder's share averaged over the other bidders' types."""
-        pmfs = [self.instance.pmf(j)[None, :] for j in range(self.instance.n)]
-        return np.vstack([_along(i, np.eye(k), pmfs) for i, k in enumerate(self.instance.shape)])
+        inst = self.instance
+        return self._along(lambda i: np.eye(inst.shape[i]), lambda j: inst.pmf(j)[None, :])
 
-    def pmf(self) -> np.ndarray:
-        """f_i(k) per interim entry: the Bayesian objective's weights and the
-        XA row (expected total share <= 1)."""
-        return np.concatenate([self.instance.pmf(i) for i in range(self.instance.n)])
-
-    def joint(self) -> np.ndarray:
-        """f(v) per ex-post entry: the robust objective's weights."""
-        return np.tile(self.instance.joint_pmf.ravel(), self.instance.n)
+    def weights(self, hat: bool) -> np.ndarray:
+        """The objective's weight per entry: f_i(k) on x̂, which is also the XA
+        row (expected total share <= 1), and the joint f(v) on x."""
+        inst = self.instance
+        if hat:
+            return np.concatenate([inst.pmf(i) for i in range(inst.n)])
+        return np.tile(inst.joint_pmf.ravel(), inst.n)
 
 
 def _program(instance: AuctionInstance, mode: str) -> _Program:
@@ -300,15 +309,16 @@ def _program(instance: AuctionInstance, mode: str) -> _Program:
     blk = _Blocks(instance)
     if mode == "brm":
         # Bayesian payments and monotonicity act on the interim collapse
-        collapse = blk.collapse()
-        Q, mono, w = blk.chain(True) @ collapse, blk.mono(True) @ collapse, blk.pmf()
+        collapse = blk.collapse().dense()
+        Q, mono = blk.chain(True).dense() @ collapse, blk.mono(True).dense() @ collapse
     else:
-        Q, mono, w = blk.chain(False), blk.mono(False), blk.joint()
+        Q, mono = blk.chain(False).dense(), blk.mono(False).dense()
+    w = blk.weights(mode == "brm")
     # a zero row (lowest type worth 0) pays nothing and has no sqrt gradient
     priced = np.any(Q != 0, axis=1)
-    lower, _ = blk.box(False)
-    A = np.vstack([lower, blk.supply(), mono])
-    b = np.concatenate([np.zeros(len(lower)), np.ones(blk.cells), np.zeros(len(mono))])
+    size, supply = Q.shape[1], blk.supply().dense()
+    A = np.vstack([-np.eye(size), supply, mono])
+    b = np.concatenate([np.zeros(size), np.ones(len(supply)), np.zeros(len(mono))])
     return _Program(Q[priced], w[priced], A, b, mode == "rrm_linear")
 
 
@@ -400,7 +410,8 @@ def _solve(
         )
     prog = _program(instance, mode)
     # x_i(v) = (v_i + 1) / ((K_i + 1) n): strictly monotone, strictly inside supply
-    start = own_type_matrix(instance, [(np.arange(k) + 1) / ((k + 1) * n) for k in shape]).ravel()
+    sizes = np.array(shape).reshape(n, *([1] * n))
+    start = ((np.indices(shape) + 1) / ((sizes + 1) * n)).ravel()
     x, bound = _barrier(prog, start)
     best = max(
         (c for c in (x, np.round(x * config.steps) / config.steps)
@@ -444,8 +455,11 @@ def exact_rrm(
     start = time.perf_counter()
     mode = "rrm" if perceived == "quadratic" else "rrm_linear"
     alloc, obj, bound = _solve(instance, config, mode)
-    q = np.maximum(pay.perceived_payment(alloc, instance), 0.0)
-    rule = RobustPaymentRule(np.sqrt(q) if perceived == "quadratic" else q)
+    q = pay.perceived_payment(alloc, instance)
+    if perceived == "quadratic":
+        rule = RobustPaymentRule(np.sqrt(np.maximum(q, 0.0)))
+    else:
+        rule = RobustPaymentRule(np.maximum(q, 0.0))
     mech = Mechanism(
         alloc, robust_payments=rule,
         provenance=f"exact_rrm[grid={config.grid}]", perceived=perceived,
@@ -483,40 +497,43 @@ PROGRAMS = (
 )
 
 
-def _expressions(M: np.ndarray, names: list[str]) -> list[str]:
-    """Each row of M as a sum of coef*name over its nonzero entries ("0" if none)."""
-    rows, cols = np.nonzero(M)
-    terms = [""] * len(M)
-    for r, c, v in zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()):
-        terms[r] += f" {'-' if v < 0 else '+'} {abs(v)!r}*{names[c]}"
-    return [("-" + t[3:] if t.startswith(" -") else t[3:]) or "0" for t in terms]
-
-
-def _rows(kind: str, form: str, labels, M: np.ndarray, names) -> list[str]:
-    """One constraint line per row of M; ``form`` places the row's
-    expression ({0}) and its label ({1})."""
-    return [f"CONSTRAINT {kind}{label}: " + form.format(expr, label)
-            for label, expr in zip(labels, _expressions(M, names))]
+def _expressions(M: _Sparse, names: list[str]) -> list[str]:
+    """Each row of M as a signed sum of coef*name over its nonzero entries
+    ("0" if it has none)."""
+    exprs = [""] * M.shape[0]
+    for r, c, v in zip(M.rows.tolist(), M.cols.tolist(), M.vals.tolist()):
+        if exprs[r]:
+            exprs[r] += " - " if v < 0 else " + "
+        elif v < 0:
+            exprs[r] = "-"
+        exprs[r] += f"{abs(v)!r}*{names[c]}"
+    return [e or "0" for e in exprs]
 
 
 def export_program(instance: AuctionInstance, which: str) -> str:
     """Emit one mathematical program as deterministic text.
 
     One variable or constraint per line; objective first.  Constraint lines
-    read ``CONSTRAINT <name>: <expr> <= | == <rhs>``.  Every constraint row is
-    a row of a ``_Blocks`` matrix, the pieces the exact solvers compose their
-    programs from; a program is a choice of blocks.  Robust programs price the ex-post table x, Bayesian
-    ones the interim rule x̂: ``brm_xp`` ties x̂ to a feasible x through the
-    collapse, ``brm_xp_naive`` also collapses ex-post payments p, and the
-    ``brm_xa*`` programs keep only the ex-ante (XA) row.
+    read ``CONSTRAINT <name>: <expr> <= | == <rhs>``.  Every supply,
+    monotonicity, payment, collapse and XA row prints the nonzero entries of
+    a ``_Blocks`` piece, the pieces the exact solvers compose their programs
+    from; a program is a choice of pieces.  Robust programs price the
+    ex-post table x, Bayesian ones the interim rule x̂: ``brm_xp`` ties x̂ to
+    a feasible x through the collapse, ``brm_xp_naive`` also collapses
+    ex-post payments p, and the ``brm_xa*`` programs keep only the ex-ante
+    (XA) row.
     """
     if which not in PROGRAMS:
         raise ValueError(f"unknown program {which!r}; choose from {PROGRAMS}")
     blk = _Blocks(instance)
+    shape = instance.shape
     hat = which.startswith("brm")
     ex_ante, relaxed = which.startswith("brm_xa"), which.startswith("brm_xa_rel")
+    # names are [i][(v_0,...,v_{n-1})] on x, [i][k] on x̂
+    profiles = [f"[({','.join(map(str, v))})]" for v in np.ndindex(*shape)]
+    xlabels = [f"[{i}]{v}" for i in range(instance.n) for v in profiles]
+    labels = [f"[{i}][{k}]" for i, size in enumerate(shape) for k in range(size)] if hat else xlabels
     # the priced variables: x for robust programs, x̂ for Bayesian ones
-    labels = blk.labels(hat)
     priced = [("xhat" if hat else "x") + label for label in labels]
     paid = {"rrm_xp": "p", "brm_xp_naive": "phat", "brm_xp": "h", "brm_xa": "h"}.get(which)
     if paid:
@@ -526,24 +543,39 @@ def export_program(instance: AuctionInstance, which: str) -> str:
             coefs = [instance.values(i) for i in range(instance.n)]
         else:
             coefs = virtual_values(instance).phi_plus
-        form = "sqrt({!r})*sqrt({})" if which.endswith("trunc") else "sqrt({!r}*{})"
-        terms = [form.format(c, v) for c, v in zip(blk.per_type(coefs, hat).tolist(), priced)]
-    weights = (blk.pmf() if hat else blk.joint()).tolist()
+        per_entry = np.concatenate(coefs) if hat else own_type_matrix(instance, coefs).ravel()
+        if which.endswith("trunc"):
+            terms = [f"sqrt({c!r})*sqrt({v})" for c, v in zip(per_entry.tolist(), priced)]
+        else:
+            terms = [f"sqrt({c!r}*{v})" for c, v in zip(per_entry.tolist(), priced)]
+    weights = blk.weights(hat).tolist()
     lines = ["OBJECTIVE maximize: " + " + ".join(f"{w!r}*{t}" for w, t in zip(weights, terms))]
 
-    def monotone(kind, labels, names, hat):
+    def at_most(kind, row_labels, M, names, rhs):
+        return [f"CONSTRAINT {kind}{label}: {expr} <= {rhs}"
+                for label, expr in zip(row_labels, _expressions(M, names))]
+
+    def defining(kind, lhs, M, names):
+        # one row per priced entry: lhs[r] == row r of M
+        return [f"CONSTRAINT {kind}{label}: {left} == {expr}"
+                for label, left, expr in zip(labels, lhs, _expressions(M, names))]
+
+    def box(var, row_labels, upper=True):
+        lines = [f"CONSTRAINT lb_{var}{label}: -1.0*{var}{label} <= 0" for label in row_labels]
+        if upper:
+            lines += [f"CONSTRAINT ub_{var}{label}: 1.0*{var}{label} <= 1" for label in row_labels]
+        return lines
+
+    def monotone(kind, row_labels, names, hat):
         # a row is labelled by its upper entry, the one it subtracts
         mono = blk.mono(hat)
-        return _rows(kind, "{} <= 0", [labels[j] for j in mono.argmin(axis=1)], mono, names)
+        return at_most(kind, [row_labels[j] for j in mono.cols[mono.vals < 0]], mono, names, 0)
 
     if not ex_ante:
-        xlabels = blk.labels(False)
         x = [f"x{label}" for label in xlabels]
-        lower, upper = blk.box(False)
         lines += [f"VAR {v} in [0,1]" for v in x]
-        lines += _rows("xp", "{} <= 1", blk.profile_labels(), blk.supply(), x)
-        lines += _rows("lb_x", "{} <= 0", xlabels, lower, x)
-        lines += _rows("ub_x", "{} <= 1", xlabels, upper, x)
+        lines += at_most("xp", profiles, blk.supply(), x, 1)
+        lines += box("x", xlabels)
         if not hat:
             lines += monotone("mono_x", xlabels, x, False)
         if which in ("rrm_xp", "brm_xp_naive"):
@@ -552,24 +584,21 @@ def export_program(instance: AuctionInstance, which: str) -> str:
     if hat:
         lines += [f"VAR {v} in {'[0,inf)' if relaxed else '[0,1]'}" for v in priced]
         if ex_ante:
-            lower, upper = blk.box(True)
-            lines += _rows("xa", "{} <= 1", [""], blk.pmf()[None, :], priced)
-            lines += _rows("lb_xhat", "{} <= 0", labels, lower, priced)
-            if not relaxed:
-                lines += _rows("ub_xhat", "{} <= 1", labels, upper, priced)
+            lines += at_most("xa", [""], _kron([blk.weights(True)[None, :]]), priced, 1)
+            lines += box("xhat", labels, upper=not relaxed)
         else:
             collapse = blk.collapse()
-            lines += _rows("collapse_xhat", "xhat{1} == {0}", labels, collapse, x)
+            lines += defining("collapse_xhat", priced, collapse, x)
         if which == "brm_xp_naive":
             lines += [f"VAR {v}{label} in [0,inf)" for label in labels for v in ("phat", "qhat")]
-            lines += _rows("collapse_phat", "phat{1} == {0}", labels, collapse, p)
-            squares = [f"{v}^2" for v in p]
-            lines += _rows("collapse_qhat", "qhat{1} == {0}", labels, collapse, squares)
+            lines += defining("collapse_phat", [f"phat{label}" for label in labels], collapse, p)
+            qhat = [f"qhat{label}" for label in labels]
+            lines += defining("collapse_qhat", qhat, collapse, [f"{v}^2" for v in p])
         elif paid == "h":
             lines += [f"VAR h{label} in [0,inf)" for label in labels]
         lines += monotone("mono_xhat", labels, priced, True)
     if paid:
         # the payment characterization: perceived payment = chain . x (or x̂)
-        form = {"p": "p{1}^2 == {0}", "h": "h{1}^2 == {0}", "phat": "qhat{1} == {0}"}[paid]
-        lines += _rows("pay", form, labels, blk.chain(hat), priced)
+        lhs = [f"qhat{label}" if paid == "phat" else f"{paid}{label}^2" for label in labels]
+        lines += defining("pay", lhs, blk.chain(hat), priced)
     return "\n".join(lines) + "\n"

@@ -317,6 +317,24 @@ class TestCommands:
         with pytest.raises(ValueError, match="one entry per type"):
             load_mechanism(str(mech_path))
 
+    @pytest.mark.parametrize("field", ["allocation", "robust_payments"])
+    @pytest.mark.parametrize("reshape", [
+        lambda rows: [rows[0][:3], rows[1]],  # one row truncated
+        lambda rows: [rows[0] + rows[1]],  # one flat row of every entry
+        lambda rows: [rows[0][:2], rows[0][2:], rows[1][:2], rows[1][2:]],  # split per type
+    ], ids=["truncated", "flattened", "split"])
+    def test_expost_table_of_wrong_shape_exits_two(self, tmp_path, capsys, field, reshape):
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "heur_rrm_cf")
+        doc[field] = reshape(doc[field])
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(mech_path)]) == 2
+        assert f"{field!r} needs 2 rows of 4 entries" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="rows of 4 entries"):
+            load_mechanism(str(mech_path))
+
     def test_non_integer_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONVEX_AUCTION_THREADS", "abc")
         out = tmp_path / "exp.csv"

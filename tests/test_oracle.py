@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,25 @@ class TestExportProgram:
             assert not any(l.startswith("CONSTRAINT pay") for l in lines)
             assert not any(l.startswith("VAR h[") for l in lines)
             assert not any(l.startswith("CONSTRAINT ub_xhat") for l in lines)
+
+    def test_large_export_stays_proportional_to_its_text(self):
+        # 15,625 allocation variables, far above the solver's cap: one dense
+        # matrix over them would take 15,625**2 * 8 bytes, about 1.95 GB
+        inst = symmetric_instance(*make_uniform(5), 5)
+        tracemalloc.start()
+        try:
+            lines = export_program(inst, "rrm_xp").strip().splitlines()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+        nP = 5 * 5**5
+        counts = {"OBJECTIVE": 1, "VAR x[": nP, "VAR p[": nP, "CONSTRAINT xp[": 5**5,
+                  "CONSTRAINT lb_x[": nP, "CONSTRAINT ub_x[": nP,
+                  "CONSTRAINT mono_x[": 5 * 4 * 5**4, "CONSTRAINT pay[": nP}
+        for prefix, count in counts.items():
+            assert sum(1 for l in lines if l.startswith(prefix)) == count, prefix
+        assert len(lines) == sum(counts.values())
 
     def test_deterministic(self):
         inst = symmetric_instance(*make_uniform(3), 2)

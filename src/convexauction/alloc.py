@@ -64,11 +64,14 @@ def pointwise_max(c) -> np.ndarray:
 
 
 def pointwise_max_batch(scores: np.ndarray) -> np.ndarray:
-    """Row-wise pointwise maximization over a (profiles x bidders) matrix."""
+    """Row-wise pointwise maximization over a (profiles x bidders) matrix.
+
+    A positive score wins when it is at least (1 - ``TIE_TOL``) times the row's top score.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     out = np.zeros_like(scores)
     top = scores.max(axis=1, keepdims=True)
-    winners = (scores >= top - TIE_TOL) & (scores > 0)
+    winners = (scores >= top - TIE_TOL * top) & (scores > 0)
     counts = winners.sum(axis=1, keepdims=True)
     np.divide(winners, counts, out=out, where=counts > 0)
     return out

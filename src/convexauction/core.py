@@ -5,7 +5,7 @@ non-negative values with a full-support probability mass function.  Bidders
 are independent, so the joint distribution over type profiles is the product
 of the per-bidder pmfs.
 
-Profile enumeration is lexicographic with bidder 0 as the slowest index.
+Profiles are ordered lexicographically with bidder 0 as the slowest index.
 That order is the contract for every table in this package: ex-post
 allocation and payment tables are ndarrays of shape ``(n, K_0, ..., K_{n-1})``
 indexed by ``[bidder][type index of bidder 0]...[type index of bidder n-1]``,
@@ -17,12 +17,10 @@ serialized table stays dense.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from typing import Iterator
 
 import numpy as np
 
@@ -166,25 +164,6 @@ def symmetric_instance(
     return AuctionInstance(tuple((space, dist) for _ in range(n)))
 
 
-@dataclass(frozen=True)
-class TypeProfile:
-    """One type index per bidder, addressing a vector v in the profile grid."""
-
-    indices: tuple[int, ...]
-
-
-def profiles(instance: AuctionInstance) -> Iterator[tuple[TypeProfile, float]]:
-    """All type profiles with joint probabilities, lexicographic order.
-
-    Bidder 0 is the slowest index; the order is deterministic and matches
-    C-order flattening of tables shaped like ``instance.shape``.
-    """
-    pmfs = [instance.pmf(i) for i in range(instance.n)]
-    for idx in itertools.product(*(range(k) for k in instance.shape)):
-        prob = math.prod(pmfs[i][k] for i, k in enumerate(idx))
-        yield TypeProfile(idx), prob
-
-
 def own_type_matrix(instance: AuctionInstance, per_bidder) -> np.ndarray:
     """``per_bidder[i][v_i]`` at every profile, shape ``(n, *instance.shape)``."""
     n, shape = instance.n, instance.shape
@@ -194,11 +173,6 @@ def own_type_matrix(instance: AuctionInstance, per_bidder) -> np.ndarray:
         view[i] = shape[i]
         out[i] = np.asarray(per_bidder[i]).reshape(view)
     return out
-
-
-def values_matrix(instance: AuctionInstance) -> np.ndarray:
-    """v_i at every profile, shape ``(n, *instance.shape)``."""
-    return own_type_matrix(instance, [instance.values(i) for i in range(instance.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +239,6 @@ class ExPostAllocation:
     @property
     def n(self) -> int:
         return int(self.table.shape[0])
-
-    def get(self, i: int, profile: TypeProfile) -> float:
-        return float(self.table[(i, *profile.indices)])
 
     def is_feasible(self, tol: float = DEFAULT_TOL) -> bool:
         """Ex-post feasible: the bidders' shares sum to at most 1 everywhere."""

@@ -9,10 +9,10 @@ The per-entry least-squares choice (nearest grid point) ignores two coupled
 constraints that independent rounding can break: the rounded table must
 stay ex-post feasible and monotone.  We therefore round in two passes:
 first floor every entry (floors of a feasible monotone table are feasible
-and monotone), then walk each bidder's own-type chains from the top type
-down and bump an entry up one step whenever its ceiling is strictly closer,
-the profile budget allows it, and the chain stays monotone.  Both passes
-keep every entry within delta of the original.
+and monotone), then for each own type of each bidder, top type first, bump
+every entry of that type (all at distinct profiles) up one step where its
+ceiling is strictly closer, the profile budget allows it, and the chain
+stays monotone.  Both passes keep every entry within delta of the original.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import payments as pay
-from .core import AuctionInstance, ExPostAllocation, _frozen_array
+from .core import AuctionInstance, ExPostAllocation, _frozen_array, own_type_matrix
 
 _BUDGET_TOL = 1e-12
 
@@ -50,8 +50,6 @@ def round_allocation(
     steps = 1.0 / delta
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError("1/delta must be an integer")
-    n = alloc.n
-    shape = alloc.table.shape[1:]
     steps_int = round(steps)
     orig = alloc.table
     ks = np.floor(orig / delta + 1e-12).astype(np.int64)
@@ -59,27 +57,16 @@ def round_allocation(
     profile_sums = ks.sum(axis=0)
     # bump pass: top type first within each chain so bumps never overtake
     # the next type's (already final) value
-    for i in range(n):
-        K_i = shape[i]
-        for ell in range(K_i - 1, -1, -1):
-            idx = [slice(None)] * len(shape)
-            idx[i] = ell
-            sub = tuple(idx)
-            candidates = np.argwhere(
-                (orig[i][sub] - ks[i][sub] * delta) > delta / 2 + _BUDGET_TOL
-            )
-            for pos in candidates:
-                prof = tuple(pos[:i]) + (ell,) + tuple(pos[i:])
-                if profile_sums[prof] + 1 > steps_int:
-                    continue
-                if ks[i][prof] + 1 > steps_int:
-                    continue
-                if ell + 1 < K_i:
-                    upper = prof[:i] + (ell + 1,) + prof[i + 1 :]
-                    if ks[i][prof] + 1 > ks[i][upper]:
-                        continue
-                ks[i][prof] += 1
-                profile_sums[prof] += 1
+    for i in range(alloc.n):
+        # views with bidder i's own type first; writes land in ks and profile_sums
+        k, want, total = (np.moveaxis(t, i, 0) for t in (ks[i], orig[i], profile_sums))
+        for ell in range(k.shape[0] - 1, -1, -1):
+            bump = ((want[ell] - k[ell] * delta > delta / 2 + _BUDGET_TOL)
+                    & (total[ell] < steps_int) & (k[ell] < steps_int))
+            if ell + 1 < k.shape[0]:
+                bump &= k[ell] < k[ell + 1]
+            k[ell] += bump
+            total[ell] += bump
 
     rounded = ExPostAllocation(ks * delta)
     residuals = orig - rounded.table
@@ -107,18 +94,10 @@ def discretization_gap(
     q_star = pay.perceived_payment(alloc_star, instance)
     q_round = pay.perceived_payment(rounded, instance)
     gap = np.abs(q_star - q_round)
-    worst = 0.0
-    for i in range(instance.n):
-        z = instance.values(i)
-        bound = delta * (2 * z - z[0])
-        view = [1] * instance.n
-        view[i] = instance.shape[i]
-        excess = gap[i] - bound.reshape(view)
-        if excess.max() > 1e-9:
-            raise RuntimeError(
-                "perceived-payment gap exceeds the delta*(2z_l - z_1) bound"
-            )
-        worst = max(worst, float(gap[i].max()))
+    zs = [instance.values(i) for i in range(instance.n)]
+    bound = own_type_matrix(instance, [delta * (2 * z - z[0]) for z in zs])
+    if (gap - bound).max() > 1e-9:
+        raise RuntimeError("perceived-payment gap exceeds the delta*(2z_l - z_1) bound")
 
     rev_star = pay.expected_revenue(pay.robust_payment(alloc_star, instance), instance)
     rev_round = pay.expected_revenue(pay.robust_payment(rounded, instance), instance)
@@ -126,6 +105,6 @@ def discretization_gap(
         delta=delta,
         residuals=report.residuals,
         max_abs_residual=report.max_abs_residual,
-        perceived_payment_gap=worst,
+        perceived_payment_gap=float(gap.max()),
         revenue_gap=abs(rev_star - rev_round),
     )

@@ -7,14 +7,13 @@ allocation with the matching payment formula.  Greedy and closed-form
 variants of the concave objectives are interchangeable up to the greedy
 increment.
 
-Each pipeline is written once over a profile space (``spaces``) as a
-``*_tables`` function returning its ``Tables`` in the space's layout.  The
-public pipelines run it on the instance's dense space and return a
-``Mechanism`` with ``(n, K_0, ..., K_{n-1})`` tables.  The ``experiment``
-command runs it on the ``OrbitSpace`` of its symmetric instance instead:
-K * C(n+K-2, K-1) cells (own type, count of the other bidders' types) in
-place of n * K^n.  ``bound_report``, ``solve``, mechanism files, ``check``
-and discretization stay dense.
+Each pipeline, and the bound evaluator ``bound_tables``, is written once
+over a profile space (``spaces``) on the ``Tables`` of the space's layout.
+The public functions run it on the instance's dense space, with
+``(n, K_0, ..., K_{n-1})`` tables.  The ``experiment`` command runs it on
+the ``OrbitSpace`` of its symmetric instance instead: K * C(n+K-2, K-1)
+cells (own type, count of the other bidders' types) in place of n * K^n.
+The exact oracles price their solved tables through the same payment step.
 
 Reports carry both the optimized objective and the realized revenue; the two
 are close in practice but not the same quantity, so they are never conflated.
@@ -47,10 +46,10 @@ from .core import (
     MechanismReport,
     ObjectiveKind,
     RobustPaymentRule,
-    values_matrix,
 )
 from .spaces import DenseSpace, ProfileSpace
-from .virtual import is_regular, virtual_values, virtual_values_matrix
+# virtual_values_matrix stays importable here: perfbench/tracing.py wraps it at this name
+from .virtual import is_regular, virtual_values, virtual_values_matrix  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,15 +171,21 @@ def _robust(space, scores, engine, config, perceived, kind, provenance,
     """
     start = time.perf_counter()
     x = _allocate(space, scores, engine, config)
-    xs = space.split(x)
-    p, warnings = _support(space, xs, perceived, warnings)
-    revenue = space.expect(p)
-    objective = revenue if value is None else space.expect(
-        [value(s[:, None] * m) for s, m in zip(scores, xs)]
+    objective = None if value is None else space.expect(
+        [value(s[:, None] * m) for s, m in zip(scores, space.split(x))]
     )
+    return _price(space, start, x, perceived, kind, provenance, warnings, objective)
+
+
+def _price(space, start, x, perceived, kind, provenance, warnings=(), objective=None):
+    """Attach chain payments to an ex-post table; the objective is the
+    revenue when ``objective`` is None."""
+    p, warnings = _support(space, space.split(x), perceived, warnings)
+    revenue = space.expect(p)
     tables = Tables(space, x, space.join(p), provenance=provenance, perceived=perceived)
-    report = MechanismReport(objective, kind, revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
+    report = MechanismReport(revenue if objective is None else objective, kind,
+                             revenue=revenue, runtime_s=time.perf_counter() - start,
+                             warnings=warnings)
     return tables, report
 
 
@@ -336,60 +341,43 @@ class BoundReport:
         return not self.failures
 
 
-def bound_report(
-    instance: AuctionInstance, mech: Mechanism, tol: float = DEFAULT_TOL
-) -> BoundReport:
-    """Evaluate the pseudo-surplus, sqrt-of-virtual-surplus, and heuristic bounds.
+def bound_tables(tables: Tables, tol: float = DEFAULT_TOL) -> BoundReport:
+    """``bound_report`` on any profile space.
 
-    Ordering violations are reported as failures rather than raised: a broken
-    ordering signals a broken mechanism, which is a result, not a crash.
+    A block stands for ``block.count`` bidders, so each per-bidder entry
+    repeats its block's value that many times.
     """
-    if mech.allocation is None:
-        raise ValueError("bound report needs an ex-post allocation")
-    if mech.robust_payments is None and mech.interim_payments is None:
-        raise ValueError("bound report needs a mechanism with payments")
-    if mech.perceived != "quadratic":
-        raise ValueError("bounds are defined for quadratic perceived payments")
-
-    joint = instance.joint_pmf
-    table = mech.allocation.table
-    vals = values_matrix(instance)
-    phi = virtual_values_matrix(instance)
-
-    robust_ps = float((np.sqrt(vals * table) * joint).sum())
-    if mech.interim_allocation is not None:
-        interim = mech.interim_allocation
-    else:
-        interim = pay.interim_collapse(mech.allocation, instance)
-    bayes_ps = sum(
-        float(instance.pmf(i) @ np.sqrt(instance.values(i) * interim.tables[i]))
-        for i in range(instance.n)
-    )
-    lb_value = float((np.sqrt(np.maximum(phi, 0.0) * table) * joint).sum())
-
-    if mech.robust_payments is not None:
-        per_bidder_rev = tuple(
-            float((mech.robust_payments.table[i] * joint).sum())
-            for i in range(instance.n)
-        )
-    else:
-        per_bidder_rev = tuple(
-            float(instance.pmf(i) @ mech.interim_payments.tables[i])
-            for i in range(instance.n)
-        )
+    space = tables.space
+    xs = space.split(tables.x)
+    phi_plus, virtual, _ = _virtual(space)
+    phi = [virtual.phi[b.bidder] for b in space.blocks]
+    values = [b.values for b in space.blocks]
+    xhat = tables.xhat if tables.xhat is not None else space.collapse(xs)
+    paid = space.collapse(space.split(tables.p)) if tables.p is not None else tables.h
+    surplus = space.collapse([f[:, None] * x for f, x in zip(phi, xs)])
+    per_bidder_rev, per_bidder_sqrt = (), ()
+    for b, h, u in zip(space.blocks, paid, surplus):
+        per_bidder_rev += (float(b.pmf @ h),) * b.count
+        per_bidder_sqrt += (float(np.sqrt(max(0.0, b.pmf @ u))),) * b.count
     revenue = float(sum(per_bidder_rev))
-    per_bidder_sqrt = tuple(
-        float(np.sqrt(max(0.0, (phi[i] * table[i] * joint).sum())))
-        for i in range(instance.n)
-    )
+
+    def sqrt_of(scores, mats):
+        return space.expect([np.sqrt(s[:, None] * m) for s, m in zip(scores, mats)])
+
+    robust_ps = sqrt_of(values, xs)
+    bayes_ps = space.mean([np.sqrt(v * a) for v, a in zip(values, xhat)])
 
     failures = []
-    if revenue > robust_ps + tol:
-        failures.append("revenue exceeds robust pseudo-surplus")
+    # IR caps p at sqrt(v x) at each profile; BIR caps h at sqrt(v x̂) only
+    if tables.p is not None:
+        if revenue > robust_ps + tol:
+            failures.append("revenue exceeds robust pseudo-surplus")
+    elif revenue > bayes_ps + tol:
+        failures.append("revenue exceeds Bayesian pseudo-surplus")
     if robust_ps > bayes_ps + tol:
         failures.append("robust pseudo-surplus exceeds Bayesian pseudo-surplus")
-    for i in range(instance.n):
-        if per_bidder_rev[i] > per_bidder_sqrt[i] + tol:
+    for i, (rev, upper) in enumerate(zip(per_bidder_rev, per_bidder_sqrt)):
+        if rev > upper + tol:
             failures.append(
                 f"bidder {i} expected payment exceeds sqrt of expected virtual surplus"
             )
@@ -398,8 +386,27 @@ def bound_report(
         robust_pseudo_surplus=robust_ps,
         bayesian_pseudo_surplus=bayes_ps,
         virtual_sqrt_upper=float(sum(per_bidder_sqrt)),
-        heuristic_lb_value=lb_value,
+        heuristic_lb_value=sqrt_of(phi_plus, xs),
         per_bidder_revenue=per_bidder_rev,
         per_bidder_virtual_sqrt=per_bidder_sqrt,
         failures=tuple(failures),
     )
+
+
+def bound_report(
+    instance: AuctionInstance, mech: Mechanism, tol: float = DEFAULT_TOL
+) -> BoundReport:
+    """Evaluate the pseudo-surplus, sqrt-of-virtual-surplus, and heuristic bounds.
+
+    Revenue is bounded by the robust pseudo-surplus under ex-post payments
+    and by the Bayesian one under interim payments.  Ordering violations are
+    reported as failures rather than raised: a broken ordering signals a
+    broken mechanism, which is a result, not a crash.
+    """
+    if mech.allocation is None:
+        raise ValueError("bound report needs an ex-post allocation")
+    if mech.robust_payments is None and mech.interim_payments is None:
+        raise ValueError("bound report needs a mechanism with payments")
+    if mech.perceived != "quadratic":
+        raise ValueError("bounds are defined for quadratic perceived payments")
+    return bound_tables(Tables.of(instance, mech), tol)

@@ -15,30 +15,23 @@ which also give the XA row) and solved by a log-barrier Newton method;
 iterate and that iterate rounded to the configured grid (when the rounded
 table is still feasible), and reports ``grid_slack`` as a certified gap: an
 upper bound on the optimum, from Lagrangian duality at the last iterate,
-minus the revenue of the returned table.  Instances above the variable cap,
-or that the barrier method fails to certify, are refused with an
-explanation.
+minus the revenue of the returned table, priced by the pipelines' payment
+step (``mechanisms``).  Instances above the variable cap, or that the
+barrier method fails to certify, are refused with an explanation.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import payments as pay
-from .core import (
-    DEFAULT_TOL,
-    AuctionInstance,
-    ExPostAllocation,
-    MechanismReport,
-    ObjectiveKind,
-    RobustPaymentRule,
-    own_type_matrix,
-)
-from .mechanisms import Mechanism, Tables
+from .core import DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, own_type_matrix
+from .mechanisms import Mechanism, Tables, _interim, _price
+from .spaces import DenseSpace
 from .virtual import virtual_values
 
 
@@ -396,7 +389,7 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _solve(
     instance: AuctionInstance, config: OracleConfig, mode: str
-) -> tuple[ExPostAllocation, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Best certified table, its objective value and the optimum's upper bound.
 
     Returns the better of the barrier iterate and that iterate rounded to
@@ -418,21 +411,20 @@ def _solve(
          if np.all(prog.A @ c <= prog.b + 1e-12)),
         key=lambda c: _revenue(prog, c),
     )
-    return ExPostAllocation(best.reshape(n, *shape)), _revenue(prog, best), bound
+    return best.reshape(n, *shape), _revenue(prog, best), bound
 
 
-def _report(instance, mech, payments, which, objective, bound, start) -> MechanismReport:
-    """Exact-oracle report: the recomputed revenue, the verified constraint
-    sets ``which`` and the certified gap."""
-    revenue = pay.expected_revenue(payments, instance)
-    if abs(revenue - objective) > 1e-6:
+def _report(priced, which, objective, bound, start) -> tuple[Mechanism, MechanismReport]:
+    """The priced tables as a mechanism, with the verified constraint sets
+    ``which`` and the certified gap added to their report."""
+    tables, report = priced
+    if abs(report.revenue - objective) > 1e-6:
         raise RuntimeError("solver objective and recomputed revenue disagree")
-    gap = bound - revenue + _FP_MARGIN * bound
+    gap = bound - report.revenue + _FP_MARGIN * bound
     if not gap >= 0:
         raise RuntimeError("returned table beats the barrier's upper bound")
-    return MechanismReport(
-        revenue, ObjectiveKind.EXACT_ORACLE, revenue=revenue,
-        verification=verify(instance, mech, which),
+    return tables.mechanism(), replace(
+        report, verification=check(tables, which),
         runtime_s=time.perf_counter() - start, grid_slack=gap,
     )
 
@@ -454,17 +446,10 @@ def exact_rrm(
         raise ValueError("perceived must be 'quadratic' or 'linear'")
     start = time.perf_counter()
     mode = "rrm" if perceived == "quadratic" else "rrm_linear"
-    alloc, obj, bound = _solve(instance, config, mode)
-    q = pay.perceived_payment(alloc, instance)
-    if perceived == "quadratic":
-        rule = RobustPaymentRule(np.sqrt(np.maximum(q, 0.0)))
-    else:
-        rule = RobustPaymentRule(np.maximum(q, 0.0))
-    mech = Mechanism(
-        alloc, robust_payments=rule,
-        provenance=f"exact_rrm[grid={config.grid}]", perceived=perceived,
-    )
-    return mech, _report(instance, mech, rule, ("ic", "ir", "xp"), obj, bound, start)
+    x, obj, bound = _solve(instance, config, mode)
+    priced = _price(DenseSpace(instance), start, x, perceived, ObjectiveKind.EXACT_ORACLE,
+                    f"exact_rrm[grid={config.grid}]")
+    return _report(priced, ("ic", "ir", "xp"), obj, bound, start)
 
 
 def exact_brm(
@@ -477,14 +462,11 @@ def exact_brm(
     rule is monotone, and pays the per-type interim payments.
     """
     start = time.perf_counter()
-    alloc, obj, bound = _solve(instance, config, "brm")
-    interim = pay.interim_collapse(alloc, instance)
-    h = pay.bayesian_payment(interim, instance)
-    mech = Mechanism(
-        alloc, interim_allocation=interim, interim_payments=h,
-        provenance=f"exact_brm[grid={config.grid}]",
-    )
-    return mech, _report(instance, mech, h, ("bic", "bir", "xp"), obj, bound, start)
+    x, obj, bound = _solve(instance, config, "brm")
+    space = DenseSpace(instance)
+    priced = _interim(space, start, space.collapse(space.split(x)), (),
+                      ObjectiveKind.EXACT_ORACLE, f"exact_brm[grid={config.grid}]", x)
+    return _report(priced, ("bic", "bir", "xp"), obj, bound, start)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ the interim allocation.  The general invertible-convex-cost variant (replace
 the square/square-root pair by C_i and its inverse) is out of scope here.
 
 The formula is written once, in ``chain``, over one bidder's block of a
-profile space (own types as rows, contexts as columns; see ``spaces``).  The
-functions below apply it to dense tables; the pipelines in ``mechanisms``
-apply it on any profile space.  Radicands in [-1e-9, 0) are clamped to
-zero; anything more negative means the input allocation was not monotone
-and is a hard error.
+profile space (own types as rows, contexts as columns; see ``spaces``).
+Pipelines and exact oracles price through ``mechanisms`` on any space; the
+functions below apply it to dense tables.  Radicands in [-1e-9, 0) are
+clamped to zero; anything more negative means the input allocation was not
+monotone and is a hard error.
 """
 
 from __future__ import annotations

@@ -61,6 +61,8 @@ def _greedy(row, eps):
 class TestPointwiseMax:
     def test_unique_maximum(self):
         np.testing.assert_allclose(pointwise_max([3.0, 10.0]), [0.0, 1.0])
+        # the tie tolerance is relative to the row's top score
+        np.testing.assert_array_equal(pointwise_max([1e-300, 4e-300]), [0.0, 1.0])
 
     def test_tie_split(self):
         np.testing.assert_allclose(pointwise_max([5.0, 5.0]), [0.5, 0.5])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,10 +15,7 @@ from convexauction import (
     make_binomial,
     make_categorical,
     make_uniform,
-    profiles,
-    symmetric_instance,
 )
-from conftest import random_instance
 
 
 class TestConstructors:
@@ -92,37 +90,18 @@ class TestTypeSpace:
 
 
 class TestProfiles:
-    def test_four_profiles_quarter_each(self, two_bidder_0_100):
-        rows = list(profiles(two_bidder_0_100))
-        assert len(rows) == 4
-        assert [p.indices for p, _ in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        np.testing.assert_allclose([pr for _, pr in rows], 0.25)
-
     def test_single_bidder_single_type(self):
         space = TypeSpace(np.array([1.0]))
         dist = DiscreteDistribution(np.array([1.0]))
-        rows = list(profiles(AuctionInstance(((space, dist),))))
-        assert rows[0][0].indices == (0,) and rows[0][1] == 1.0
-
-    def test_enumeration_count_and_total_mass(self):
-        space, dist = make_uniform(5)
-        inst = symmetric_instance(space, dist, 3)
-        rows = list(profiles(inst))
-        assert len(rows) == 125
-        assert len({p.indices for p, _ in rows}) == 125
-        assert math.isclose(sum(pr for _, pr in rows), 1.0, abs_tol=1e-9)
-
-    def test_enumeration_deterministic(self):
-        rng = np.random.default_rng(7)
-        inst = random_instance(rng)
-        first = [(p.indices, pr) for p, pr in profiles(inst)]
-        second = [(p.indices, pr) for p, pr in profiles(inst)]
-        assert first == second
+        np.testing.assert_array_equal(AuctionInstance(((space, dist),)).joint_pmf, [1.0])
 
     def test_joint_pmf_matches_enumeration(self, categorical_pair):
         joint = categorical_pair.joint_pmf
-        for prof, prob in profiles(categorical_pair):
-            assert math.isclose(joint[prof.indices], prob, rel_tol=1e-12)
+        pmfs = [categorical_pair.pmf(i) for i in range(categorical_pair.n)]
+        # lexicographic, bidder 0 slowest: C order of the joint table
+        for idx in itertools.product(*(range(k) for k in categorical_pair.shape)):
+            prob = math.prod(pmfs[i][k] for i, k in enumerate(idx))
+            assert math.isclose(joint[idx], prob, rel_tol=1e-12)
         assert math.isclose(joint.sum(), 1.0, abs_tol=1e-9)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from convexauction import (
     AuctionInstance,
     DiscreteDistribution,
     GreedyConfig,
+    InterimPaymentRule,
     ObjectiveKind,
     TypeSpace,
     bound_report,
@@ -269,6 +271,19 @@ class TestBoundReport:
         rep = bound_report(inst, mech)
         assert rep.ok
         assert rep.revenue == 0.0 == rep.robust_pseudo_surplus
+
+    def test_interim_payments_are_bounded_by_bayesian_pseudo_surplus(self):
+        # BIR caps h at sqrt(v x̂), not at sqrt(v x) at each profile: this
+        # verified mechanism earns more than the robust pseudo-surplus
+        inst = symmetric_instance(*make_uniform(5), 4)
+        mech, _ = heuristic_brm(inst, "closed_form")
+        assert all(c.passed for c in verify(inst, mech).values())
+        rep = bound_report(inst, mech)
+        assert rep.ok, rep.failures
+        assert rep.robust_pseudo_surplus < rep.revenue <= rep.bayesian_pseudo_surplus
+        doubled = InterimPaymentRule(tuple(2 * h for h in mech.interim_payments.tables))
+        rep = bound_report(inst, replace(mech, interim_payments=doubled))
+        assert "revenue exceeds Bayesian pseudo-surplus" in rep.failures
 
     def test_rejects_linear_mechanism(self):
         inst = single_type_instance(1.0, 2)

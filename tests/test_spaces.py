@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from convexauction import (
     virtual_values,
 )
 from convexauction.cli import METHODS, main
-from convexauction.mechanisms import heuristic_lb_rrm_tables
+from convexauction.mechanisms import bound_tables, heuristic_lb_rrm_tables
 from convexauction.oracle import check
 from convexauction.spaces import DenseSpace, OrbitSpace
 from conftest import corpus_instances
@@ -69,6 +69,18 @@ def assert_spaces_agree(instance):
             assert dc[name].passed == oc[name].passed, (dt.provenance, name)
             assert _close(dc[name].worst_violation, oc[name].worst_violation), (
                 dt.provenance, name)
+        if dt.perceived != "quadratic" or dt.x is None:
+            continue
+        db, ob = bound_tables(dt), bound_tables(ot)
+        for field in fields(db):
+            d, o = getattr(db, field.name), getattr(ob, field.name)
+            if field.name == "failures":
+                assert d == o, dt.provenance
+            else:
+                d, o = np.atleast_1d(d), np.atleast_1d(o)
+                assert d.shape == o.shape and all(map(_close, d, o)), (dt.provenance, field.name)
+        if all(dc[name].passed for name in method.constraints):
+            assert db.ok, (dt.provenance, db.failures)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -26,14 +26,13 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    """Increment epsilon for the greedy solver; alpha for the power objective.
+    """Increment epsilon for the greedy solver.
 
     1/epsilon must be an integer so that 1/epsilon steps exactly exhaust the
     unit supply and the greedy allocation sums to 1.
     """
 
     epsilon: float = 1e-3
-    alpha: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
@@ -41,8 +40,6 @@ class GreedyConfig:
         steps = 1.0 / self.epsilon
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("1/epsilon must be an integer")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie strictly in (0, 1)")
 
     @property
     def steps(self) -> int:

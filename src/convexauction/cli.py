@@ -7,12 +7,13 @@ kind, value, runtime and verification outcome.  Identical configurations
 produce byte-identical CSV when timing is suppressed with --no-timing.
 
 One registry, ``METHODS``, serves ``experiment`` and ``solve``: each entry
-names its pipeline, the constraint sets it is verified against and the
-report field its CSV value comes from.  ``experiment`` solves and verifies
-every non-exact method on the orbit space of its symmetric instance (K *
-C(n+K-2, K-1) cells of own type and count of the other bidders' types; see
-``spaces``).  The exact methods, ``solve``, ``check``, ``discretize`` and
-mechanism files work on dense ``(n, K_0, ..., K_{n-1})`` tables.
+runs its pipeline or exact solver on a profile space and names the report
+field its CSV value comes from.  ``experiment`` solves every method on the
+orbit space of its symmetric instance (K * C(n+K-2, K-1) cells of own type
+and count of the other bidders' types; see ``spaces``) and verifies it
+against the default checks of its payment style (``oracle.check``).
+``solve``, ``check``, ``discretize`` and mechanism files work on dense
+``(n, K_0, ..., K_{n-1})`` tables.
 
 Mechanism files are JSON with explicit field order; allocation and payment
 tables are nested arrays indexed [bidder][profile index], profiles flattened
@@ -59,53 +60,44 @@ from .mechanisms import Mechanism
 from .oracle import OracleConfig, OracleRefusal
 from .spaces import DenseSpace, OrbitSpace
 
-ROBUST, BAYESIAN, EX_ANTE = ("ic", "ir", "xp"), ("bic", "bir", "xp"), ("bic", "bir", "xa")
-
-
 @dataclass(frozen=True)
 class Method:
-    """A registered method: its pipeline, its checks and its CSV value.
+    """A registered method: its pipeline and its CSV value.
 
-    ``run`` maps (profile space, GreedyConfig) to (Tables, report); an
-    ``exact`` method's ``run`` maps (instance, OracleConfig) to a verified
-    (Mechanism, report) instead.  ``column`` names the report field the
-    experiment CSV reports: "objective" under the report's own kind, or
-    "revenue" under ``revenue_robust``.
+    ``run`` maps (profile space, GreedyConfig, OracleConfig) to (Tables,
+    report).  ``column`` names the report field the experiment CSV reports:
+    "objective" under the report's own kind, or "revenue" under
+    ``revenue_robust``.
     """
 
     run: Callable
-    constraints: tuple[str, ...]
     column: str = "objective"
-    exact: bool = False
 
 
-def _with_engine(pipeline, engine, constraints, column="objective") -> Method:
-    return Method(lambda space, greedy: pipeline(space, engine, greedy), constraints, column)
+def _with_engine(pipeline, engine, column="objective") -> Method:
+    return Method(lambda space, greedy, oracle: pipeline(space, engine, greedy), column)
 
 
-_heur_lb_greedy = _with_engine(mech_mod.heuristic_lb_rrm_tables, "greedy", ROBUST)
-_heur_lb_cf = _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form", ROBUST)
-_heur_brm_cf = _with_engine(mech_mod.heuristic_brm_tables, "closed_form", BAYESIAN)
+_heur_lb_greedy = _with_engine(mech_mod.heuristic_lb_rrm_tables, "greedy")
+_heur_lb_cf = _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form")
+_heur_brm_cf = _with_engine(mech_mod.heuristic_brm_tables, "closed_form")
 METHODS = {
-    "exact_rrm": Method(oracle_mod.exact_rrm, ROBUST, exact=True),
-    "exact_brm": Method(oracle_mod.exact_brm, BAYESIAN, exact=True),
-    "surplus": Method(lambda space, greedy: mech_mod.surplus_tables(space), ROBUST),
-    "virtual_surplus": Method(lambda space, greedy: mech_mod.virtual_surplus_tables(space),
-                              ROBUST),
-    "pseudo_surplus_greedy": _with_engine(mech_mod.pseudo_surplus_tables, "greedy", ROBUST),
-    "pseudo_surplus_cf": _with_engine(mech_mod.pseudo_surplus_tables, "closed_form", ROBUST),
+    "exact_rrm": Method(lambda space, greedy, oracle: oracle_mod.exact_tables(space, oracle)),
+    "exact_brm": Method(lambda space, greedy, oracle: oracle_mod.exact_tables(space, oracle, "brm")),
+    "surplus": Method(lambda space, greedy, oracle: mech_mod.surplus_tables(space)),
+    "virtual_surplus": Method(lambda space, greedy, oracle: mech_mod.virtual_surplus_tables(space)),
+    "pseudo_surplus_greedy": _with_engine(mech_mod.pseudo_surplus_tables, "greedy"),
+    "pseudo_surplus_cf": _with_engine(mech_mod.pseudo_surplus_tables, "closed_form"),
     "heur_lb_greedy": _heur_lb_greedy,
     "heur_lb_cf": _heur_lb_cf,
     "heur_rrm_greedy": _heur_lb_greedy,
     "heur_rrm_cf": _heur_lb_cf,
-    "heur_rrm_rev": _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form", ROBUST,
-                                 "revenue"),
-    "heur_brm_greedy": _with_engine(mech_mod.heuristic_brm_tables, "greedy", BAYESIAN),
+    "heur_rrm_rev": _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form", "revenue"),
+    "heur_brm_greedy": _with_engine(mech_mod.heuristic_brm_tables, "greedy"),
     "heur_brm_cf": _heur_brm_cf,
     "heur_brm_rev": _heur_brm_cf,
-    "ex_ante": Method(lambda space, greedy: mech_mod.ex_ante_tables(space, False), EX_ANTE),
-    "ex_ante_trunc": Method(lambda space, greedy: mech_mod.ex_ante_tables(space, True),
-                            EX_ANTE),
+    "ex_ante": Method(lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, False)),
+    "ex_ante_trunc": Method(lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, True)),
 }
 
 CSV_COLUMNS = (
@@ -161,23 +153,18 @@ def _thread_count() -> int:
     return max(1, value)
 
 
-def _run_method(method: str, space: OrbitSpace, cfg: ExperimentConfig):
+def _run_method(method: str, space: OrbitSpace, greedy: GreedyConfig, oracle: OracleConfig):
     """Run one method; returns (kind, value, runtime_s, verified, warnings) or None
     to skip."""
     entry = METHODS[method]
     start = time.perf_counter()
     try:
-        if entry.exact:
-            mech, report = entry.run(space.instance, OracleConfig(grid=cfg.oracle_grid))
-            checks = report.verification  # the oracle verified its own output
-        else:
-            tables, report = entry.run(space, GreedyConfig(epsilon=cfg.epsilon))
-            checks = oracle_mod.check(tables, entry.constraints)
+        tables, report = entry.run(space, greedy, oracle)
     except OracleRefusal as exc:
         print(f"notice: skipping {method} for n={space.instance.n}: {exc}", file=sys.stderr)
         return None
+    verified = all(c.passed for c in oracle_mod.check(tables).values())
     runtime = time.perf_counter() - start
-    verified = all(c.passed for c in checks.values())
     if entry.column == "revenue":
         kind, value = ObjectiveKind.REVENUE_ROBUST.value, float(report.revenue)
         return kind, value, runtime, verified, report.warnings
@@ -191,6 +178,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     ``warning: <method> n=<n>: <text>``; the CSV does not carry them.
     """
     workers = _thread_count()
+    greedy, oracle = GreedyConfig(epsilon=cfg.epsilon), OracleConfig(grid=cfg.oracle_grid)
     space, dist = parse_distribution(cfg.distribution)
     jobs = [
         (method, n)
@@ -204,7 +192,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 
     def work(job):
         method, n = job
-        return _run_method(method, orbits[n], cfg)
+        return _run_method(method, orbits[n], greedy, oracle)
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -343,11 +331,9 @@ def _cmd_solve(args) -> int:
     if entry is None:
         print(f"error: unknown method {args.method!r}", file=sys.stderr)
         return 2
-    if entry.exact:
-        mech, report = entry.run(instance, OracleConfig(grid=args.oracle_grid))
-    else:
-        tables, report = entry.run(DenseSpace(instance), GreedyConfig(epsilon=args.epsilon))
-        mech = tables.mechanism()
+    greedy, oracle = GreedyConfig(epsilon=args.epsilon), OracleConfig(grid=args.oracle_grid)
+    tables, report = entry.run(DenseSpace(instance), greedy, oracle)
+    mech = tables.mechanism()
     print(f"method={args.method} kind={report.kind.value}")
     print(f"objective={report.objective_value!r}")
     if report.revenue is not None:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import payments as pay
-from .core import AuctionInstance, ExPostAllocation, _frozen_array, own_type_matrix
+from .core import (AuctionInstance, ExPostAllocation, RobustPaymentRule, _frozen_array,
+                   own_type_matrix)
 
 _BUDGET_TOL = 1e-12
 
@@ -99,8 +100,10 @@ def discretization_gap(
     if (gap - bound).max() > 1e-9:
         raise RuntimeError("perceived-payment gap exceeds the delta*(2z_l - z_1) bound")
 
-    rev_star = pay.expected_revenue(pay.robust_payment(alloc_star, instance), instance)
-    rev_round = pay.expected_revenue(pay.robust_payment(rounded, instance), instance)
+    rev_star, rev_round = (
+        pay.expected_revenue(RobustPaymentRule(np.sqrt(pay.clamp(q, True))), instance)
+        for q in (q_star, q_round)
+    )
     return DiscretizationReport(
         delta=delta,
         residuals=report.residuals,

@@ -10,13 +10,14 @@ analogue pin them to the allocation.
 
 Both are composed from one set of sparse linear blocks (``_Blocks``: supply,
 monotonicity, payment chains, the interim collapse and the objective weights,
-which also give the XA row) and solved by a log-barrier Newton method;
-``export_program`` prints rows of the same blocks.  The solver returns the better of its last
-iterate and that iterate rounded to the configured grid (when the rounded
-table is still feasible), and reports ``grid_slack`` as a certified gap: an
-upper bound on the optimum, from Lagrangian duality at the last iterate,
-minus the revenue of the returned table, priced by the pipelines' payment
-step (``mechanisms``).  Instances above the variable cap, or that the
+which also give the XA row), built on the cells of a profile space
+(``spaces``), and solved by a log-barrier Newton method; ``export_program``
+prints rows of the same blocks on the dense space.  The solver returns the
+better of its last iterate and that iterate rounded to the configured grid
+(when the rounded table is still feasible), and reports ``grid_slack`` as a
+certified gap: an upper bound on the optimum, from Lagrangian duality at the
+last iterate, minus the revenue of the returned table, priced by the
+pipelines' payment step (``mechanisms``).  Instances above the variable cap, or that the
 barrier method fails to certify, are refused with an explanation.
 """
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import payments as pay
 from .core import DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, own_type_matrix
-from .mechanisms import Mechanism, Tables, _interim, _price
-from .spaces import DenseSpace
+from .mechanisms import Mechanism, Tables, _dense, _interim, _price
+from .spaces import DenseSpace, ProfileSpace
 from .virtual import virtual_values
 
 
@@ -45,7 +46,8 @@ class OracleConfig:
 
     The solver's answer is rounded to multiples of ``grid`` when that keeps
     the table feasible and does not lower revenue; ``max_profile_vars`` caps
-    the allocation variables n * K_0 * ... * K_{n-1} of the dense program.
+    the allocation variables of the program solved, the cells of its profile
+    space's table: n * K_0 * ... * K_{n-1} dense, K * C(n+K-2, K-1) on orbits.
     """
 
     grid: float = 1e-3
@@ -213,93 +215,89 @@ class _Sparse:
         return out
 
 
-def _kron(factors: list[np.ndarray]) -> _Sparse:
-    """The Kronecker product of small dense matrices, entry by nonzero entry."""
-    rows, cols, vals = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1)
-    for m in factors:
-        r, c = np.nonzero(m)
-        rows = (rows[:, None] * m.shape[0] + r).ravel()
-        cols = (cols[:, None] * m.shape[1] + c).ravel()
-        vals = (vals[:, None] * m[r, c]).ravel()
+def _sparse(rows, cols, vals, shape) -> _Sparse:
+    """A matrix from lists of entry arrays, in any order."""
+    rows, cols, vals = (np.concatenate([np.ravel(a) for a in part]) for part in (rows, cols, vals))
     order = np.lexsort((cols, rows))
-    shape = (math.prod(m.shape[0] for m in factors), math.prod(m.shape[1] for m in factors))
     return _Sparse(rows[order], cols[order], vals[order], shape)
 
 
-def _diagonal(blocks: list[_Sparse]) -> _Sparse:
-    """The blocks along the diagonal of one matrix."""
-    r0 = np.cumsum([0] + [b.shape[0] for b in blocks])
-    c0 = np.cumsum([0] + [b.shape[1] for b in blocks])
-    return _Sparse(
-        np.concatenate([b.rows + r for b, r in zip(blocks, r0)]),
-        np.concatenate([b.cols + c for b, c in zip(blocks, c0)]),
-        np.concatenate([b.vals for b in blocks]),
-        (int(r0[-1]), int(c0[-1])),
-    )
-
-
 class _Blocks:
-    """The linear pieces of the revenue programs, each built when asked for.
+    """The linear pieces of the revenue programs on one profile space.
 
-    Ex-post pieces act on the allocation table x flattened in (n, K_0, ...,
-    K_{n-1}) order; interim pieces (``hat=True``) act on the interim rule x̂,
-    flattened bidder by bidder.  Each piece is a small matrix per bidder on
-    its own types, expanded across the other bidders' types by a sparse
-    Kronecker product.  The solver densifies the pieces (its programs are
+    Ex-post pieces act on the allocation table x, flattened in the space's
+    own order (``space.shape``); interim pieces (``hat=True``) act on the
+    interim rule x̂, flattened block by block.  Each piece is a small matrix
+    per block on its own types, applied along every context, and supply is
+    the space's own rows.  The solver densifies the pieces (its programs are
     capped at a few dozen variables) and the exporter prints their nonzero
     entries, so every constraint has one definition and exports stay
     proportional to their text.
     """
 
-    def __init__(self, instance: AuctionInstance):
-        self.instance = instance
+    def __init__(self, space: ProfileSpace):
+        self.space = space
+        self.size = math.prod(space.shape)
+        # the flat index of every cell, and of every x̂ entry, per block
+        self.cells = space.split(np.arange(self.size).reshape(space.shape))
+        ends = np.cumsum([len(b.values) for b in space.blocks])
+        self.hats = [np.arange(e - len(b.values), e)[:, None] for b, e in zip(space.blocks, ends)]
+        self.hat_size = int(ends[-1])
 
-    def _along(self, own, other) -> _Sparse:
-        """Block-diagonal over bidders: bidder i's block applies ``own(i)``
-        along its own-type axis and ``other(j)`` along each other bidder j's."""
-        n = self.instance.n
-        return _diagonal([_kron([own(i) if j == i else other(j) for j in range(n)])
-                          for i in range(n)])
-
-    def _per_bidder(self, own, hat: bool) -> _Sparse:
-        """``own(i)`` applied to x̂, or to x with the other bidders' types held
-        fixed; x̂ has no other-type axes, and a 1 x 1 factor adds none."""
-        shape = self.instance.shape
-        return self._along(own, (lambda j: np.ones((1, 1))) if hat else (lambda j: np.eye(shape[j])))
+    def _own(self, matrix, hat: bool, shift: int = 0) -> _Sparse:
+        """``matrix(block)`` along every block's own types, on x̂ or on x with
+        the context held fixed; its row r at a context is anchored at (has the
+        row index of) that context's entry r + ``shift``."""
+        rows, cols, vals = [], [], []
+        for block, index in zip(self.space.blocks, self.hats if hat else self.cells):
+            m = matrix(block)
+            r, c = np.nonzero(m)
+            rows.append(index[r + shift])
+            cols.append(index[c])
+            vals.append(np.broadcast_to(m[r, c][:, None], index[c].shape))
+        width = self.hat_size if hat else self.size
+        return _sparse(rows, cols, vals, (width, width))
 
     def supply(self) -> _Sparse:
         """The bidders' total share at each profile; supply is sum <= 1."""
-        return _kron([np.ones((1, self.instance.n))] + [np.eye(k) for k in self.instance.shape])
+        profile, cell, count = self.space.supply_rows()
+        return _sparse([profile], [cell], [count], (int(profile.max()) + 1, self.size))
 
     def mono(self, hat: bool) -> _Sparse:
-        """x at own type k - 1 minus x at own type k, for every k >= 1 (<= 0)."""
-        return self._per_bidder(lambda i: -np.diff(np.eye(self.instance.shape[i]), axis=0), hat)
+        """x at own type k - 1 minus x at own type k, for every k >= 1 (<= 0);
+        rows in the order of their upper entries."""
+        m = self._own(lambda b: -np.diff(np.eye(len(b.values)), axis=0), hat, shift=1)
+        upper, rows = np.unique(m.rows, return_inverse=True)
+        return _Sparse(rows, m.cols, m.vals, (len(upper), m.shape[1]))
 
     def chain(self, hat: bool) -> _Sparse:
         """Perceived payments along each own-type chain: ``payments.chain``,
         the payment characterization, applied to the identity."""
-        inst = self.instance
-        return self._per_bidder(
-            lambda i: pay.chain(np.eye(inst.shape[i]), inst.values(i), inst.space(i).gaps), hat)
+        return self._own(lambda b: pay.chain(np.eye(len(b.values)), b.values, b.gaps), hat)
 
     def collapse(self) -> _Sparse:
-        """x̂ = C x: each bidder's share averaged over the other bidders' types."""
-        inst = self.instance
-        return self._along(lambda i: np.eye(inst.shape[i]), lambda j: inst.pmf(j)[None, :])
+        """x̂ = C x: each block's share averaged over its contexts."""
+        return _sparse(
+            [np.broadcast_to(h, c.shape) for h, c in zip(self.hats, self.cells)], self.cells,
+            [np.broadcast_to(w, c.shape) for w, c in zip(self.space.weights, self.cells)],
+            (self.hat_size, self.size))
 
     def weights(self, hat: bool) -> np.ndarray:
-        """The objective's weight per entry: f_i(k) on x̂, which is also the XA
-        row (expected total share <= 1), and the joint f(v) on x."""
-        inst = self.instance
+        """The objective's weight per entry: count * f(k) on x̂, which is also
+        the XA row (expected total share <= 1), and times the context's
+        probability on x."""
+        blocks = self.space.blocks
         if hat:
-            return np.concatenate([inst.pmf(i) for i in range(inst.n)])
-        return np.tile(inst.joint_pmf.ravel(), inst.n)
+            return np.concatenate([b.count * b.pmf for b in blocks])
+        out = np.empty(self.size)
+        for b, cells, w in zip(blocks, self.cells, self.space.weights):
+            out[cells] = (b.count * b.pmf)[:, None] * w
+        return out
 
 
-def _program(instance: AuctionInstance, mode: str) -> _Program:
+def _program(blk: _Blocks, mode: str) -> _Program:
     """Dense matrices of the robust (``rrm``, ``rrm_linear``) or Bayesian
     (``brm``) revenue program."""
-    blk = _Blocks(instance)
     if mode == "brm":
         # Bayesian payments and monotonicity act on the interim collapse
         collapse = blk.collapse().dense()
@@ -309,9 +307,9 @@ def _program(instance: AuctionInstance, mode: str) -> _Program:
     w = blk.weights(mode == "brm")
     # a zero row (lowest type worth 0) pays nothing and has no sqrt gradient
     priced = np.any(Q != 0, axis=1)
-    size, supply = Q.shape[1], blk.supply().dense()
-    A = np.vstack([-np.eye(size), supply, mono])
-    b = np.concatenate([np.zeros(size), np.ones(len(supply)), np.zeros(len(mono))])
+    supply = blk.supply().dense()
+    A = np.vstack([-np.eye(blk.size), supply, mono])
+    b = np.concatenate([np.zeros(blk.size), np.ones(len(supply)), np.zeros(len(mono))])
     return _Program(Q[priced], w[priced], A, b, mode == "rrm_linear")
 
 
@@ -388,45 +386,59 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _solve(
-    instance: AuctionInstance, config: OracleConfig, mode: str
+    space: ProfileSpace, config: OracleConfig, mode: str
 ) -> tuple[np.ndarray, float, float]:
     """Best certified table, its objective value and the optimum's upper bound.
 
     Returns the better of the barrier iterate and that iterate rounded to
     multiples of ``config.grid``, if the rounded table is still feasible.
     """
-    n, shape = instance.n, instance.shape
-    if n * math.prod(shape) > config.max_profile_vars:
+    size = math.prod(space.shape)
+    if size > config.max_profile_vars:
         raise OracleRefusal(
-            f"instance has {n * math.prod(shape)} allocation "
-            f"variables, above the max_profile_vars cap of {config.max_profile_vars}"
+            f"instance has {size} allocation variables, above the "
+            f"max_profile_vars cap of {config.max_profile_vars}"
         )
-    prog = _program(instance, mode)
-    # x_i(v) = (v_i + 1) / ((K_i + 1) n): strictly monotone, strictly inside supply
-    sizes = np.array(shape).reshape(n, *([1] * n))
-    start = ((np.indices(shape) + 1) / ((sizes + 1) * n)).ravel()
+    blk = _Blocks(space)
+    prog = _program(blk, mode)
+    # x(k, c) = (k + 1) / ((K + 1) n): strictly monotone, strictly inside supply
+    start, n = np.empty(blk.size), space.instance.n
+    for cells in blk.cells:
+        start[cells] = (np.arange(len(cells)) + 1)[:, None] / ((len(cells) + 1) * n)
     x, bound = _barrier(prog, start)
     best = max(
         (c for c in (x, np.round(x * config.steps) / config.steps)
          if np.all(prog.A @ c <= prog.b + 1e-12)),
         key=lambda c: _revenue(prog, c),
     )
-    return best.reshape(n, *shape), _revenue(prog, best), bound
+    return best.reshape(space.shape), _revenue(prog, best), bound
 
 
-def _report(priced, which, objective, bound, start) -> tuple[Mechanism, MechanismReport]:
-    """The priced tables as a mechanism, with the verified constraint sets
-    ``which`` and the certified gap added to their report."""
-    tables, report = priced
+def exact_tables(
+    space: ProfileSpace, config: OracleConfig = OracleConfig(), mode: str = "rrm"
+) -> tuple[Tables, MechanismReport]:
+    """Certified exact optimum on any profile space, priced by the pipelines'
+    payment step and verified by ``check``'s default constraint sets.
+
+    ``mode`` is ``rrm`` (robust), ``rrm_linear`` (robust, linear perceived
+    payments) or ``brm`` (Bayesian).  By symmetry and concavity, the optimum
+    on a symmetric instance's ``OrbitSpace`` is its dense program's optimum.
+    """
+    start = time.perf_counter()
+    x, objective, bound = _solve(space, config, mode)
+    kind, name = ObjectiveKind.EXACT_ORACLE, f"exact_{mode[:3]}[grid={config.grid}]"
+    if mode == "brm":
+        tables, report = _interim(space, start, space.collapse(space.split(x)), (), kind, name, x)
+    else:
+        perceived = "linear" if mode == "rrm_linear" else "quadratic"
+        tables, report = _price(space, start, x, perceived, kind, name)
     if abs(report.revenue - objective) > 1e-6:
         raise RuntimeError("solver objective and recomputed revenue disagree")
     gap = bound - report.revenue + _FP_MARGIN * bound
     if not gap >= 0:
         raise RuntimeError("returned table beats the barrier's upper bound")
-    return tables.mechanism(), replace(
-        report, verification=check(tables, which),
-        runtime_s=time.perf_counter() - start, grid_slack=gap,
-    )
+    return tables, replace(report, verification=check(tables),
+                           runtime_s=time.perf_counter() - start, grid_slack=gap)
 
 
 def exact_rrm(
@@ -444,12 +456,8 @@ def exact_rrm(
     """
     if perceived not in ("quadratic", "linear"):
         raise ValueError("perceived must be 'quadratic' or 'linear'")
-    start = time.perf_counter()
     mode = "rrm" if perceived == "quadratic" else "rrm_linear"
-    x, obj, bound = _solve(instance, config, mode)
-    priced = _price(DenseSpace(instance), start, x, perceived, ObjectiveKind.EXACT_ORACLE,
-                    f"exact_rrm[grid={config.grid}]")
-    return _report(priced, ("ic", "ir", "xp"), obj, bound, start)
+    return _dense(exact_tables(DenseSpace(instance), config, mode))
 
 
 def exact_brm(
@@ -461,12 +469,7 @@ def exact_brm(
     alone does not imply an ex-post implementation) whose collapsed interim
     rule is monotone, and pays the per-type interim payments.
     """
-    start = time.perf_counter()
-    x, obj, bound = _solve(instance, config, "brm")
-    space = DenseSpace(instance)
-    priced = _interim(space, start, space.collapse(space.split(x)), (),
-                      ObjectiveKind.EXACT_ORACLE, f"exact_brm[grid={config.grid}]", x)
-    return _report(priced, ("bic", "bir", "xp"), obj, bound, start)
+    return _dense(exact_tables(DenseSpace(instance), config, "brm"))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +510,7 @@ def export_program(instance: AuctionInstance, which: str) -> str:
     """
     if which not in PROGRAMS:
         raise ValueError(f"unknown program {which!r}; choose from {PROGRAMS}")
-    blk = _Blocks(instance)
+    blk = _Blocks(DenseSpace(instance))
     shape = instance.shape
     hat = which.startswith("brm")
     ex_ante, relaxed = which.startswith("brm_xa"), which.startswith("brm_xa_rel")
@@ -566,7 +569,9 @@ def export_program(instance: AuctionInstance, which: str) -> str:
     if hat:
         lines += [f"VAR {v} in {'[0,inf)' if relaxed else '[0,1]'}" for v in priced]
         if ex_ante:
-            lines += at_most("xa", [""], _kron([blk.weights(True)[None, :]]), priced, 1)
+            w = blk.weights(True)
+            xa = _Sparse(np.zeros(len(w), dtype=int), np.arange(len(w)), w, (1, len(w)))
+            lines += at_most("xa", [""], xa, priced, 1)
             lines += box("xhat", labels, upper=not relaxed)
         else:
             collapse = blk.collapse()

@@ -19,8 +19,9 @@ the blocks:
   One block stands for all n bidders: K * C cells in place of n * K^n.
 
 Only two things differ between the spaces: the engine score row built for
-each cell (``rows`` and ``cells``), and the ex-post supply check
-(``supply``).
+each cell (``rows`` and ``cells``), and which cells share a profile
+(``supply_rows``), from which the ex-post supply check and the exact
+oracle's supply constraints are built.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class ProfileSpace:
     """Tables of one layout, and the per-block views the kernels work on."""
 
     instance: AuctionInstance
+    shape: tuple[int, ...]  # the table shape
     blocks: tuple[Block, ...]
     weights: tuple[np.ndarray, ...]  # probability of each context, per block
 
@@ -74,9 +76,15 @@ class ProfileSpace:
         """The allocation table from the engine's output for ``rows``."""
         raise NotImplementedError
 
+    def supply_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(profile, flat cell, multiplicity) entries sorted by profile and cell;
+        a profile's total share is the multiplicity-weighted sum of its cells."""
+        raise NotImplementedError
+
     def supply(self, table: np.ndarray) -> float:
         """Worst excess of the bidders' total share over 1 at any profile."""
-        raise NotImplementedError
+        profile, cell, count = self.supply_rows()
+        return float(np.bincount(profile, count * table.ravel()[cell]).max()) - 1.0
 
     def collapse(self, mats) -> tuple[np.ndarray, ...]:
         """Expectation over contexts: one own-type vector per block."""
@@ -96,6 +104,7 @@ class DenseSpace(ProfileSpace):
 
     def __init__(self, instance: AuctionInstance):
         self.instance = instance
+        self.shape = (instance.n, *instance.shape)
         self.blocks = tuple(_block(instance, i, 1) for i in range(instance.n))
 
     @cached_property
@@ -120,8 +129,11 @@ class DenseSpace(ProfileSpace):
     def cells(self, rows):
         return rows.T.reshape(self.instance.n, *self.instance.shape)
 
-    def supply(self, table):
-        return float(table.sum(axis=0).max()) - 1.0
+    def supply_rows(self):
+        # bidder i's share at profile v is cell i * P + v
+        n, size = self.instance.n, math.prod(self.instance.shape)
+        profile = np.repeat(np.arange(size), n)
+        return profile, profile + size * np.tile(np.arange(n), size), np.ones(n * size)
 
 
 def _compositions(total: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +174,7 @@ class OrbitSpace(ProfileSpace):
         counts, weights = _compositions(n - 1, instance.pmf(0))
         order = np.argsort(self._rank(counts))
         self.contexts = counts[order]
+        self.shape = (k, len(counts))
         self.weights = (weights[order],)
         self.blocks = (_block(instance, 0, n),)
         # the other bidders' types, ascending, at each context
@@ -194,18 +207,14 @@ class OrbitSpace(ProfileSpace):
     def cells(self, rows):
         return rows[:, 0].reshape(-1, len(self.contexts))
 
-    @cached_property
-    def _profiles(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every full type count m, and the context index of m - e_k for
-        each type k that m holds (0 where m_k = 0, which m_k then zeroes)."""
-        full, _ = _compositions(self.instance.n, self.instance.pmf(0))
-        k = full.shape[1]
-        index = self._rank(full[:, None, :] - np.eye(k, dtype=np.int64))
-        return full, np.where(full > 0, index, 0)
+    def supply_rows(self):
+        return self._supply_rows
 
-    def supply(self, table):
-        # sum_k m_k x(k, m - e_k) is the bidders' total share at profile m,
-        # read from the table, never from the engine's own rows
-        full, index = self._profiles
-        shares = (full * table[np.arange(full.shape[1]), index]).sum(axis=1)
-        return float(shares.max()) - 1.0
+    @cached_property
+    def _supply_rows(self):
+        # the total share at full type count m is sum_k m_k x(k, m - e_k)
+        # over the types m holds, read from the table, not the engine's rows
+        full, _ = _compositions(self.instance.n, self.instance.pmf(0))
+        profile, k = np.nonzero(full)
+        others = full[profile] - np.eye(full.shape[1], dtype=np.int64)[k]
+        return profile, k * len(self.contexts) + self._rank(others), full[profile, k] * 1.0

@@ -87,12 +87,6 @@ class TestGreedyConfig:
             GreedyConfig(epsilon=0.0)
         assert GreedyConfig(epsilon=0.01).steps == 100
 
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            GreedyConfig(alpha=1.0)
-        with pytest.raises(ValueError):
-            GreedyConfig(alpha=0.0)
-
 
 class TestEqpSolver:
     def test_symmetric_pair(self):

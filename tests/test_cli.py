@@ -84,6 +84,39 @@ class TestExperiment:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["heur_lb_cf"]
 
+    def test_exact_rows_solve_on_orbits(self, tmp_path):
+        """categorical:3,10,0.8 at n = 5..8: 2n orbit cells, n * 2^n dense."""
+        out = tmp_path / "exact.csv"
+        methods = ("exact_rrm", "exact_brm", "heur_brm_cf")
+        assert main(["experiment", "--dist", "categorical:3,10,0.8", "--bidders", "5..8",
+                     "--methods", ",".join(methods), "--output", str(out), "--no-timing"]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["n_bidders"]) for r in rows] == [
+            (m, str(n)) for m in methods for n in range(5, 9)]
+        assert all(r["verified"] == "true" for r in rows)
+        value = {(r["method"], int(r["n_bidders"])): float(r["value"]) for r in rows}
+        for n in range(5, 9):
+            brm = value["exact_brm", n]
+            # a certified gap is at most 1e-9 * max(1, bound) plus a 1e-12 relative margin
+            gap = 2e-9 * max(1.0, brm)
+            assert brm >= value["heur_brm_cf", n] - gap
+            assert value["exact_rrm", n] <= brm + gap
+
+    def test_bad_configs_exit_two_before_any_job(self, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        base = ["experiment", "--dist", "uniform:2", "--bidders", "1..1", "--output", str(out)]
+        assert main(base + ["--methods", "exact_rrm", "--epsilon", "0.3"]) == 2
+        assert main(base + ["--methods", "heur_lb_cf", "--oracle-grid", "0.3"]) == 2
+        assert not out.exists()
+        solve = ["solve", "--dist", "uniform:2", "--n", "2"]
+        assert main(solve + ["--method", "heur_lb_cf", "--oracle-grid", "0.3"]) == 2
+        assert main(solve + ["--method", "exact_rrm", "--epsilon", "0.3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4
+        for line, name in zip(err, ("epsilon", "grid", "grid", "epsilon")):
+            assert line.startswith("error: ") and name in line, line
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(distribution="uniform:3", n_min=2, n_max=1, methods=())

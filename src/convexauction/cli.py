@@ -7,11 +7,12 @@ kind, value, runtime and verification outcome.  Identical configurations
 produce byte-identical CSV when timing is suppressed with --no-timing.
 
 One registry, ``METHODS``, serves ``experiment`` and ``solve``: each entry
-runs its pipeline or exact solver on a profile space and names the report
-field its CSV value comes from.  ``experiment`` solves every method on the
-orbit space of its symmetric instance (K * C(n+K-2, K-1) cells of own type
-and count of the other bidders' types; see ``spaces``) and verifies it
-against the default checks of its payment style (``oracle.check``).
+maps (profile space, GreedyConfig, OracleConfig) to (Tables, report), and the
+report's kind and objective value are what both commands print.
+``experiment`` solves every method on the orbit space of its symmetric
+instance (K * C(n+K-2, K-1) cells of own type and count of the other
+bidders' types; see ``spaces``); ``_run_method`` alone times each run and
+verifies it against the default checks of its payment style (``oracle.check``).
 ``solve``, ``check``, ``discretize`` and mechanism files work on dense
 ``(n, K_0, ..., K_{n-1})`` tables.
 
@@ -33,8 +34,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,44 +60,36 @@ from .mechanisms import Mechanism
 from .oracle import OracleConfig, OracleRefusal
 from .spaces import DenseSpace, OrbitSpace
 
-@dataclass(frozen=True)
-class Method:
-    """A registered method: its pipeline and its CSV value.
-
-    ``run`` maps (profile space, GreedyConfig, OracleConfig) to (Tables,
-    report).  ``column`` names the report field the experiment CSV reports:
-    "objective" under the report's own kind, or "revenue" under
-    ``revenue_robust``.
-    """
-
-    run: Callable
-    column: str = "objective"
+def _engine(pipeline, engine):
+    return lambda space, greedy, oracle: pipeline(space, engine, greedy)
 
 
-def _with_engine(pipeline, engine, column="objective") -> Method:
-    return Method(lambda space, greedy, oracle: pipeline(space, engine, greedy), column)
+def _as_revenue(tables, report):
+    """Report a run's realized robust revenue as its objective."""
+    return tables, replace(report, objective_value=report.revenue,
+                           kind=ObjectiveKind.REVENUE_ROBUST)
 
 
-_heur_lb_greedy = _with_engine(mech_mod.heuristic_lb_rrm_tables, "greedy")
-_heur_lb_cf = _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form")
-_heur_brm_cf = _with_engine(mech_mod.heuristic_brm_tables, "closed_form")
+_heur_lb_greedy = _engine(mech_mod.heuristic_lb_rrm_tables, "greedy")
+_heur_lb_cf = _engine(mech_mod.heuristic_lb_rrm_tables, "closed_form")
+_heur_brm_cf = _engine(mech_mod.heuristic_brm_tables, "closed_form")
 METHODS = {
-    "exact_rrm": Method(lambda space, greedy, oracle: oracle_mod.exact_tables(space, oracle)),
-    "exact_brm": Method(lambda space, greedy, oracle: oracle_mod.exact_tables(space, oracle, "brm")),
-    "surplus": Method(lambda space, greedy, oracle: mech_mod.surplus_tables(space)),
-    "virtual_surplus": Method(lambda space, greedy, oracle: mech_mod.virtual_surplus_tables(space)),
-    "pseudo_surplus_greedy": _with_engine(mech_mod.pseudo_surplus_tables, "greedy"),
-    "pseudo_surplus_cf": _with_engine(mech_mod.pseudo_surplus_tables, "closed_form"),
+    "exact_rrm": lambda space, greedy, oracle: oracle_mod.exact_tables(space, oracle),
+    "exact_brm": lambda space, greedy, oracle: oracle_mod.exact_tables(space, oracle, "brm"),
+    "surplus": lambda space, greedy, oracle: mech_mod.surplus_tables(space),
+    "virtual_surplus": lambda space, greedy, oracle: mech_mod.virtual_surplus_tables(space),
+    "pseudo_surplus_greedy": _engine(mech_mod.pseudo_surplus_tables, "greedy"),
+    "pseudo_surplus_cf": _engine(mech_mod.pseudo_surplus_tables, "closed_form"),
     "heur_lb_greedy": _heur_lb_greedy,
     "heur_lb_cf": _heur_lb_cf,
     "heur_rrm_greedy": _heur_lb_greedy,
     "heur_rrm_cf": _heur_lb_cf,
-    "heur_rrm_rev": _with_engine(mech_mod.heuristic_lb_rrm_tables, "closed_form", "revenue"),
-    "heur_brm_greedy": _with_engine(mech_mod.heuristic_brm_tables, "greedy"),
+    "heur_rrm_rev": lambda space, greedy, oracle: _as_revenue(*_heur_lb_cf(space, greedy, oracle)),
+    "heur_brm_greedy": _engine(mech_mod.heuristic_brm_tables, "greedy"),
     "heur_brm_cf": _heur_brm_cf,
     "heur_brm_rev": _heur_brm_cf,
-    "ex_ante": Method(lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, False)),
-    "ex_ante_trunc": Method(lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, True)),
+    "ex_ante": lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, False),
+    "ex_ante_trunc": lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, True),
 }
 
 CSV_COLUMNS = (
@@ -154,21 +146,16 @@ def _thread_count() -> int:
 
 
 def _run_method(method: str, space: OrbitSpace, greedy: GreedyConfig, oracle: OracleConfig):
-    """Run one method; returns (kind, value, runtime_s, verified, warnings) or None
-    to skip."""
-    entry = METHODS[method]
+    """Run, time and verify one method; returns (report, seconds, verified),
+    or None to skip."""
     start = time.perf_counter()
     try:
-        tables, report = entry.run(space, greedy, oracle)
+        tables, report = METHODS[method](space, greedy, oracle)
     except OracleRefusal as exc:
         print(f"notice: skipping {method} for n={space.instance.n}: {exc}", file=sys.stderr)
         return None
     verified = all(c.passed for c in oracle_mod.check(tables).values())
-    runtime = time.perf_counter() - start
-    if entry.column == "revenue":
-        kind, value = ObjectiveKind.REVENUE_ROBUST.value, float(report.revenue)
-        return kind, value, runtime, verified, report.warnings
-    return report.kind.value, float(report.objective_value), runtime, verified, report.warnings
+    return report, time.perf_counter() - start, verified
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
@@ -206,13 +193,13 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         for (method, n), outcome in zip(jobs, results):
             if outcome is None:
                 continue
-            kind, value, runtime, verified, warnings = outcome
+            report, runtime, verified = outcome
             runtime_ms = f"{runtime * 1000:.3f}" if cfg.timing else ""
             writer.writerow(
-                [method, cfg.distribution, n, kind, repr(value), runtime_ms,
-                 str(verified).lower()]
+                [method, cfg.distribution, n, report.kind.value, repr(report.objective_value),
+                 runtime_ms, str(verified).lower()]
             )
-            for text in warnings:
+            for text in report.warnings:
                 print(f"warning: {method} n={n}: {text}", file=sys.stderr)
     return cfg.output_path
 
@@ -327,17 +314,15 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
 def _cmd_solve(args) -> int:
     space, dist = parse_distribution(args.dist)
     instance = symmetric_instance(space, dist, args.n)
-    entry = METHODS.get(args.method)
-    if entry is None:
-        print(f"error: unknown method {args.method!r}", file=sys.stderr)
-        return 2
     greedy, oracle = GreedyConfig(epsilon=args.epsilon), OracleConfig(grid=args.oracle_grid)
-    tables, report = entry.run(DenseSpace(instance), greedy, oracle)
+    tables, report = METHODS[args.method](DenseSpace(instance), greedy, oracle)
     mech = tables.mechanism()
     print(f"method={args.method} kind={report.kind.value}")
     print(f"objective={report.objective_value!r}")
     if report.revenue is not None:
         print(f"revenue={report.revenue!r}")
+    if report.grid_slack is not None:
+        print(f"grid_slack={report.grid_slack!r}")
     for w in report.warnings:
         print(f"warning: {w}")
     if args.output:
@@ -383,8 +368,13 @@ def _cmd_export(args) -> int:
     return 0
 
 
+_CONFIG_KEYS = ("dist", "bidders", "methods", "epsilon", "oracle_grid", "output", "no_timing")
+_SWITCH = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and #-comments ignored."""
+    """key=value lines with keys from ``_CONFIG_KEYS``; blank lines and
+    #-comments ignored."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for raw in fh:
@@ -394,7 +384,11 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"bad config line {line!r} (expected key=value)")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in {path} (expected one of "
+                                 + ", ".join(_CONFIG_KEYS) + ")")
+            values[key] = value.strip()
     return values
 
 
@@ -415,9 +409,9 @@ def _cmd_experiment(args) -> int:
         return 2
     methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
     n_min, _, n_max = bidders.partition("..")
-    no_timing = args.no_timing if args.no_timing is not None else (
-        file_cfg.get("no_timing", "false").lower() in ("1", "true", "yes")
-    )
+    no_timing = file_cfg.get("no_timing", "false").lower()
+    if no_timing not in _SWITCH:
+        raise ValueError(f"config no_timing={no_timing!r} is not one of " + "/".join(_SWITCH))
     cfg = ExperimentConfig(
         distribution=dist,
         n_min=int(n_min),
@@ -426,7 +420,7 @@ def _cmd_experiment(args) -> int:
         epsilon=float(pick(args.epsilon, "epsilon", 1e-3)),
         oracle_grid=float(pick(args.oracle_grid, "oracle_grid", 1e-3)),
         output_path=pick(args.output, "output", "experiment.csv"),
-        timing=not no_timing,
+        timing=not (args.no_timing or _SWITCH[no_timing]),
     )
     path = run_experiment(cfg)
     print(f"wrote {path}")
@@ -445,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one pipeline on a symmetric instance")
     p.add_argument("--dist", required=True, help="categorical:L,H,p | uniform:K | binomial:t,p")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", required=True,
-                   help="|".join(METHODS))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--oracle-grid", type=float, default=1e-3)
     p.add_argument("--output", help="write the mechanism file here")

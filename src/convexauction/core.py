@@ -325,13 +325,12 @@ class ObjectiveKind(str, Enum):
 
 @dataclass
 class MechanismReport:
-    """Objective value, realized revenue, verification flags and timing."""
+    """Objective value under ``kind``, realized revenue, warnings and an exact
+    optimum's certified gap; whoever runs a method times and verifies it."""
 
     objective_value: float
     kind: ObjectiveKind
     revenue: float | None = None
-    verification: dict | None = None
-    runtime_s: float = 0.0
     warnings: tuple[str, ...] = ()
     grid_slack: float | None = None
 

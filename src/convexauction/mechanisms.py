@@ -24,7 +24,6 @@ place where any resulting IC/IR failures show up.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,35 +168,31 @@ def _robust(space, scores, engine, config, perceived, kind, provenance,
     The objective is E[sum_i value(score_i x_i)], or the revenue when
     ``value`` is None.
     """
-    start = time.perf_counter()
     x = _allocate(space, scores, engine, config)
     objective = None if value is None else space.expect(
         [value(s[:, None] * m) for s, m in zip(scores, space.split(x))]
     )
-    return _price(space, start, x, perceived, kind, provenance, warnings, objective)
+    return _price(space, x, perceived, kind, provenance, warnings, objective)
 
 
-def _price(space, start, x, perceived, kind, provenance, warnings=(), objective=None):
+def _price(space, x, perceived, kind, provenance, warnings=(), objective=None):
     """Attach chain payments to an ex-post table; the objective is the
     revenue when ``objective`` is None."""
     p, warnings = _support(space, space.split(x), perceived, warnings)
     revenue = space.expect(p)
     tables = Tables(space, x, space.join(p), provenance=provenance, perceived=perceived)
     report = MechanismReport(revenue if objective is None else objective, kind,
-                             revenue=revenue, runtime_s=time.perf_counter() - start,
-                             warnings=warnings)
+                             revenue=revenue, warnings=warnings)
     return tables, report
 
 
-def _interim(space, start, xhat, warnings, kind, provenance, x=None):
+def _interim(space, xhat, warnings, kind, provenance, x=None):
     """Attach per-type Bayesian payments to an interim rule; the objective is
     the revenue."""
     h, warnings = _support(space, xhat, "quadratic", warnings, "interim allocation")
     revenue = space.mean(h)
     tables = Tables(space, x, xhat=tuple(xhat), h=tuple(h), provenance=provenance)
-    report = MechanismReport(revenue, kind, revenue=revenue,
-                             runtime_s=time.perf_counter() - start, warnings=warnings)
-    return tables, report
+    return tables, MechanismReport(revenue, kind, revenue=revenue, warnings=warnings)
 
 
 def surplus_tables(space: ProfileSpace) -> tuple[Tables, MechanismReport]:
@@ -239,10 +234,9 @@ def heuristic_brm_tables(
 ) -> tuple[Tables, MechanismReport]:
     """``heuristic_brm`` on a profile space."""
     _check_method(method)
-    start = time.perf_counter()
     phi_plus, _, warnings = _virtual(space)
     x = _allocate(space, phi_plus, method, config)
-    return _interim(space, start, space.collapse(space.split(x)), warnings,
+    return _interim(space, space.collapse(space.split(x)), warnings,
                     ObjectiveKind.REVENUE_BAYESIAN, f"heuristic_brm[{method}]", x)
 
 
@@ -250,11 +244,10 @@ def ex_ante_tables(
     space: ProfileSpace, truncate: bool = False
 ) -> tuple[Tables, MechanismReport]:
     """``ex_ante_relaxation`` on a profile space."""
-    start = time.perf_counter()
     _, table, warnings = _virtual(space)
     solution = ex_ante_closed_form(space.instance, table, truncate)
     xhat = tuple(solution.interim.tables[b.bidder] for b in space.blocks)
-    return _interim(space, start, xhat, warnings, ObjectiveKind.EX_ANTE_RELAXATION,
+    return _interim(space, xhat, warnings, ObjectiveKind.EX_ANTE_RELAXATION,
                     "ex_ante_relaxation" + ("_truncated" if truncate else ""))
 
 

@@ -24,7 +24,6 @@ barrier method fails to certify, are refused with an explanation.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -418,27 +417,25 @@ def exact_tables(
     space: ProfileSpace, config: OracleConfig = OracleConfig(), mode: str = "rrm"
 ) -> tuple[Tables, MechanismReport]:
     """Certified exact optimum on any profile space, priced by the pipelines'
-    payment step and verified by ``check``'s default constraint sets.
+    payment step; the report's ``grid_slack`` is the certified gap.
 
     ``mode`` is ``rrm`` (robust), ``rrm_linear`` (robust, linear perceived
     payments) or ``brm`` (Bayesian).  By symmetry and concavity, the optimum
     on a symmetric instance's ``OrbitSpace`` is its dense program's optimum.
     """
-    start = time.perf_counter()
     x, objective, bound = _solve(space, config, mode)
     kind, name = ObjectiveKind.EXACT_ORACLE, f"exact_{mode[:3]}[grid={config.grid}]"
     if mode == "brm":
-        tables, report = _interim(space, start, space.collapse(space.split(x)), (), kind, name, x)
+        tables, report = _interim(space, space.collapse(space.split(x)), (), kind, name, x)
     else:
         perceived = "linear" if mode == "rrm_linear" else "quadratic"
-        tables, report = _price(space, start, x, perceived, kind, name)
+        tables, report = _price(space, x, perceived, kind, name)
     if abs(report.revenue - objective) > 1e-6:
         raise RuntimeError("solver objective and recomputed revenue disagree")
     gap = bound - report.revenue + _FP_MARGIN * bound
     if not gap >= 0:
         raise RuntimeError("returned table beats the barrier's upper bound")
-    return tables, replace(report, verification=check(tables),
-                           runtime_s=time.perf_counter() - start, grid_slack=gap)
+    return tables, replace(report, grid_slack=gap)
 
 
 def exact_rrm(

@@ -177,9 +177,6 @@ class OrbitSpace(ProfileSpace):
         self.shape = (k, len(counts))
         self.weights = (weights[order],)
         self.blocks = (_block(instance, 0, n),)
-        # the other bidders' types, ascending, at each context
-        self._others = np.repeat(np.tile(np.arange(k), len(counts)),
-                                 self.contexts.ravel()).reshape(len(counts), n - 1)
 
     def _rank(self, counts: np.ndarray) -> np.ndarray:
         """Rank of count vectors (last axis) among those with the same sum.
@@ -201,7 +198,9 @@ class OrbitSpace(ProfileSpace):
         s = scores[0]
         k, c, n = s.size, len(self.contexts), self.instance.n
         own = np.broadcast_to(s[:, None, None], (k, c, 1))
-        others = np.broadcast_to(s[self._others], (k, c, n - 1))
+        # the other bidders' scores, by ascending type, at each context
+        others = np.repeat(np.tile(s, c), self.contexts.ravel()).reshape(c, n - 1)
+        others = np.broadcast_to(others, (k, c, n - 1))
         return np.concatenate([own, others], axis=2).reshape(k * c, n)
 
     def cells(self, rows):
@@ -212,9 +211,10 @@ class OrbitSpace(ProfileSpace):
 
     @cached_property
     def _supply_rows(self):
-        # the total share at full type count m is sum_k m_k x(k, m - e_k)
-        # over the types m holds, read from the table, not the engine's rows
-        full, _ = _compositions(self.instance.n, self.instance.pmf(0))
-        profile, k = np.nonzero(full)
-        others = full[profile] - np.eye(full.shape[1], dtype=np.int64)[k]
-        return profile, k * len(self.contexts) + self._rank(others), full[profile, k] * 1.0
+        # cell (k, c) is one of the c_k + 1 type-k bidders at full type count
+        # m = c + e_k, so the total share at m is sum_k m_k x(k, m - e_k),
+        # read from the table, not the engine's rows
+        full = self.contexts + np.eye(self.shape[0], dtype=np.int64)[:, None]
+        profile = self._rank(full).ravel()
+        cell = np.argsort(profile, kind="stable")
+        return profile[cell], cell, self.contexts.T.ravel()[cell] + 1.0

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from convexauction import oracle
 from convexauction.cli import (
+    METHODS,
     ExperimentConfig,
     build_parser,
     load_mechanism,
@@ -202,6 +204,75 @@ class TestExperiment:
         assert main(["check", str(path)]) == 0
         capsys.readouterr()
 
+    def test_solve_prints_the_row_experiment_writes(self, tmp_path, capsys):
+        """Every registry name prints the same kind and value from ``solve``
+        (dense table) as from ``experiment`` (orbits); exact optima agree
+        within the certified gap ``solve`` prints."""
+        out = tmp_path / "all.csv"
+        assert main(["experiment", "--dist", "categorical:3,10,0.8", "--bidders", "3..3",
+                     "--methods", ",".join(METHODS), "--output", str(out), "--no-timing"]) == 0
+        with open(out) as fh:
+            rows = {r["method"]: r for r in csv.DictReader(fh)}
+        assert rows.keys() == METHODS.keys()
+        capsys.readouterr()
+        for name, row in rows.items():
+            assert main(["solve", "--dist", "categorical:3,10,0.8", "--n", "3",
+                         "--method", name]) == 0
+            printed = dict(f.split("=", 1) for f in capsys.readouterr().out.split() if "=" in f)
+            assert printed["kind"] == row["objective_kind"], name
+            assert ("grid_slack" in printed) == name.startswith("exact_"), name
+            value, slack = float(printed["objective"]), float(printed.get("grid_slack", 0.0))
+            assert abs(value - float(row["value"])) <= slack + 1e-12 * max(1.0, value), name
+        assert rows["heur_rrm_rev"]["objective_kind"] == "revenue_robust"
+
+    def test_each_row_is_verified_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = oracle.check
+
+        def counted(tables, *args, **kwargs):
+            calls.append(tables.provenance)
+            return real(tables, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "check", counted)
+        out = tmp_path / "exact.csv"
+        assert main(["experiment", "--dist", "categorical:3,10,0.8", "--bidders", "2..4",
+                     "--methods", "exact_rrm,exact_brm", "--output", str(out),
+                     "--no-timing"]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 and all(r["verified"] == "true" for r in rows)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("line, named", [
+        ("epsilonn=0.3", "'epsilonn'"),
+        ("no_timing=ture", "'ture'"),
+        ("no_timing=", "''"),
+    ])
+    def test_config_file_typos_exit_two(self, tmp_path, capsys, line, named):
+        out = tmp_path / "typo.csv"
+        config = tmp_path / "typo.cfg"
+        config.write_text(f"dist=uniform:2\nbidders=1..1\nmethods=heur_lb_cf\n"
+                          f"output={out}\n{line}\n")
+        assert main(["experiment", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word, timed", [
+        ("true", False), ("YES", False), ("1", False),
+        ("false", True), ("no", True), ("0", True),
+    ])
+    def test_config_no_timing_words(self, tmp_path, capsys, word, timed):
+        out = tmp_path / "words.csv"
+        config = tmp_path / "words.cfg"
+        config.write_text(f"dist=uniform:2\nbidders=1..1\nmethods=heur_lb_cf\n"
+                          f"output={out}\nno_timing={word}\n")
+        assert main(["experiment", "--config", str(config)]) == 0
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        assert bool(row["runtime_ms"]) == timed
+        capsys.readouterr()
+
     def test_experiment_missing_required_keys(self, capsys):
         assert main(["experiment", "--dist", "uniform:3"]) == 2
         capsys.readouterr()
@@ -256,6 +327,21 @@ class TestCommands:
         assert main(["check", str(mech_path), "--constraints", "bic,bir,xp"]) == 0
         captured = capsys.readouterr().out
         assert captured.count("pass") == 3
+
+    @pytest.mark.parametrize("method, golden", [
+        ("exact_rrm", 5 * (1 + math.sqrt(2) / 2)),
+        ("exact_brm", 5 * math.sqrt(3)),
+    ])
+    def test_solve_prints_certified_gap(self, capsys, method, golden):
+        """On the {0, 100} pair the printed revenue plus ``grid_slack`` bounds
+        the known optimum from above."""
+        assert main(["solve", "--dist", "categorical:0,100,0.5", "--n", "2",
+                     "--method", method]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("revenue=") and lines[3].startswith("grid_slack=")
+        revenue, slack = (float(line.split("=")[1]) for line in lines[2:4])
+        assert 0.0 <= slack <= 2e-9 * golden
+        assert revenue <= golden * (1 + 1e-12) <= revenue + slack + 1e-12 * golden
 
     def test_check_exit_one_on_violation(self, tmp_path, capsys):
         import json

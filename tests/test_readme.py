@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from convexauction.cli import main
+from convexauction.cli import METHODS, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -30,3 +30,14 @@ def test_cli_examples_run_in_order(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
+
+
+def test_registry_paragraph_names_every_method():
+    """The README's registry sentence names exactly the ``METHODS`` keys."""
+    sentence = re.search(r"share one method registry:(.*?)\.\s", README, re.S).group(1)
+    names = set()
+    for name in re.findall(r"`([^`]+)`", sentence):
+        stem, _, rest = name.partition("{")
+        alternatives = rest.rstrip("}").split(",") if rest else [""]
+        names.update(stem + alt for alt in alternatives if "*" not in stem)
+    assert names == set(METHODS)

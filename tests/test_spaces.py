@@ -62,13 +62,13 @@ def assert_exact_agree(method, dense, orbit):
     """Dense and orbit optima agree within their summed certified gaps, and
     both verify; instances above the dense program's cap are skipped."""
     try:
-        dt, dr = method.run(dense, GREEDY, ORACLE)
+        dt, dr = method(dense, GREEDY, ORACLE)
     except OracleRefusal:
         return
-    ot, orr = method.run(orbit, GREEDY, ORACLE)
+    ot, orr = method(orbit, GREEDY, ORACLE)
     assert abs(dr.revenue - orr.revenue) <= dr.grid_slack + orr.grid_slack, dt.provenance
-    for report in (dr, orr):
-        assert all(c.passed for c in report.verification.values()), (dt.provenance, report)
+    for tables in (dt, ot):
+        assert all(c.passed for c in check(tables).values()), (dt.provenance, check(tables))
 
 
 def assert_spaces_agree(instance):
@@ -77,7 +77,7 @@ def assert_spaces_agree(instance):
         if name.startswith("exact_"):
             assert_exact_agree(method, dense, orbit)
             continue
-        (dt, dr), (ot, orr) = (method.run(space, GREEDY, ORACLE) for space in (dense, orbit))
+        (dt, dr), (ot, orr) = (method(space, GREEDY, ORACLE) for space in (dense, orbit))
         assert _close(dr.objective_value, orr.objective_value), dt.provenance
         assert _close(dr.revenue, orr.revenue), dt.provenance
         dc, oc = check(dt), check(ot)

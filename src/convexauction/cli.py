@@ -16,7 +16,8 @@ verifies it against the default checks of its payment style (``oracle.check``).
 ``solve``, ``check``, ``discretize`` and mechanism files work on dense
 ``(n, K_0, ..., K_{n-1})`` tables.
 
-Mechanism files are JSON with explicit field order; allocation and payment
+Mechanism files are compact JSON (one line, written by the C encoder; any
+JSON layout loads) with explicit field order; allocation and payment
 tables are nested arrays indexed [bidder][profile index], profiles flattened
 in the lexicographic order documented in ``core``.
 
@@ -247,8 +248,7 @@ def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> Non
         ),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
@@ -373,8 +373,8 @@ _SWITCH = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """key=value lines with keys from ``_CONFIG_KEYS``; blank lines and
-    #-comments ignored."""
+    """key=value lines with keys from ``_CONFIG_KEYS``, each at most once;
+    blank lines and #-comments ignored."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for raw in fh:
@@ -388,8 +388,18 @@ def _read_config_file(path: str) -> dict[str, str]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r} in {path} (expected one of "
                                  + ", ".join(_CONFIG_KEYS) + ")")
+            if key in values:
+                raise ValueError(f"config key {key!r} is set twice in {path}")
             values[key] = value.strip()
     return values
+
+
+def _float(key: str, raw) -> float:
+    """``float(raw)``, or a ValueError naming the setting and its value."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {raw!r}") from None
 
 
 def _cmd_experiment(args) -> int:
@@ -408,17 +418,21 @@ def _cmd_experiment(args) -> int:
               file=sys.stderr)
         return 2
     methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
-    n_min, _, n_max = bidders.partition("..")
+    low, _, high = bidders.partition("..")
+    try:
+        n_min, n_max = int(low), int(high or low)
+    except ValueError:
+        raise ValueError(f"bidders must be N or N..M in whole numbers, got {bidders!r}") from None
     no_timing = file_cfg.get("no_timing", "false").lower()
     if no_timing not in _SWITCH:
         raise ValueError(f"config no_timing={no_timing!r} is not one of " + "/".join(_SWITCH))
     cfg = ExperimentConfig(
         distribution=dist,
-        n_min=int(n_min),
-        n_max=int(n_max) if n_max else int(n_min),
+        n_min=n_min,
+        n_max=n_max,
         methods=methods,
-        epsilon=float(pick(args.epsilon, "epsilon", 1e-3)),
-        oracle_grid=float(pick(args.oracle_grid, "oracle_grid", 1e-3)),
+        epsilon=_float("epsilon", pick(args.epsilon, "epsilon", 1e-3)),
+        oracle_grid=_float("oracle_grid", pick(args.oracle_grid, "oracle_grid", 1e-3)),
         output_path=pick(args.output, "output", "experiment.csv"),
         timing=not (args.no_timing or _SWITCH[no_timing]),
     )

@@ -325,14 +325,16 @@ class ObjectiveKind(str, Enum):
 
 @dataclass
 class MechanismReport:
-    """Objective value under ``kind``, realized revenue, warnings and an exact
-    optimum's certified gap; whoever runs a method times and verifies it."""
+    """Objective value under ``kind``, realized revenue, warnings, and an exact
+    optimum's certified gap and Newton steps; whoever runs a method times and
+    verifies it."""
 
     objective_value: float
     kind: ObjectiveKind
     revenue: float | None = None
     warnings: tuple[str, ...] = ()
     grid_slack: float | None = None
+    newton_steps: int | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.objective_value) or self.objective_value < -DEFAULT_TOL:

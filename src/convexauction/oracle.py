@@ -12,13 +12,19 @@ Both are composed from one set of sparse linear blocks (``_Blocks``: supply,
 monotonicity, payment chains, the interim collapse and the objective weights,
 which also give the XA row), built on the cells of a profile space
 (``spaces``), and solved by a log-barrier Newton method; ``export_program``
-prints rows of the same blocks on the dense space.  The solver returns the
-better of its last iterate and that iterate rounded to the configured grid
-(when the rounded table is still feasible), and reports ``grid_slack`` as a
-certified gap: an upper bound on the optimum, from Lagrangian duality at the
-last iterate, minus the revenue of the returned table, priced by the
-pipelines' payment step (``mechanisms``).  Instances above the variable cap, or that the
-barrier method fails to certify, are refused with an explanation.
+prints rows of the same blocks on the dense space.  Each Newton step
+evaluates the slacks and payments once and assembles its Hessian from the
+pairs of nonzeros that share a constraint or payment row (one ``bincount``);
+the Bayesian monotonicity and payment rows, dense over the contexts, are
+paired on the interim rule and applied through the collapse.  The solver
+returns the better of its last iterate and that iterate rounded to the
+configured grid (when the rounded table is still feasible).  It reports
+``grid_slack`` as a certified gap: an upper bound on the optimum, from
+Lagrangian duality at the last iterate, minus the revenue of the returned
+table, priced by the pipelines' payment step (``mechanisms``); and
+``newton_steps``, the Newton steps it took.  Instances above the variable
+cap, or that the barrier method fails to certify, are refused with an
+explanation.
 """
 
 from __future__ import annotations
@@ -184,22 +190,6 @@ _MAX_NEWTON = 400
 
 
 @dataclass(frozen=True)
-class _Program:
-    """maximize w . sqrt(Q x) (w . Q x if linear) subject to A x <= b.
-
-    x is the allocation table flattened in (n, K_0, ..., K_{n-1}) order; the
-    rows of Q x are the perceived payments the objective prices, and A x <= b
-    stacks x >= 0, per-profile supply and monotonicity.
-    """
-
-    Q: np.ndarray
-    w: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    linear: bool
-
-
-@dataclass(frozen=True)
 class _Sparse:
     """A matrix by its nonzero entries, sorted by row and then by column."""
 
@@ -228,10 +218,11 @@ class _Blocks:
     own order (``space.shape``); interim pieces (``hat=True``) act on the
     interim rule x̂, flattened block by block.  Each piece is a small matrix
     per block on its own types, applied along every context, and supply is
-    the space's own rows.  The solver densifies the pieces (its programs are
-    capped at a few dozen variables) and the exporter prints their nonzero
-    entries, so every constraint has one definition and exports stay
-    proportional to their text.
+    the space's own rows.  The solver multiplies by dense copies of the
+    pieces and builds its Newton systems from their pairs of nonzeros
+    (``_gram``); the exporter prints their nonzero entries.  So every
+    constraint has one definition, and exports stay proportional to their
+    text.
     """
 
     def __init__(self, space: ProfileSpace):
@@ -294,87 +285,182 @@ class _Blocks:
         return out
 
 
+@dataclass(frozen=True)
+class _Gram:
+    """M.T @ diag(c) @ M for a sparse M, from the pairs of nonzeros that
+    share a row: entry (i, j) is the sum over rows r of c[r] m[r, i] m[r, j]."""
+
+    row: np.ndarray
+    flat: np.ndarray  # i * width + j
+    coef: np.ndarray  # m[row, i] * m[row, j]
+    width: int
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        out = np.bincount(self.flat, self.coef * c[self.row], self.width * self.width)
+        return out.reshape(self.width, self.width)
+
+
+def _gram(parts: list[tuple[_Sparse, int]], width: int) -> _Gram:
+    """The pairs of sparse matrices stacked in row order, each given with the
+    index of its first row in the stack."""
+    rows, cols, vals = (np.concatenate(a) for a in zip(*((m.rows + first, m.cols, m.vals)
+                                                         for m, first in parts)))
+    count = np.bincount(rows)
+    start, per = np.cumsum(count) - count, count * count
+    # pair k of row r is its entries k // count[r] and k % count[r]
+    row = np.repeat(np.arange(len(count)), per)
+    k = np.arange(len(row)) - np.repeat(np.cumsum(per) - per, per)
+    a = start[row] + k // count[row]
+    b = start[row] + k % count[row]
+    return _Gram(row, cols[a] * width + cols[b], vals[a] * vals[b], width)
+
+
+class _Program:
+    """maximize w . sqrt(Q x) (w . Q x if linear) subject to A x <= b.
+
+    x is the allocation table flattened in its space's order; the rows of
+    Q x are the perceived payments the objective prices, and A x <= b stacks
+    x >= 0, per-profile supply and monotonicity.  ``G = [A; -Q]`` and
+    ``h = [b; 0]`` stack both, so that z = h - G x holds every slack
+    b - A x (its first ``m`` entries) and every payment Q x.
+
+    The barrier's Hessian is assembled from pairs of nonzeros (``_Gram``):
+    ``gram`` pairs the rows sparse on x, and in the Bayesian program, whose
+    monotonicity and payment rows act on x̂ = C x and are dense on x,
+    ``hat_gram`` pairs those rows on x̂, applied through C = ``lift``.
+    """
+
+    def __init__(self, A, b, Q, w, linear: bool, gram: _Gram, hat_gram=None, lift=None):
+        self.m, self.w, self.linear = len(b), w, linear
+        self.G = np.vstack([A, -Q])
+        self.h = np.concatenate([b, np.zeros(len(Q))])
+        self.gram, self.hat_gram, self.lift = gram, hat_gram, lift
+        self.linear_grad = Q.T @ w
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.G[: self.m]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.h[: self.m]
+
+    @property
+    def Q(self) -> np.ndarray:
+        return -self.G[self.m :]
+
+    def value(self, z: np.ndarray) -> float:
+        """The objective at z = h - G x."""
+        q = z[self.m :]
+        return float(self.w @ (q if self.linear else np.sqrt(np.maximum(q, 0.0))))
+
+    def revenue(self, x: np.ndarray) -> float:
+        return self.value(self.h - self.G @ x)
+
+
 def _program(blk: _Blocks, mode: str) -> _Program:
-    """Dense matrices of the robust (``rrm``, ``rrm_linear``) or Bayesian
-    (``brm``) revenue program."""
-    if mode == "brm":
-        # Bayesian payments and monotonicity act on the interim collapse
-        collapse = blk.collapse().dense()
-        Q, mono = blk.chain(True).dense() @ collapse, blk.mono(True).dense() @ collapse
-    else:
-        Q, mono = blk.chain(False).dense(), blk.mono(False).dense()
-    w = blk.weights(mode == "brm")
+    """The robust (``rrm``, ``rrm_linear``) or Bayesian (``brm``) revenue
+    program."""
+    hat, size, linear = mode == "brm", blk.size, mode == "rrm_linear"
+    chain, mono, supply = blk.chain(hat), blk.mono(hat), blk.supply()
     # a zero row (lowest type worth 0) pays nothing and has no sqrt gradient
-    priced = np.any(Q != 0, axis=1)
-    supply = blk.supply().dense()
-    A = np.vstack([-np.eye(blk.size), supply, mono])
-    b = np.concatenate([np.zeros(blk.size), np.ones(len(supply)), np.zeros(len(mono))])
-    return _Program(Q[priced], w[priced], A, b, mode == "rrm_linear")
+    priced, rows = np.unique(chain.rows, return_inverse=True)
+    chain = _Sparse(rows, chain.cols, chain.vals, (len(priced), chain.shape[1]))
+    lift = blk.collapse().dense() if hat else None
+    dense = (lambda m: m.dense()) if lift is None else (lambda m: m.dense() @ lift)
+    A = np.vstack([-np.eye(size), supply.dense(), dense(mono)])
+    b = np.concatenate([np.zeros(size), np.ones(supply.shape[0]), np.zeros(mono.shape[0])])
+    # rows of [A; -Q]: x >= 0, supply, monotonicity, then payments (curved if not linear)
+    eye = _Sparse(np.arange(size), np.arange(size), -np.ones(size), (size, size))
+    own = [(mono, size + supply.shape[0])] + ([] if linear else [(chain, len(b))])
+    gram = _gram([(eye, 0), (supply, size)] + ([] if hat else own), size)
+    hat_gram = _gram(own, blk.hat_size) if hat else None
+    return _Program(A, b, dense(chain), blk.weights(hat)[priced], linear, gram, hat_gram, lift)
 
 
-def _revenue(prog: _Program, x: np.ndarray) -> float:
-    q = prog.Q @ x
-    return float(prog.w @ (q if prog.linear else np.sqrt(np.maximum(q, 0.0))))
+def _system(prog: _Program, z: np.ndarray, t: float):
+    """Revenue R, its gradient, and the gradient g and Hessian H of the
+    barrier objective -t R(x) - sum log(b - A x), at x with z = h - G x.
+
+    H = A^T diag(1/s^2) A + t Q^T diag(w / (4 q^(3/2))) Q is assembled from
+    the program's pair lists, row curvature times pair coefficient.
+    """
+    m, w = prog.m, prog.w
+    s, q = z[:m], z[m:]
+    inv = 1 / s
+    if prog.linear:
+        value, grad, curv = float(w @ q), prog.linear_grad, inv * inv
+    else:
+        root = np.sqrt(q)
+        value = float(w @ root)
+        grad = prog.G[m:].T @ (w / (-2 * root))
+        curv = np.concatenate((inv * inv, t * w / (4 * q * root)))
+    g = prog.G[:m].T @ inv - t * grad
+    H = prog.gram(curv)
+    if prog.lift is not None:
+        H += prog.lift.T @ (prog.hat_gram(curv) @ prog.lift)
+    return value, grad, g, H
 
 
-def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float]:
+def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Log-barrier Newton method (Boyd & Vandenberghe, ch. 11) from a strictly
-    feasible x.  Returns the last iterate and an upper bound on the optimum.
+    feasible x.  Returns the last iterate, an upper bound on the optimum and
+    the number of Newton steps taken.
+
+    Each step evaluates the slacks and payments z = h - G x once, for the
+    value, the certificate and the line search, and assembles the Newton
+    system from the program's pair lists (``_system``).
 
     For any multipliers lambda >= 0 with residual r = grad R(x) - A^T lambda,
     concavity gives R(y) <= R(x) + lambda.s + r.(y - x) for every feasible y,
     and feasible tables lie in [0, 1]^N.  The multipliers are the Newton-step
     estimate (1 + A dx / s) / (t s), for which r is the step's own error.
     """
-    Q, w, A, b = prog.Q, prog.w, prog.A, prog.b
+    G, h, m = prog.G, prog.h, prog.m
+    At = G[:m].T
+    # the entries of z that must stay positive: slacks, and payments under a sqrt
+    kept = m if prog.linear else len(h)
+    diagonal = slice(None, None, len(x) + 1)
 
-    def phi(x, t):
-        s, q = b - A @ x, Q @ x
-        if np.any(s <= 0) or (not prog.linear and np.any(q <= 0)):
+    def phi(y, t):
+        z = h - G @ y
+        if z[:kept].min() <= 0:
             return math.inf
-        return -t * _revenue(prog, x) - float(np.log(s).sum())
+        return -t * prog.value(z) - float(np.log(z[:m]).sum())
 
-    t = len(b) / max(_revenue(prog, x), _GAP_TOL)
-    for _ in range(_MAX_NEWTON):
-        s, q = b - A @ x, Q @ x
-        if prog.linear:
-            grad, curv = Q.T @ w, 0.0
-        else:
-            root = np.sqrt(q)
-            grad = Q.T @ (w / (2 * root))
-            curv = (Q.T * (w / (4 * q * root))) @ Q
-        g = A.T @ (1 / s) - t * grad
-        H = (A.T / s**2) @ A + t * curv
+    t = m / max(prog.revenue(x), _GAP_TOL)
+    for step in range(1, _MAX_NEWTON + 1):
+        z = h - G @ x
+        s = z[:m]
+        value, grad, g, H = _system(prog, z, t)
         # Scaled to a unit diagonal, plus a ridge: where a linear program's
         # optimal face is not a point, H is singular in floating point for
         # large t.  The bound below holds whatever step is taken.
-        d = 1 / np.sqrt(np.diag(H))
+        d = 1 / np.sqrt(H.diagonal())
+        H *= d[:, None] * d
+        H.flat[diagonal] += _RIDGE
         try:
-            dx = -d * np.linalg.solve(H * np.outer(d, d) + _RIDGE * np.eye(len(x)), d * g)
+            dx = -d * np.linalg.solve(H, d * g)
         except np.linalg.LinAlgError as exc:
             raise OracleRefusal(f"barrier Newton system is singular: {exc}") from exc
         lam2 = float(-g @ dx)
-        dual = np.maximum((1 + (A @ dx) / s) / (t * s), 0.0)
-        r = grad - A.T @ dual
-        value = _revenue(prog, x)
+        rate = G @ dx  # how fast each entry of z falls along dx
+        dual = np.maximum((1 + rate[:m] / s) / (t * s), 0.0)
+        r = grad - At @ dual
         bound = value + float(dual @ s) + float(np.maximum(r * (1 - x), -r * x).sum())
         if bound - value <= _GAP_TOL * max(1.0, bound):
-            return x, bound
+            return x, bound, step
         if lam2 <= _CENTRED:
             t *= _MU
             continue
         # 0.99 of the longest step that keeps every slack and priced q positive
-        alpha = 1.0
-        for level, rate in ((s, A @ dx), (q, -(Q @ dx))):
-            if prog.linear and level is q:
-                continue
-            hit = rate > 0
-            if hit.any():
-                alpha = min(alpha, 0.99 * float(np.min(level[hit] / rate[hit])))
+        level, fall = z[:kept], rate[:kept]
+        hit = fall > 0
+        alpha = min(1.0, 0.99 * float((level[hit] / fall[hit]).min(initial=math.inf)))
         if lam2 > 0.25**2:
             # Armijo backtracking far from the centre only; near it the
             # barrier values differ by less than their rounding error
-            start = phi(x, t)
+            start = -t * value - float(np.log(s).sum())
             while alpha > 1e-12 and phi(x + alpha * dx, t) > start - 0.25 * alpha * lam2:
                 alpha *= 0.5
         x = x + alpha * dx
@@ -386,8 +472,9 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _solve(
     space: ProfileSpace, config: OracleConfig, mode: str
-) -> tuple[np.ndarray, float, float]:
-    """Best certified table, its objective value and the optimum's upper bound.
+) -> tuple[np.ndarray, float, float, int]:
+    """Best certified table, its objective value, the optimum's upper bound
+    and the barrier's Newton steps.
 
     Returns the better of the barrier iterate and that iterate rounded to
     multiples of ``config.grid``, if the rounded table is still feasible.
@@ -404,26 +491,27 @@ def _solve(
     start, n = np.empty(blk.size), space.instance.n
     for cells in blk.cells:
         start[cells] = (np.arange(len(cells)) + 1)[:, None] / ((len(cells) + 1) * n)
-    x, bound = _barrier(prog, start)
+    x, bound, steps = _barrier(prog, start)
     best = max(
         (c for c in (x, np.round(x * config.steps) / config.steps)
          if np.all(prog.A @ c <= prog.b + 1e-12)),
-        key=lambda c: _revenue(prog, c),
+        key=prog.revenue,
     )
-    return best.reshape(space.shape), _revenue(prog, best), bound
+    return best.reshape(space.shape), prog.revenue(best), bound, steps
 
 
 def exact_tables(
     space: ProfileSpace, config: OracleConfig = OracleConfig(), mode: str = "rrm"
 ) -> tuple[Tables, MechanismReport]:
     """Certified exact optimum on any profile space, priced by the pipelines'
-    payment step; the report's ``grid_slack`` is the certified gap.
+    payment step; the report's ``grid_slack`` is the certified gap and
+    ``newton_steps`` the barrier's Newton steps.
 
     ``mode`` is ``rrm`` (robust), ``rrm_linear`` (robust, linear perceived
     payments) or ``brm`` (Bayesian).  By symmetry and concavity, the optimum
     on a symmetric instance's ``OrbitSpace`` is its dense program's optimum.
     """
-    x, objective, bound = _solve(space, config, mode)
+    x, objective, bound, steps = _solve(space, config, mode)
     kind, name = ObjectiveKind.EXACT_ORACLE, f"exact_{mode[:3]}[grid={config.grid}]"
     if mode == "brm":
         tables, report = _interim(space, space.collapse(space.split(x)), (), kind, name, x)
@@ -435,7 +523,7 @@ def exact_tables(
     gap = bound - report.revenue + _FP_MARGIN * bound
     if not gap >= 0:
         raise RuntimeError("returned table beats the barrier's upper bound")
-    return tables, replace(report, grid_slack=gap)
+    return tables, replace(report, grid_slack=gap, newton_steps=steps)
 
 
 def exact_rrm(

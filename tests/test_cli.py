@@ -258,6 +258,44 @@ class TestExperiment:
         assert err.startswith("error: ") and named in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, named", [
+        ("bidders=1..x", "'1..x'"),
+        ("bidders=two", "'two'"),
+        ("epsilon=abc", "'abc'"),
+        ("oracle_grid=0.x", "'0.x'"),
+    ])
+    def test_bad_config_numbers_exit_two_naming_field_and_value(
+        self, tmp_path, capsys, line, named
+    ):
+        out = tmp_path / "numbers.csv"
+        config = tmp_path / "numbers.cfg"
+        config.write_text(f"dist=uniform:2\nmethods=heur_lb_cf\noutput={out}\n"
+                          + ("" if line.startswith("bidders") else "bidders=1..1\n")
+                          + f"{line}\n")
+        assert main(["experiment", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        key = line.split("=")[0]
+        assert err.startswith(f"error: {key} must be ") and named in err, err
+        assert not out.exists()
+
+    def test_bad_bidders_flag_exits_two_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "flag.csv"
+        assert main(["experiment", "--dist", "uniform:2", "--bidders", "2..y",
+                     "--methods", "heur_lb_cf", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bidders must be ") and "'2..y'" in err, err
+        assert not out.exists()
+
+    def test_repeated_config_key_exits_two_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "twice.csv"
+        config = tmp_path / "twice.cfg"
+        config.write_text(f"dist=uniform:2\nbidders=1..1\nmethods=heur_lb_cf\n"
+                          f"output={out}\ndist=uniform:3\n")
+        assert main(["experiment", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'dist'" in err and "twice" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("word, timed", [
         ("true", False), ("YES", False), ("1", False),
         ("false", True), ("no", True), ("0", True),
@@ -307,6 +345,33 @@ class TestMechanismFiles:
         inst2, mech2 = load_mechanism(str(p1))
         save_mechanism(str(p2), inst2, mech2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    def test_indented_layout_still_loads(self, tmp_path):
+        """Files written with ``json.dump(..., indent=1)`` load to the same
+        mechanism as the compact layout ``save_mechanism`` writes."""
+        import json
+
+        space, dist = make_categorical(3, 10, 0.8)
+        inst = symmetric_instance(space, dist, 2)
+        mech, _ = heuristic_brm(inst, "closed_form")
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_mechanism(str(compact), inst, mech)
+        assert compact.read_text().count("\n") == 1
+        doc = json.loads(compact.read_text())
+        with open(indented, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        (i1, m1), (i2, m2) = load_mechanism(str(compact)), load_mechanism(str(indented))
+        for i in range(inst.n):
+            assert np.array_equal(i1.values(i), i2.values(i))
+            assert np.array_equal(i1.pmf(i), i2.pmf(i))
+        assert np.array_equal(m1.allocation.table, m2.allocation.table)
+        for a, b in zip(m1.interim_allocation.tables, m2.interim_allocation.tables):
+            assert np.array_equal(a, b)
+        for a, b in zip(m1.interim_payments.tables, m2.interim_payments.tables):
+            assert np.array_equal(a, b)
+        assert (m1.provenance, m1.perceived) == (m2.provenance, m2.perceived)
 
 
 class TestCommands:

@@ -18,6 +18,7 @@ from convexauction import (
     export_program,
     heuristic_brm,
     heuristic_lb_rrm,
+    make_categorical,
     make_uniform,
     robust_payment,
     symmetric_instance,
@@ -29,6 +30,10 @@ from convexauction import (
     RobustPaymentRule,
     bayesian_payment,
 )
+from convexauction import oracle
+from convexauction.alloc import GreedyConfig
+from convexauction.cli import METHODS
+from convexauction.spaces import DenseSpace, OrbitSpace
 from conftest import single_type_instance
 
 
@@ -285,6 +290,66 @@ class TestLinearOracle:
         _, vs = virtual_surplus_maximizer(categorical_pair)
         _, lin = exact_rrm(categorical_pair, OracleConfig(grid=1e-3), perceived="linear")
         assert abs(vs.revenue - lin.revenue) <= lin.grid_slack
+
+
+def _interior_point(blk, rng):
+    """A random strictly feasible table: the solver's start, each cell moved
+    by at most 0.3 of the gap between adjacent own types."""
+    x, n = np.empty(blk.size), blk.space.instance.n
+    for cells in blk.cells:
+        k = len(cells)
+        x[cells] = (np.arange(1, k + 1)[:, None] + rng.uniform(-0.3, 0.3, cells.shape)) / (
+            (k + 1) * n)
+    return x
+
+
+NEWTON_SPACES = {
+    "golden {0,100} n=2": lambda: DenseSpace(two_value_uniform(0, 100)),
+    "categorical n=3": lambda: DenseSpace(symmetric_instance(*make_categorical(3, 10, 0.8), 3)),
+    "uniform:5 n=2 orbits": lambda: OrbitSpace(symmetric_instance(*make_uniform(5), 2)),
+    "uniform:5 n=4 orbits": lambda: OrbitSpace(symmetric_instance(*make_uniform(5), 4)),
+}
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
+    @pytest.mark.parametrize("label", NEWTON_SPACES)
+    def test_structured_system_matches_dense_formula(self, label, mode):
+        """g = A^T (1/s) - t grad R and H = (A^T / s^2) A + t Q^T diag(w / (4 q^1.5)) Q
+        (no Q term when linear), from the program's dense matrices, agree with
+        the pair-list assembly at random strictly feasible points."""
+        blk = oracle._Blocks(NEWTON_SPACES[label]())
+        prog = oracle._program(blk, mode)
+        A, b, Q, w = prog.A, prog.b, prog.Q, prog.w
+        rng = np.random.default_rng(7)
+        for t in (1.0, 1e3):
+            x = _interior_point(blk, rng)
+            s, q = b - A @ x, Q @ x
+            assert s.min() > 0 and q.min() > 0
+            H = (A.T / s**2) @ A
+            if mode == "rrm_linear":
+                grad = Q.T @ w
+            else:
+                grad = Q.T @ (w / (2 * np.sqrt(q)))
+                H += t * (Q.T * (w / (4 * q * np.sqrt(q)))) @ Q
+            g = A.T @ (1 / s) - t * grad
+            _, grad2, g2, H2 = oracle._system(prog, prog.h - prog.G @ x, t)
+            assert np.abs(H2 - H).max() <= 1e-12 * np.abs(H).max()
+            assert np.abs(g2 - g).max() <= 1e-12 * np.abs(g).max()
+            assert np.abs(grad2 - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_exact_rows_report_their_newton_steps():
+    """Exact rows carry the barrier's positive step count, at most the cap;
+    every other row leaves it unset."""
+    space = OrbitSpace(symmetric_instance(*make_categorical(3, 10, 0.8), 4))
+    for name, method in METHODS.items():
+        _, report = method(space, GreedyConfig(), OracleConfig())
+        if name.startswith("exact_"):
+            assert isinstance(report.newton_steps, int), name
+            assert 0 < report.newton_steps <= oracle._MAX_NEWTON, name
+        else:
+            assert report.newton_steps is None, name
 
 
 class TestExportProgram:

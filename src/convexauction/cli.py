@@ -323,6 +323,8 @@ def _cmd_solve(args) -> int:
         print(f"revenue={report.revenue!r}")
     if report.grid_slack is not None:
         print(f"grid_slack={report.grid_slack!r}")
+    if report.newton_steps is not None:
+        print(f"newton_steps={report.newton_steps}")
     for w in report.warnings:
         print(f"warning: {w}")
     if args.output:

@@ -11,9 +11,11 @@ analogue pin them to the allocation.
 Both are composed from one set of sparse linear blocks (``_Blocks``: supply,
 monotonicity, payment chains, the interim collapse and the objective weights,
 which also give the XA row), built on the cells of a profile space
-(``spaces``), and solved by a log-barrier Newton method; ``export_program``
-prints rows of the same blocks on the dense space.  Each Newton step
-evaluates the slacks and payments once and assembles its Hessian from the
+(``spaces``), and solved by a primal-dual interior-point method;
+``export_program`` prints rows of the same blocks on the dense space.  Each
+Newton step updates the allocation and the constraints' multipliers
+together, raises the barrier parameter t from the current duality gap,
+evaluates the slacks and payments once and assembles its matrix from the
 pairs of nonzeros that share a constraint or payment row (one ``bincount``);
 the Bayesian monotonicity and payment rows, dense over the contexts, are
 paired on the interim rule and applied through the collapse.  The solver
@@ -23,8 +25,7 @@ configured grid (when the rounded table is still feasible).  It reports
 Lagrangian duality at the last iterate, minus the revenue of the returned
 table, priced by the pipelines' payment step (``mechanisms``); and
 ``newton_steps``, the Newton steps it took.  Instances above the variable
-cap, or that the barrier method fails to certify, are refused with an
-explanation.
+cap, or that the solver fails to certify, are refused with an explanation.
 """
 
 from __future__ import annotations
@@ -178,11 +179,9 @@ def check(
 
 
 # ---------------------------------------------------------------------------
-# Log-barrier solver
+# Interior-point solver
 # ---------------------------------------------------------------------------
 
-_MU = 50.0  # growth of the barrier parameter t once a point is centred
-_CENTRED = 1e-6  # squared Newton decrement below which a point counts as centred
 _GAP_TOL = 1e-9  # stop once the certified gap is below this times max(1, bound)
 _FP_MARGIN = 1e-12  # relative floating-point margin added to every reported gap
 _RIDGE = 1e-13  # keeps the unit-diagonal Newton system non-singular
@@ -324,7 +323,7 @@ class _Program:
     ``h = [b; 0]`` stack both, so that z = h - G x holds every slack
     b - A x (its first ``m`` entries) and every payment Q x.
 
-    The barrier's Hessian is assembled from pairs of nonzeros (``_Gram``):
+    The Newton matrix is assembled from pairs of nonzeros (``_Gram``):
     ``gram`` pairs the rows sparse on x, and in the Bayesian program, whose
     monotonicity and payment rows act on x̂ = C x and are dense on x,
     ``hat_gram`` pairs those rows on x̂, applied through C = ``lift``.
@@ -378,94 +377,103 @@ def _program(blk: _Blocks, mode: str) -> _Program:
     return _Program(A, b, dense(chain), blk.weights(hat)[priced], linear, gram, hat_gram, lift)
 
 
-def _system(prog: _Program, z: np.ndarray, t: float):
-    """Revenue R, its gradient, and the gradient g and Hessian H of the
-    barrier objective -t R(x) - sum log(b - A x), at x with z = h - G x.
+def _box(r: np.ndarray, x: np.ndarray) -> float:
+    """max of r.(y - x) over y in [0, 1]^N."""
+    return float(np.maximum(r * (1 - x), -r * x).sum())
 
-    H = A^T diag(1/s^2) A + t Q^T diag(w / (4 q^(3/2))) Q is assembled from
-    the program's pair lists, row curvature times pair coefficient.
+
+def _system(prog: _Program, x: np.ndarray, lam: np.ndarray, t: float):
+    """The primal-dual Newton system at x and multipliers lam > 0.
+
+    Returns z = h - G x (the slacks s and payments q), the revenue R and its
+    gradient, the step's parameter t, the Newton matrix H and the right-hand
+    side rhs of H dx = rhs (Boyd & Vandenberghe, sec. 11.7):
+
+        H = A^T diag(lam / s) A + Q^T diag(w / (4 q^(3/2))) Q
+        rhs = grad R - A^T (1 / (t s))
+
+    (no Q term when linear), assembled from the program's pair lists, row
+    curvature times pair coefficient.  The step's t is 10 m / max(lam.s, box),
+    a tenth of the larger part of the bound at lam (``_barrier``), or the
+    given previous t if that is larger: lam.s alone can reach zero while the
+    residual part stays, and a t that falls back lets full steps cycle.
     """
     m, w = prog.m, prog.w
+    z = prog.h - prog.G @ x
     s, q = z[:m], z[m:]
-    inv = 1 / s
     if prog.linear:
-        value, grad, curv = float(w @ q), prog.linear_grad, inv * inv
+        value, grad, curv = float(w @ q), prog.linear_grad, lam / s
     else:
         root = np.sqrt(q)
         value = float(w @ root)
         grad = prog.G[m:].T @ (w / (-2 * root))
-        curv = np.concatenate((inv * inv, t * w / (4 * q * root)))
-    g = prog.G[:m].T @ inv - t * grad
+        curv = np.concatenate((lam / s, w / (4 * q * root)))
+    At = prog.G[:m].T
+    t = max(t, 10 * m / max(float(lam @ s), _box(grad - At @ lam, x)))
+    rhs = grad - At @ (1 / (t * s))
     H = prog.gram(curv)
     if prog.lift is not None:
         H += prog.lift.T @ (prog.hat_gram(curv) @ prog.lift)
-    return value, grad, g, H
+    return z, value, grad, t, H, rhs
 
 
 def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Log-barrier Newton method (Boyd & Vandenberghe, ch. 11) from a strictly
-    feasible x.  Returns the last iterate, an upper bound on the optimum and
-    the number of Newton steps taken.
+    """Primal-dual interior-point method (Boyd & Vandenberghe, sec. 11.7) from
+    a strictly feasible x.  Returns the last iterate, an upper bound on the
+    optimum and the number of Newton steps taken.
 
-    Each step evaluates the slacks and payments z = h - G x once, for the
-    value, the certificate and the line search, and assembles the Newton
-    system from the program's pair lists (``_system``).
+    The multipliers lam of A x <= b are iterated with x, starting at
+    1 / (t s) with t = m / R(x), and t is raised at every step it can be
+    (``_system``), so no step waits for a point to be centred.  Each step
+    takes 0.99 of the longest step that keeps lam and every slack and priced
+    payment positive.
 
-    For any multipliers lambda >= 0 with residual r = grad R(x) - A^T lambda,
-    concavity gives R(y) <= R(x) + lambda.s + r.(y - x) for every feasible y,
-    and feasible tables lie in [0, 1]^N.  The multipliers are the Newton-step
-    estimate (1 + A dx / s) / (t s), for which r is the step's own error.
+    For any multipliers mu >= 0 with residual r = grad R(x) - A^T mu,
+    concavity gives R(y) <= R(x) + mu.s + r.(y - x) for every feasible y,
+    and feasible tables lie in [0, 1]^N.  The bound is the smaller of this
+    at mu = lam and at the Newton estimate max(lam + dlam, 0).
     """
     G, h, m = prog.G, prog.h, prog.m
     At = G[:m].T
     # the entries of z that must stay positive: slacks, and payments under a sqrt
     kept = m if prog.linear else len(h)
     diagonal = slice(None, None, len(x) + 1)
-
-    def phi(y, t):
-        z = h - G @ y
-        if z[:kept].min() <= 0:
-            return math.inf
-        return -t * prog.value(z) - float(np.log(z[:m]).sum())
-
     t = m / max(prog.revenue(x), _GAP_TOL)
+    lam = 1 / (t * (h[:m] - G[:m] @ x))
     for step in range(1, _MAX_NEWTON + 1):
-        z = h - G @ x
+        z, value, grad, t, H, rhs = _system(prog, x, lam, t)
         s = z[:m]
-        value, grad, g, H = _system(prog, z, t)
         # Scaled to a unit diagonal, plus a ridge: where a linear program's
-        # optimal face is not a point, H is singular in floating point for
-        # large t.  The bound below holds whatever step is taken.
+        # optimal face is not a point, H is singular in floating point near
+        # the optimum.  Entries below 1e-100 are flushed to zero: in skewed
+        # orbit programs the collapse term holds entries down to 1e-300, and
+        # LU on subnormal numbers is several times slower.  The bound below
+        # holds whatever step is taken.
         d = 1 / np.sqrt(H.diagonal())
         H *= d[:, None] * d
+        H[np.abs(H) < 1e-100] = 0.0
         H.flat[diagonal] += _RIDGE
         try:
-            dx = -d * np.linalg.solve(H, d * g)
+            dx = d * np.linalg.solve(H, d * rhs)
         except np.linalg.LinAlgError as exc:
-            raise OracleRefusal(f"barrier Newton system is singular: {exc}") from exc
-        lam2 = float(-g @ dx)
+            raise OracleRefusal(f"interior-point Newton system is singular: {exc}") from exc
         rate = G @ dx  # how fast each entry of z falls along dx
-        dual = np.maximum((1 + rate[:m] / s) / (t * s), 0.0)
-        r = grad - At @ dual
-        bound = value + float(dual @ s) + float(np.maximum(r * (1 - x), -r * x).sum())
+        dlam = lam * rate[:m] / s - lam + 1 / (t * s)
+        bound = value + min(float(mu @ s) + _box(grad - At @ mu, x)
+                            for mu in (lam, np.maximum(lam + dlam, 0.0)))
         if bound - value <= _GAP_TOL * max(1.0, bound):
             return x, bound, step
-        if lam2 <= _CENTRED:
-            t *= _MU
-            continue
-        # 0.99 of the longest step that keeps every slack and priced q positive
-        level, fall = z[:kept], rate[:kept]
+        # 0.99 of the longest step that keeps lam, every slack and every
+        # priced payment positive
+        level, fall = np.concatenate((z[:kept], lam)), np.concatenate((rate[:kept], -dlam))
         hit = fall > 0
         alpha = min(1.0, 0.99 * float((level[hit] / fall[hit]).min(initial=math.inf)))
-        if lam2 > 0.25**2:
-            # Armijo backtracking far from the centre only; near it the
-            # barrier values differ by less than their rounding error
-            start = -t * value - float(np.log(s).sum())
-            while alpha > 1e-12 and phi(x + alpha * dx, t) > start - 0.25 * alpha * lam2:
-                alpha *= 0.5
-        x = x + alpha * dx
+        # backtrack only where rounding left an entry of z non-positive
+        while (h[:kept] - G[:kept] @ (x + alpha * dx)).min() <= 0:
+            alpha *= 0.5
+        x, lam = x + alpha * dx, lam + alpha * dlam
     raise OracleRefusal(
-        f"barrier method did not certify a gap of {_GAP_TOL:g} within "
+        f"interior-point method did not certify a gap of {_GAP_TOL:g} within "
         f"{_MAX_NEWTON} Newton steps"
     )
 
@@ -474,9 +482,9 @@ def _solve(
     space: ProfileSpace, config: OracleConfig, mode: str
 ) -> tuple[np.ndarray, float, float, int]:
     """Best certified table, its objective value, the optimum's upper bound
-    and the barrier's Newton steps.
+    and the solver's Newton steps.
 
-    Returns the better of the barrier iterate and that iterate rounded to
+    Returns the better of the last iterate and that iterate rounded to
     multiples of ``config.grid``, if the rounded table is still feasible.
     """
     size = math.prod(space.shape)
@@ -505,7 +513,7 @@ def exact_tables(
 ) -> tuple[Tables, MechanismReport]:
     """Certified exact optimum on any profile space, priced by the pipelines'
     payment step; the report's ``grid_slack`` is the certified gap and
-    ``newton_steps`` the barrier's Newton steps.
+    ``newton_steps`` the solver's Newton steps.
 
     ``mode`` is ``rrm`` (robust), ``rrm_linear`` (robust, linear perceived
     payments) or ``brm`` (Bayesian).  By symmetry and concavity, the optimum
@@ -522,7 +530,7 @@ def exact_tables(
         raise RuntimeError("solver objective and recomputed revenue disagree")
     gap = bound - report.revenue + _FP_MARGIN * bound
     if not gap >= 0:
-        raise RuntimeError("returned table beats the barrier's upper bound")
+        raise RuntimeError("returned table beats the solver's upper bound")
     return tables, replace(report, grid_slack=gap, newton_steps=steps)
 
 

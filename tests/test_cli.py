@@ -105,6 +105,20 @@ class TestExperiment:
             assert brm >= value["heur_brm_cf", n] - gap
             assert value["exact_rrm", n] <= brm + gap
 
+    def test_exact_rows_up_to_32_bidders_all_certify(self, tmp_path, capsys):
+        """categorical:3,10,0.8 at n = 1..32 (up to 64 orbit cells): every
+        exact solve gives a verified row, and none is skipped."""
+        out = tmp_path / "exact.csv"
+        assert main(["experiment", "--dist", "categorical:3,10,0.8", "--bidders", "1..32",
+                     "--methods", "exact_rrm,exact_brm", "--output", str(out),
+                     "--no-timing"]) == 0
+        printed = capsys.readouterr()
+        assert "notice:" not in printed.out + printed.err
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 64
+        assert all(r["verified"] == "true" for r in rows)
+
     def test_bad_configs_exit_two_before_any_job(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         base = ["experiment", "--dist", "uniform:2", "--bidders", "1..1", "--output", str(out)]
@@ -407,6 +421,18 @@ class TestCommands:
         revenue, slack = (float(line.split("=")[1]) for line in lines[2:4])
         assert 0.0 <= slack <= 2e-9 * golden
         assert revenue <= golden * (1 + 1e-12) <= revenue + slack + 1e-12 * golden
+
+    @pytest.mark.parametrize("method, exact", [("exact_brm", True), ("heur_lb_cf", False)])
+    def test_solve_prints_newton_steps_of_exact_methods(self, capsys, method, exact):
+        assert main(["solve", "--dist", "categorical:3,10,0.8", "--n", "2",
+                     "--method", method]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        steps = [line for line in lines if line.startswith("newton_steps=")]
+        if exact:
+            assert lines[3].startswith("grid_slack=") and lines[4] == steps[0]
+            assert 0 < int(steps[0].split("=")[1]) <= oracle._MAX_NEWTON
+        else:
+            assert steps == []
 
     def test_check_exit_one_on_violation(self, tmp_path, capsys):
         import json

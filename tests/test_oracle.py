@@ -275,8 +275,8 @@ class TestExactBrm:
 
 @pytest.mark.parametrize("solver", [exact_rrm, exact_brm])
 def test_symmetric_instance_gives_swap_invariant_table(solver):
-    # the barrier's central points are unique, so on a symmetric instance
-    # they are symmetric without any symmetry quotient
+    # the interior-point iterates commute with swapping the bidders, so from
+    # a symmetric start they are symmetric without any symmetry quotient
     inst = symmetric_instance(*make_uniform(3), 2)
     mech, _ = solver(inst, OracleConfig(grid=0.05))
     table = mech.allocation.table
@@ -315,27 +315,34 @@ class TestNewtonSystem:
     @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
     @pytest.mark.parametrize("label", NEWTON_SPACES)
     def test_structured_system_matches_dense_formula(self, label, mode):
-        """g = A^T (1/s) - t grad R and H = (A^T / s^2) A + t Q^T diag(w / (4 q^1.5)) Q
-        (no Q term when linear), from the program's dense matrices, agree with
-        the pair-list assembly at random strictly feasible points."""
+        """H = A^T diag(lam / s) A + Q^T diag(w / (4 q^1.5)) Q (no Q term when
+        linear) and rhs = grad R - A^T (1 / (t s)), from the program's dense
+        matrices, agree with the pair-list assembly at random strictly
+        feasible (x, lam); t is 10 m / max(lam.s, box), or the previous t if
+        that is larger."""
         blk = oracle._Blocks(NEWTON_SPACES[label]())
         prog = oracle._program(blk, mode)
         A, b, Q, w = prog.A, prog.b, prog.Q, prog.w
         rng = np.random.default_rng(7)
-        for t in (1.0, 1e3):
+        for scale, previous in ((1.0, 1.0), (1e-3, 1e9)):
             x = _interior_point(blk, rng)
+            lam = scale * rng.uniform(0.5, 2.0, len(b))
             s, q = b - A @ x, Q @ x
             assert s.min() > 0 and q.min() > 0
-            H = (A.T / s**2) @ A
+            H = (A.T * (lam / s)) @ A
             if mode == "rrm_linear":
                 grad = Q.T @ w
             else:
                 grad = Q.T @ (w / (2 * np.sqrt(q)))
-                H += t * (Q.T * (w / (4 * q * np.sqrt(q)))) @ Q
-            g = A.T @ (1 / s) - t * grad
-            _, grad2, g2, H2 = oracle._system(prog, prog.h - prog.G @ x, t)
+                H += (Q.T * (w / (4 * q * np.sqrt(q)))) @ Q
+            r = grad - A.T @ lam
+            t = max(previous, 10 * len(b) / max(lam @ s, np.maximum(r * (1 - x), -r * x).sum()))
+            rhs = grad - A.T @ (1 / (t * s))
+            z2, _, grad2, t2, H2, rhs2 = oracle._system(prog, x, lam, previous)
+            assert np.abs(z2[: len(b)] - s).max() <= 1e-12 * np.abs(s).max()
+            assert t2 == pytest.approx(t, rel=1e-12)
             assert np.abs(H2 - H).max() <= 1e-12 * np.abs(H).max()
-            assert np.abs(g2 - g).max() <= 1e-12 * np.abs(g).max()
+            assert np.abs(rhs2 - rhs).max() <= 1e-12 * np.abs(rhs).max()
             assert np.abs(grad2 - grad).max() <= 1e-12 * np.abs(grad).max()
 
 
@@ -350,6 +357,64 @@ def test_exact_rows_report_their_newton_steps():
             assert 0 < report.newton_steps <= oracle._MAX_NEWTON, name
         else:
             assert report.newton_steps is None, name
+
+
+def _certified(report) -> bool:
+    """The gap every exact report must certify: 1e-9 relative to the bound,
+    plus the 1e-12 relative floating-point margin."""
+    bound = report.revenue + report.grid_slack
+    return 0 <= report.grid_slack <= 1e-9 * max(1.0, bound) + 1e-12 * bound
+
+
+# the benchmark's oracle instances, with fixed draws of its categorical
+# parameters; categorical 1.032,10,0.201 at n = 3 made full Newton steps
+# cycle when t was allowed to fall
+STEP_CASES = {
+    "golden {0,100} n=2": (lambda: two_value_uniform(0, 100), 1e-3),
+    "categorical 0.5,10,0.2 n=2": (
+        lambda: symmetric_instance(*make_categorical(0.5, 10, 0.2), 2), 1e-3),
+    "categorical 5.9,10,0.8 n=2": (
+        lambda: symmetric_instance(*make_categorical(5.9, 10, 0.8), 2), 1e-3),
+    "categorical 1.032,10,0.201 n=3": (
+        lambda: symmetric_instance(*make_categorical(1.032, 10, 0.201), 3), 1e-2),
+    "categorical 3,10,0.5 n=3": (
+        lambda: symmetric_instance(*make_categorical(3, 10, 0.5), 3), 1e-2),
+    "uniform:3 n=2": (lambda: symmetric_instance(*make_uniform(3), 2), 0.1),
+    "uniform:3 n=2 fine grid": (lambda: symmetric_instance(*make_uniform(3), 2), 0.05),
+    "asymmetric pair": (lambda: AuctionInstance(
+        (make_categorical(2, 10, 0.6), make_categorical(4, 10, 0.3))), 0.1),
+    "asymmetric triple": (lambda: AuctionInstance(
+        (make_categorical(2, 10, 0.6), make_categorical(4, 10, 0.3),
+         make_categorical(1, 10, 0.5))), 0.1),
+}
+
+
+@pytest.mark.parametrize("solver", [exact_rrm, exact_brm])
+@pytest.mark.parametrize("label", STEP_CASES)
+def test_benchmark_instances_certify_within_30_newton_steps(label, solver):
+    make, grid = STEP_CASES[label]
+    _, report = solver(make(), OracleConfig(grid=grid))
+    assert _certified(report)
+    assert report.newton_steps <= 30
+
+
+# the optima before the primal-dual step, with their certified gaps
+ORBIT_OPTIMA = {
+    (100, "rrm"): (20.08448850478922, 2.973398526275738e-09),
+    (100, "brm"): (20.106101540135572, 1.498276832189647e-08),
+    (200, "rrm"): (28.419077886292992, 1.1374649699609223e-08),
+    (200, "brm"): (28.43432148462382, 1.504015951774524e-08),
+}
+
+
+@pytest.mark.parametrize("n, mode", ORBIT_OPTIMA)
+def test_large_orbit_programs_certify_and_agree(n, mode):
+    """categorical:3,10,0.8 at n = 100 and 200 (200 and 400 orbit cells)."""
+    space = OrbitSpace(symmetric_instance(*make_categorical(3, 10, 0.8), n))
+    _, report = oracle.exact_tables(space, OracleConfig(max_profile_vars=400), mode)
+    assert _certified(report)
+    value, gap = ORBIT_OPTIMA[n, mode]
+    assert abs(report.revenue - value) <= report.grid_slack + gap
 
 
 class TestExportProgram:

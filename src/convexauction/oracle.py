@@ -348,13 +348,9 @@ class _Program:
     def Q(self) -> np.ndarray:
         return -self.G[self.m :]
 
-    def value(self, z: np.ndarray) -> float:
-        """The objective at z = h - G x."""
-        q = z[self.m :]
-        return float(self.w @ (q if self.linear else np.sqrt(np.maximum(q, 0.0))))
-
     def revenue(self, x: np.ndarray) -> float:
-        return self.value(self.h - self.G @ x)
+        q = -(self.G[self.m :] @ x)
+        return float(self.w @ (q if self.linear else np.sqrt(np.maximum(q, 0.0))))
 
 
 def _program(blk: _Blocks, mode: str) -> _Program:

@@ -314,14 +314,13 @@ def _gram(parts: list[tuple[_Sparse, int]], width: int) -> _Gram:
     return _Gram(row, cols[a] * width + cols[b], vals[a] * vals[b], width)
 
 
+@dataclass(frozen=True)
 class _Program:
-    """maximize w . sqrt(Q x) (w . Q x if linear) subject to A x <= b.
-
-    x is the allocation table flattened in its space's order; the rows of
-    Q x are the perceived payments the objective prices, and A x <= b stacks
-    x >= 0, per-profile supply and monotonicity.  ``G = [A; -Q]`` and
-    ``h = [b; 0]`` stack both, so that z = h - G x holds every slack
-    b - A x (its first ``m`` entries) and every payment Q x.
+    """maximize w . sqrt(q) (w . q if linear) over the allocation table x,
+    flattened in its space's order, subject to s >= 0: z = h - G x stacks
+    the slacks s (first ``m`` entries) of x >= 0, supply and monotonicity,
+    then the payments q, so with g = dR/dq the residual grad R - A^T mu of
+    slack multipliers mu is the one product -G^T [mu; g] (``_system``).
 
     The Newton matrix is assembled from pairs of nonzeros (``_Gram``):
     ``gram`` pairs the rows sparse on x, and in the Bayesian program, whose
@@ -329,24 +328,14 @@ class _Program:
     ``hat_gram`` pairs those rows on x̂, applied through C = ``lift``.
     """
 
-    def __init__(self, A, b, Q, w, linear: bool, gram: _Gram, hat_gram=None, lift=None):
-        self.m, self.w, self.linear = len(b), w, linear
-        self.G = np.vstack([A, -Q])
-        self.h = np.concatenate([b, np.zeros(len(Q))])
-        self.gram, self.hat_gram, self.lift = gram, hat_gram, lift
-        self.linear_grad = Q.T @ w
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.G[: self.m]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.h[: self.m]
-
-    @property
-    def Q(self) -> np.ndarray:
-        return -self.G[self.m :]
+    G: np.ndarray
+    h: np.ndarray
+    m: int
+    w: np.ndarray
+    linear: bool
+    gram: _Gram
+    hat_gram: _Gram | None
+    lift: np.ndarray | None
 
     def revenue(self, x: np.ndarray) -> float:
         q = -(self.G[self.m :] @ x)
@@ -359,18 +348,22 @@ def _program(blk: _Blocks, mode: str) -> _Program:
     hat, size, linear = mode == "brm", blk.size, mode == "rrm_linear"
     chain, mono, supply = blk.chain(hat), blk.mono(hat), blk.supply()
     # a zero row (lowest type worth 0) pays nothing and has no sqrt gradient
-    priced, rows = np.unique(chain.rows, return_inverse=True)
-    chain = _Sparse(rows, chain.cols, chain.vals, (len(priced), chain.shape[1]))
-    lift = blk.collapse().dense() if hat else None
-    dense = (lambda m: m.dense()) if lift is None else (lambda m: m.dense() @ lift)
-    A = np.vstack([-np.eye(size), supply.dense(), dense(mono)])
-    b = np.concatenate([np.zeros(size), np.ones(supply.shape[0]), np.zeros(mono.shape[0])])
-    # rows of [A; -Q]: x >= 0, supply, monotonicity, then payments (curved if not linear)
+    priced, index = np.unique(chain.rows, return_inverse=True)
+    chain = _Sparse(index, chain.cols, -chain.vals, (len(priced), chain.shape[1]))
     eye = _Sparse(np.arange(size), np.arange(size), -np.ones(size), (size, size))
-    own = [(mono, size + supply.shape[0])] + ([] if linear else [(chain, len(b))])
-    gram = _gram([(eye, 0), (supply, size)] + ([] if hat else own), size)
+    # the pieces of G in row order: x >= 0, supply and monotonicity (the
+    # slacks), then the payments negated; in brm the last two act on x̂ = C x
+    pieces = [eye, supply, mono, chain]
+    first = np.cumsum([0] + [p.shape[0] for p in pieces]).tolist()
+    lift = blk.collapse().dense() if hat else None
+    G = np.vstack([p.dense() if k < 2 or lift is None else p.dense() @ lift
+                   for k, p in enumerate(pieces)])
+    h = np.repeat([0.0, 1.0, 0.0, 0.0], np.diff(first))
+    rows = list(zip(pieces, first))
+    own = rows[2:3] if linear else rows[2:]
+    gram = _gram(rows[:2] + ([] if hat else own), size)
     hat_gram = _gram(own, blk.hat_size) if hat else None
-    return _Program(A, b, dense(chain), blk.weights(hat)[priced], linear, gram, hat_gram, lift)
+    return _Program(G, h, first[3], blk.weights(hat)[priced], linear, gram, hat_gram, lift)
 
 
 def _box(r: np.ndarray, x: np.ndarray) -> float:
@@ -381,36 +374,36 @@ def _box(r: np.ndarray, x: np.ndarray) -> float:
 def _system(prog: _Program, x: np.ndarray, lam: np.ndarray, t: float):
     """The primal-dual Newton system at x and multipliers lam > 0.
 
-    Returns z = h - G x (the slacks s and payments q), the revenue R and its
-    gradient, the step's parameter t, the Newton matrix H and the right-hand
-    side rhs of H dx = rhs (Boyd & Vandenberghe, sec. 11.7):
+    Returns z = h - G x (the slacks s and payments q), the revenue R, the
+    residual map r(mu) = -G^T [mu; g] (g = w / (2 sqrt q), or w if linear),
+    the step's t, and H dx = rhs (Boyd & Vandenberghe, sec. 11.7):
 
-        H = A^T diag(lam / s) A + Q^T diag(w / (4 q^(3/2))) Q
-        rhs = grad R - A^T (1 / (t s))
+        H = A^T diag(lam / s) A + Q^T diag(g / (2 q)) Q,  rhs = r(1 / (t s))
 
-    (no Q term when linear), assembled from the program's pair lists, row
-    curvature times pair coefficient.  The step's t is 10 m / max(lam.s, box),
-    a tenth of the larger part of the bound at lam (``_barrier``), or the
-    given previous t if that is larger: lam.s alone can reach zero while the
-    residual part stays, and a t that falls back lets full steps cycle.
+    with A = G[:m] and Q = -G[m:] (no Q term when linear), assembled from the
+    program's pair lists, row curvature times pair coefficient.  The step's t
+    is 10 m / max(lam.s, box), a tenth of the larger part of the bound at lam
+    (``_barrier``), or the previous t if larger: lam.s alone can reach zero
+    while the residual part stays, and a falling t lets full steps cycle.
     """
     m, w = prog.m, prog.w
     z = prog.h - prog.G @ x
     s, q = z[:m], z[m:]
     if prog.linear:
-        value, grad, curv = float(w @ q), prog.linear_grad, lam / s
+        value, g, curv = float(w @ q), w, lam / s
     else:
         root = np.sqrt(q)
-        value = float(w @ root)
-        grad = prog.G[m:].T @ (w / (-2 * root))
-        curv = np.concatenate((lam / s, w / (4 * q * root)))
-    At = prog.G[:m].T
-    t = max(t, 10 * m / max(float(lam @ s), _box(grad - At @ lam, x)))
-    rhs = grad - At @ (1 / (t * s))
+        value, g = float(w @ root), w / (2 * root)
+        curv = np.concatenate((lam / s, g / (2 * q)))
+
+    def r(mu: np.ndarray) -> np.ndarray:
+        return -(np.concatenate((mu, g)) @ prog.G)
+
+    t = max(t, 10 * m / max(float(lam @ s), _box(r(lam), x)))
     H = prog.gram(curv)
     if prog.lift is not None:
         H += prog.lift.T @ (prog.hat_gram(curv) @ prog.lift)
-    return z, value, grad, t, H, rhs
+    return z, value, r, t, H, r(1 / (t * s))
 
 
 def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -418,26 +411,25 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
     a strictly feasible x.  Returns the last iterate, an upper bound on the
     optimum and the number of Newton steps taken.
 
-    The multipliers lam of A x <= b are iterated with x, starting at
+    The multipliers lam of the slack rows are iterated with x, starting at
     1 / (t s) with t = m / R(x), and t is raised at every step it can be
     (``_system``), so no step waits for a point to be centred.  Each step
     takes 0.99 of the longest step that keeps lam and every slack and priced
     payment positive.
 
-    For any multipliers mu >= 0 with residual r = grad R(x) - A^T mu,
-    concavity gives R(y) <= R(x) + mu.s + r.(y - x) for every feasible y,
-    and feasible tables lie in [0, 1]^N.  The bound is the smaller of this
-    at mu = lam and at the Newton estimate max(lam + dlam, 0).
+    For any multipliers mu >= 0 with residual r(mu) (``_system``),
+    concavity gives R(y) <= R(x) + mu.s + r(mu).(y - x) for every feasible
+    y, and feasible tables lie in [0, 1]^N.  The bound is the smaller of
+    this at mu = lam and at the Newton estimate max(lam + dlam, 0).
     """
     G, h, m = prog.G, prog.h, prog.m
-    At = G[:m].T
     # the entries of z that must stay positive: slacks, and payments under a sqrt
     kept = m if prog.linear else len(h)
     diagonal = slice(None, None, len(x) + 1)
     t = m / max(prog.revenue(x), _GAP_TOL)
     lam = 1 / (t * (h[:m] - G[:m] @ x))
     for step in range(1, _MAX_NEWTON + 1):
-        z, value, grad, t, H, rhs = _system(prog, x, lam, t)
+        z, value, r, t, H, rhs = _system(prog, x, lam, t)
         s = z[:m]
         # Scaled to a unit diagonal, plus a ridge: where a linear program's
         # optimal face is not a point, H is singular in floating point near
@@ -455,7 +447,7 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
             raise OracleRefusal(f"interior-point Newton system is singular: {exc}") from exc
         rate = G @ dx  # how fast each entry of z falls along dx
         dlam = lam * rate[:m] / s - lam + 1 / (t * s)
-        bound = value + min(float(mu @ s) + _box(grad - At @ mu, x)
+        bound = value + min(float(mu @ s) + _box(r(mu), x)
                             for mu in (lam, np.maximum(lam + dlam, 0.0)))
         if bound - value <= _GAP_TOL * max(1.0, bound):
             return x, bound, step
@@ -498,7 +490,7 @@ def _solve(
     x, bound, steps = _barrier(prog, start)
     best = max(
         (c for c in (x, np.round(x * config.steps) / config.steps)
-         if np.all(prog.A @ c <= prog.b + 1e-12)),
+         if np.all((prog.h - prog.G @ c)[: prog.m] >= -1e-12)),
         key=prog.revenue,
     )
     return best.reshape(space.shape), prog.revenue(best), bound, steps

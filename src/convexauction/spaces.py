@@ -138,21 +138,20 @@ class DenseSpace(ProfileSpace):
 
 def _compositions(total: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every count vector over len(pmf) types summing to ``total``, and its
-    multinomial probability total!/prod c_j! * prod pmf_j^c_j."""
-    pascal = np.array(
-        [[math.comb(a, b) for b in range(total + 1)] for a in range(total + 1)], dtype=float
-    )
+    multinomial probability total!/prod c_j! * prod pmf_j^c_j, evaluated in
+    log space: the factorials overflow a float from total = 171 on."""
     counts = np.zeros((1, 0), dtype=np.int64)
-    left, weight = np.array([total]), np.ones(1)
-    for f in pmf[:-1]:
+    left = np.array([total])
+    for _ in pmf[:-1]:
         # each row branches into every count 0..left for this type
         reps = left + 1
         c = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        left = np.repeat(left, reps)
-        weight = np.repeat(weight, reps) * pascal[left, c] * f**c
         counts = np.column_stack([np.repeat(counts, reps, axis=0), c])
-        left = left - c
-    return np.column_stack([counts, left]), weight * pmf[-1] ** left
+        left = np.repeat(left, reps) - c
+    counts = np.column_stack([counts, left])
+    log_factorial = np.array([math.lgamma(a + 1) for a in range(total + 1)])
+    log_weight = log_factorial[total] - log_factorial[counts].sum(axis=1) + counts @ np.log(pmf)
+    return counts, np.exp(log_weight)
 
 
 class OrbitSpace(ProfileSpace):

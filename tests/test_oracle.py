@@ -314,19 +314,39 @@ NEWTON_SPACES = {
 class TestNewtonSystem:
     @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
     @pytest.mark.parametrize("label", NEWTON_SPACES)
-    def test_structured_system_matches_dense_formula(self, label, mode):
-        """H = A^T diag(lam / s) A + Q^T diag(w / (4 q^1.5)) Q (no Q term when
-        linear) and rhs = grad R - A^T (1 / (t s)), from the program's dense
-        matrices, agree with the pair-list assembly at random strictly
-        feasible (x, lam); t is 10 m / max(lam.s, box), or the previous t if
-        that is larger."""
+    def test_program_rows_stack_the_block_pieces(self, label, mode):
+        """G = [-I; supply; mono; -chain] and h = [0; 1; 0; 0], the first m
+        rows the slacks; zero chain rows are dropped, and in brm mono and
+        chain act on x through the collapse."""
         blk = oracle._Blocks(NEWTON_SPACES[label]())
         prog = oracle._program(blk, mode)
-        A, b, Q, w = prog.A, prog.b, prog.Q, prog.w
+        hat = mode == "brm"
+        lift = blk.collapse().dense() if hat else np.eye(blk.size)
+        supply, mono, chain = blk.supply().dense(), blk.mono(hat).dense(), blk.chain(hat).dense()
+        chain = chain[chain.any(axis=1)]
+        G = np.vstack([-np.eye(blk.size), supply, mono @ lift, -(chain @ lift)])
+        h = np.concatenate([np.zeros(blk.size), np.ones(len(supply)), np.zeros(len(mono)),
+                            np.zeros(len(chain))])
+        np.testing.assert_array_equal(prog.G, G)
+        np.testing.assert_array_equal(prog.h, h)
+        assert prog.m == blk.size + len(supply) + len(mono)
+
+    @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
+    @pytest.mark.parametrize("label", NEWTON_SPACES)
+    def test_structured_system_matches_dense_formula(self, label, mode):
+        """H = A^T diag(lam / s) A + Q^T diag(w / (4 q^1.5)) Q (no Q term when
+        linear) and rhs = grad R - A^T (1 / (t s)), with A, b and Q read from
+        G and h, agree with the pair-list assembly at random strictly feasible
+        (x, lam), and the residual map gives grad R at 0; t is
+        10 m / max(lam.s, box), or the previous t if that is larger."""
+        blk = oracle._Blocks(NEWTON_SPACES[label]())
+        prog = oracle._program(blk, mode)
+        m, w = prog.m, prog.w
+        A, b, Q = prog.G[:m], prog.h[:m], -prog.G[m:]
         rng = np.random.default_rng(7)
         for scale, previous in ((1.0, 1.0), (1e-3, 1e9)):
             x = _interior_point(blk, rng)
-            lam = scale * rng.uniform(0.5, 2.0, len(b))
+            lam = scale * rng.uniform(0.5, 2.0, m)
             s, q = b - A @ x, Q @ x
             assert s.min() > 0 and q.min() > 0
             H = (A.T * (lam / s)) @ A
@@ -336,13 +356,14 @@ class TestNewtonSystem:
                 grad = Q.T @ (w / (2 * np.sqrt(q)))
                 H += (Q.T * (w / (4 * q * np.sqrt(q)))) @ Q
             r = grad - A.T @ lam
-            t = max(previous, 10 * len(b) / max(lam @ s, np.maximum(r * (1 - x), -r * x).sum()))
+            t = max(previous, 10 * m / max(lam @ s, np.maximum(r * (1 - x), -r * x).sum()))
             rhs = grad - A.T @ (1 / (t * s))
-            z2, _, grad2, t2, H2, rhs2 = oracle._system(prog, x, lam, previous)
-            assert np.abs(z2[: len(b)] - s).max() <= 1e-12 * np.abs(s).max()
+            z2, _, residual, t2, H2, rhs2 = oracle._system(prog, x, lam, previous)
+            assert np.abs(z2[:m] - s).max() <= 1e-12 * np.abs(s).max()
             assert t2 == pytest.approx(t, rel=1e-12)
             assert np.abs(H2 - H).max() <= 1e-12 * np.abs(H).max()
             assert np.abs(rhs2 - rhs).max() <= 1e-12 * np.abs(rhs).max()
+            grad2 = residual(np.zeros(m))
             assert np.abs(grad2 - grad).max() <= 1e-12 * np.abs(grad).max()
 
 

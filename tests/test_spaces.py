@@ -20,8 +20,9 @@ from convexauction import (
     virtual_values,
 )
 from convexauction.cli import METHODS, main
-from convexauction.mechanisms import bound_tables, heuristic_lb_rrm_tables
-from convexauction.oracle import OracleRefusal, check
+from convexauction.mechanisms import bound_tables, heuristic_brm_tables, heuristic_lb_rrm_tables
+from convexauction.oracle import OracleRefusal, check, exact_tables
+from convexauction.payments import chain
 from convexauction.spaces import DenseSpace, OrbitSpace
 from conftest import corpus_instances
 
@@ -108,6 +109,23 @@ def test_dense_and_orbit_agree_on_random_regular_instances(instance):
     assert_spaces_agree(instance)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(regular_symmetric_instances())
+def test_bayesian_payments_square_to_the_expected_chain_payments(instance):
+    """h^2 = E[q]: each interim payment squared is the collapse of the chain
+    payments over the ex-post table, for the heuristic Bayesian rows (closed
+    form and greedy) and, within the solver's cap, the exact one."""
+    for space in (DenseSpace(instance), OrbitSpace(instance)):
+        rows = [heuristic_brm_tables(space, method, GREEDY) for method in ("closed_form", "greedy")]
+        if math.prod(space.shape) <= ORACLE.max_profile_vars:
+            rows.append(exact_tables(space, ORACLE, "brm"))
+        for tables, _ in rows:
+            q = [chain(x, b.values, b.gaps) for x, b in zip(space.split(tables.x), space.blocks)]
+            for h, expected in zip(tables.h, space.collapse(q)):
+                bound = TOL * np.maximum(1.0, np.abs(expected))
+                assert np.all(np.abs(h**2 - expected) <= bound), (tables.provenance, h**2, expected)
+
+
 CORPUS = corpus_instances(5)
 
 
@@ -125,6 +143,32 @@ def test_contexts_are_the_count_vectors_indexed_by_rank(n, k):
     assert len({tuple(c) for c in contexts}) == len(contexts)
     np.testing.assert_array_equal(space._rank(contexts), np.arange(len(contexts)))
     assert math.isclose(space.weights[0].sum(), 1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_orbit_weights_are_the_multinomial_probabilities(n):
+    pmf = np.array([0.2, 0.3, 0.5])
+    space = OrbitSpace(symmetric_instance(TypeSpace(np.array([1.0, 2.0, 3.0])),
+                                          DiscreteDistribution(pmf), n))
+    for c, weight in zip(space.contexts.tolist(), space.weights[0]):
+        exact = math.comb(n - 1, c[0]) * math.comb(n - 1 - c[0], c[1]) * math.prod(pmf**c)
+        assert math.isclose(weight, exact, rel_tol=1e-14), (c, weight, exact)
+
+
+def test_orbit_weights_sum_to_one_at_two_thousand_bidders():
+    """Probabilities of 1,999 other bidders; the factorials overflow a float."""
+    weights = OrbitSpace(symmetric_instance(*make_uniform(2), 2000)).weights[0]
+    assert len(weights) == 2000
+    assert abs(weights.sum() - 1.0) <= 1e-9
+
+
+def test_experiment_at_eleven_hundred_bidders_verifies(tmp_path):
+    out = tmp_path / "n1100.csv"
+    assert main(["experiment", "--dist", "categorical:3,10,0.8", "--bidders", "1100..1100",
+                 "--methods", "heur_brm_cf", "--output", str(out), "--no-timing"]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["n_bidders"], r["verified"]) for r in rows] == [("1100", "true")]
 
 
 def test_orbit_verifier_fails_xp_on_a_scaled_table():

@@ -93,6 +93,10 @@ METHODS = {
     "ex_ante_trunc": lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, True),
 }
 
+# rows that relabel another method's run with ``_as_revenue``; ``experiment``
+# runs each distinct pipeline once per n
+_REVENUE_OF = {"heur_rrm_rev": _heur_lb_cf}
+
 CSV_COLUMNS = (
     "method", "distribution", "n_bidders", "objective_kind",
     "value", "runtime_ms", "verified",
@@ -146,12 +150,12 @@ def _thread_count() -> int:
     return max(1, value)
 
 
-def _run_method(method: str, space: OrbitSpace, greedy: GreedyConfig, oracle: OracleConfig):
-    """Run, time and verify one method; returns (report, seconds, verified),
-    or None to skip."""
+def _run_method(method: str, run, space: OrbitSpace, greedy: GreedyConfig, oracle: OracleConfig):
+    """Run, time and verify ``method``'s pipeline ``run``; returns (report,
+    seconds, verified), or None to skip."""
     start = time.perf_counter()
     try:
-        tables, report = METHODS[method](space, greedy, oracle)
+        tables, report = run(space, greedy, oracle)
     except OracleRefusal as exc:
         print(f"notice: skipping {method} for n={space.instance.n}: {exc}", file=sys.stderr)
         return None
@@ -162,39 +166,39 @@ def _run_method(method: str, space: OrbitSpace, greedy: GreedyConfig, oracle: Or
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Produce the experiment CSV; returns the output path.
 
-    Each method's warnings go to stderr after the run, in job order, as
+    Rows that share a pipeline (an alias, or ``heur_rrm_rev``) share its one
+    run per n.  Warnings go to stderr after the runs, in row order, as
     ``warning: <method> n=<n>: <text>``; the CSV does not carry them.
     """
     workers = _thread_count()
     greedy, oracle = GreedyConfig(epsilon=cfg.epsilon), OracleConfig(grid=cfg.oracle_grid)
     space, dist = parse_distribution(cfg.distribution)
-    jobs = [
-        (method, n)
-        for method in cfg.methods
-        for n in range(cfg.n_min, cfg.n_max + 1)
-    ]
-    orbits = {
-        n: OrbitSpace(symmetric_instance(space, dist, n))
-        for n in range(cfg.n_min, cfg.n_max + 1)
-    }
+    ns = range(cfg.n_min, cfg.n_max + 1)
+    pipeline = {m: _REVENUE_OF.get(m, METHODS[m]) for m in cfg.methods}
+    rows = [(method, n) for method in cfg.methods for n in ns]
+    jobs = {(pipeline[method], n): method for method, n in rows}  # run -> a row's method
+    orbits = {n: OrbitSpace(symmetric_instance(space, dist, n)) for n in ns}
 
     def work(job):
-        method, n = job
-        return _run_method(method, orbits[n], greedy, oracle)
+        (run, n), method = job
+        return _run_method(method, run, orbits[n], greedy, oracle)
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, jobs))
+            results = dict(zip(jobs, pool.map(work, jobs.items())))
     else:
-        results = [work(job) for job in jobs]
+        results = dict(zip(jobs, map(work, jobs.items())))
 
     with open(cfg.output_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for (method, n), outcome in zip(jobs, results):
+        for method, n in rows:
+            outcome = results[(pipeline[method], n)]
             if outcome is None:
                 continue
             report, runtime, verified = outcome
+            if method in _REVENUE_OF:
+                _, report = _as_revenue(None, report)
             runtime_ms = f"{runtime * 1000:.3f}" if cfg.timing else ""
             writer.writerow(
                 [method, cfg.distribution, n, report.kind.value, repr(report.objective_value),
@@ -252,46 +256,49 @@ def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> Non
 
 
 def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
-    """Read a mechanism file.  A missing field, or a table that does not match
-    the instance's type counts, raises ValueError."""
+    """Read a mechanism file.  A missing field, a field of the wrong JSON type,
+    or a table that does not match the instance's type counts raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a mechanism file: {path}")
 
-    def field(obj, key):
+    def field(obj, key, kind=object, need=""):
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f"mechanism file {path} has no {key!r} field")
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"mechanism file {path}: {key!r} needs {need}")
         return obj[key]
 
-    instance = AuctionInstance(tuple(
-        (TypeSpace(np.array(field(b, "values"))), DiscreteDistribution(np.array(field(b, "pmf"))))
-        for b in field(field(doc, "instance"), "bidders")
-    ))
-    shape = instance.shape
-
-    def array(key, value, want, need):
+    def array(key, value, want=None, need="a list of numbers"):
         try:
             table = np.array(value)
         except ValueError:  # a ragged table
             table = None
-        if table is None or table.shape != want:
+        if table is None or table.dtype.kind not in "iuf" or want not in (None, table.shape):
             raise ValueError(f"mechanism file {path}: {key!r} needs {need}")
         return table
+
+    instance = AuctionInstance(tuple(
+        (TypeSpace(array("values", field(b, "values"))),
+         DiscreteDistribution(array("pmf", field(b, "pmf"))))
+        for b in field(field(doc, "instance"), "bidders", list, "a list of bidders")
+    ))
+    shape = instance.shape
 
     def expost(key, rule):
         rows = field(doc, key)
         if rows is None:
             return None
         cells = math.prod(shape)
-        need = f"{instance.n} rows of {cells} entries, one per profile"
+        need = f"{instance.n} rows of {cells} entries, one number per profile"
         return rule(array(key, rows, (instance.n, cells), need).reshape(instance.n, *shape))
 
     def interim(key, rule):
         tables = field(doc, key)
         if tables is None:
             return None
-        need = f"one entry per type, {list(shape)} per bidder"
+        need = f"one entry per type, {list(shape)} per bidder, each a number"
         if not isinstance(tables, list) or len(tables) != instance.n:
             raise ValueError(f"mechanism file {path}: {key!r} needs {need}")
         return rule(tuple(array(key, t, (k,), need) for t, k in zip(tables, shape)))
@@ -301,7 +308,7 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
         robust_payments=expost("robust_payments", RobustPaymentRule),
         interim_allocation=interim("interim_allocation", InterimAllocation),
         interim_payments=interim("interim_payments", InterimPaymentRule),
-        provenance=field(doc, "provenance"),
+        provenance=field(doc, "provenance", str, "a string"),
         perceived=field(doc, "perceived"),
     )
     return instance, mech

@@ -47,7 +47,7 @@ from .core import (
     RobustPaymentRule,
 )
 from .spaces import DenseSpace, ProfileSpace
-# virtual_values_matrix stays importable here: perfbench/tracing.py wraps it at this name
+# these stay importable here: perfbench/tracing.py wraps them at these names
 from .virtual import is_regular, virtual_values, virtual_values_matrix  # noqa: F401
 
 
@@ -119,13 +119,12 @@ def _allocate(
     space: ProfileSpace, scores: list[np.ndarray], engine: str, config: GreedyConfig
 ) -> np.ndarray:
     """Run one allocation engine on every cell's score row."""
-    rows = space.rows(scores)
     if engine == "pointwise":
-        out = pointwise_max_batch(rows)
+        out = pointwise_max_batch(space.rows(scores))
     elif engine == "greedy":
-        out = eqp_solver_batch(rows, config)
+        out = eqp_solver_batch(space.rows(scores), config)
     elif engine == "closed_form":
-        out = closed_form_alloc_batch(rows, 0.5)
+        out = closed_form_alloc_batch(space.sums(scores), 0.5)
     else:
         raise ValueError(f"unknown allocation engine {engine!r}")
     return space.cells(out)
@@ -149,8 +148,8 @@ def _support(space, alloc, perceived, warnings, what="allocation"):
 def _virtual(space: ProfileSpace, plus: bool = True):
     """Virtual values (or their positive part) per block, the instance's
     virtual value table, and a warning naming any irregular bidders."""
-    table = virtual_values(space.instance)
-    bad = [str(i) for i, ok in enumerate(is_regular(table)) if not ok]
+    table, regular = space.virtual
+    bad = [str(i) for i, ok in enumerate(regular) if not ok]
     warnings = ("irregular distribution for bidder(s) " + ", ".join(bad),) if bad else ()
     scores = [(table.phi_plus if plus else table.phi)[b.bidder] for b in space.blocks]
     return scores, table, warnings

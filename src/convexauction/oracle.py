@@ -161,8 +161,10 @@ def check(
                     parts.append(-util.min())
                 else:
                     # deviation utility of reporting w while holding type v
-                    dev = z[:, None, None] * x[None, :, :] - q[None, :, :]
-                    parts.append((dev - util[:, None, :]).max())
+                    dev = z[:, None, None] * x[None, :, :]
+                    dev -= q[None, :, :]
+                    dev -= util[:, None, :]
+                    parts.append(dev.max())
         elif name == "xp":
             if xs is None:
                 raise ValueError("xp check needs an ex-post allocation")

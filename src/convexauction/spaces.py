@@ -18,10 +18,11 @@ the blocks:
   weighted by its multinomial probability (n-1)!/prod c_j! * prod f_j^c_j.
   One block stands for all n bidders: K * C cells in place of n * K^n.
 
-Only two things differ between the spaces: the engine score row built for
-each cell (``rows`` and ``cells``), and which cells share a profile
-(``supply_rows``), from which the ex-post supply check and the exact
-oracle's supply constraints are built.
+Only three things differ between the spaces: the engine score row built for
+each cell (``rows`` and ``cells``), the closed form's input (``sums``: on
+orbits each cell's own score beside ``contexts @ score``, the other bidders'
+sum), and which cells share a profile (``supply_rows``), from which the
+ex-post supply check and the exact oracle's supply constraints are built.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import AuctionInstance, own_type_matrix
+from .virtual import VirtualValueTable, is_regular, virtual_values
 
 
 class Block(NamedTuple):
@@ -72,6 +74,11 @@ class ProfileSpace:
         """
         raise NotImplementedError
 
+    def sums(self, scores: list[np.ndarray]) -> np.ndarray:
+        """Closed-form engine input, read back by ``cells``: ``rows``, or at
+        alpha = 1/2 the own score beside the sum of the other positive scores."""
+        return self.rows(scores)
+
     def cells(self, rows: np.ndarray) -> np.ndarray:
         """The allocation table from the engine's output for ``rows``."""
         raise NotImplementedError
@@ -80,6 +87,12 @@ class ProfileSpace:
         """(profile, flat cell, multiplicity) entries sorted by profile and cell;
         a profile's total share is the multiplicity-weighted sum of its cells."""
         raise NotImplementedError
+
+    @cached_property
+    def virtual(self) -> tuple[VirtualValueTable, tuple[bool, ...]]:
+        """The instance's virtual values and each bidder's regularity."""
+        table = virtual_values(self.instance)
+        return table, is_regular(table)
 
     def supply(self, table: np.ndarray) -> float:
         """Worst excess of the bidders' total share over 1 at any profile."""
@@ -202,6 +215,13 @@ class OrbitSpace(ProfileSpace):
         others = np.broadcast_to(others, (k, c, n - 1))
         return np.concatenate([own, others], axis=2).reshape(k * c, n)
 
+    def sums(self, scores):
+        s = scores[0]
+        out = np.empty((s.size, len(self.contexts), 2))
+        out[..., 0] = s[:, None]
+        out[..., 1] = self.contexts @ np.maximum(s, 0.0)
+        return out.reshape(-1, 2)
+
     def cells(self, rows):
         return rows[:, 0].reshape(-1, len(self.contexts))
 
@@ -212,8 +232,19 @@ class OrbitSpace(ProfileSpace):
     def _supply_rows(self):
         # cell (k, c) is one of the c_k + 1 type-k bidders at full type count
         # m = c + e_k, so the total share at m is sum_k m_k x(k, m - e_k),
-        # read from the table, not the engine's rows
-        full = self.contexts + np.eye(self.shape[0], dtype=np.int64)[:, None]
-        profile = self._rank(full).ravel()
-        cell = np.argsort(profile, kind="stable")
-        return profile[cell], cell, self.contexts.T.ravel()[cell] + 1.0
+        # read from the table, not the engine's rows.  m's bars are c's plus
+        # one from j = k on: rank sum_{j<k} C(b_j, j+1) + sum_{j>=k} C(b_j+1, j+1)
+        k, c = self.shape
+        j = np.arange(k - 1)[:, None]
+        bars = np.cumsum(self.contexts.T[:-1], axis=0) + j
+        profile = np.zeros((k, c), dtype=np.int64)
+        np.cumsum(self._binom[bars, j + 1], axis=0, out=profile[1:])
+        profile[:-1] += np.cumsum(self._binom[bars + 1, j + 1][::-1], axis=0)[::-1]
+        # counting sort; block k's profiles are distinct, so cells stay in order
+        count = np.bincount(profile.ravel())
+        slot = np.cumsum(count) - count
+        cell = np.empty(k * c, dtype=np.int64)
+        for own, p in enumerate(profile):
+            cell[slot[p]] = own * c + np.arange(c)
+            slot[p] += 1
+        return np.repeat(np.arange(len(count)), count), cell, self.contexts.T.ravel()[cell] + 1.0

@@ -257,6 +257,43 @@ class TestExperiment:
         assert len(rows) == 6 and all(r["verified"] == "true" for r in rows)
         assert len(calls) == 6
 
+    SHARED = ("heur_lb_cf", "heur_rrm_cf", "heur_rrm_rev", "heur_brm_cf", "heur_brm_rev")
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_rows_sharing_a_pipeline_equal_single_method_runs(self, tmp_path, monkeypatch,
+                                                              threads):
+        """Aliases and ``heur_rrm_rev`` reuse one run per n; each row still
+        reads exactly as when its method runs alone."""
+        monkeypatch.setenv("CONVEX_AUCTION_THREADS", threads)
+
+        def rows(methods, name):
+            out = tmp_path / name
+            assert main(["experiment", "--dist", "binomial:4,0.3", "--bidders", "1..4",
+                         "--methods", ",".join(methods), "--output", str(out),
+                         "--no-timing"]) == 0
+            return out.read_text().splitlines()[1:]
+
+        together = rows(self.SHARED, "together.csv")
+        assert together == [row for m in self.SHARED for row in rows((m,), f"{m}.csv")]
+        assert len(together) == 20
+
+    def test_each_distinct_pipeline_is_verified_once_per_n(self, tmp_path, monkeypatch):
+        calls = []
+        real = oracle.check
+
+        def counted(tables, *args, **kwargs):
+            calls.append((tables.provenance, tables.space.instance.n))
+            return real(tables, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "check", counted)
+        out = tmp_path / "shared.csv"
+        assert main(["experiment", "--dist", "uniform:3", "--bidders", "1..3",
+                     "--methods", ",".join(self.SHARED), "--output", str(out),
+                     "--no-timing"]) == 0
+        assert sorted(calls) == [(p, n) for p in ("heuristic_brm[closed_form]",
+                                                  "heuristic_lb_rrm[closed_form]")
+                                 for n in (1, 2, 3)]
+
     @pytest.mark.parametrize("line, named", [
         ("epsilonn=0.3", "'epsilonn'"),
         ("no_timing=ture", "'ture'"),
@@ -543,6 +580,29 @@ class TestCommands:
         assert main(["check", str(mech_path)]) == 2
         assert f"{field!r} needs 2 rows of 4 entries" in capsys.readouterr().err
         with pytest.raises(ValueError, match="rows of 4 entries"):
+            load_mechanism(str(mech_path))
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc["instance"]["bidders"][0].update(values={"a": 1}), "'values'"),
+        (lambda doc: doc["instance"].update(bidders=5), "'bidders'"),
+        (lambda doc: doc.update(allocation=[[{"x": 0.5}] * 4] * 2), "'allocation'"),
+        (lambda doc: doc.update(provenance=7), "'provenance'"),
+    ], ids=["values-object", "bidders-number", "table-of-objects", "provenance-number"])
+    def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, edit, named):
+        """A field of the wrong JSON type is a malformed file (exit 2), not a
+        failed verification (exit 1) and not a traceback."""
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "heur_rrm_cf")
+        edit(doc)
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command in (["check", str(mech_path)],
+                        ["discretize", str(mech_path), "--delta", "0.05"]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err, err
+        with pytest.raises(ValueError, match=named):
             load_mechanism(str(mech_path))
 
     def test_non_integer_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,8 +20,14 @@ from convexauction import (
     symmetric_instance,
     virtual_values,
 )
+from convexauction.alloc import closed_form_alloc_batch
 from convexauction.cli import METHODS, main
-from convexauction.mechanisms import bound_tables, heuristic_brm_tables, heuristic_lb_rrm_tables
+from convexauction.mechanisms import (
+    bound_tables,
+    heuristic_brm_tables,
+    heuristic_lb_rrm_tables,
+    pseudo_surplus_tables,
+)
 from convexauction.oracle import OracleRefusal, check, exact_tables
 from convexauction.payments import chain
 from convexauction.spaces import DenseSpace, OrbitSpace
@@ -143,6 +150,67 @@ def test_contexts_are_the_count_vectors_indexed_by_rank(n, k):
     assert len({tuple(c) for c in contexts}) == len(contexts)
     np.testing.assert_array_equal(space._rank(contexts), np.arange(len(contexts)))
     assert math.isclose(space.weights[0].sum(), 1.0, rel_tol=1e-12)
+
+
+def _supply_reference(space):
+    """(profile, cell, multiplicity): every full count vector c + e_k ranked
+    on its own, then a stable sort of the cells by profile."""
+    k = space.shape[0]
+    full = space.contexts + np.eye(k, dtype=np.int64)[:, None]
+    profile = space._rank(full).ravel()
+    cell = np.argsort(profile, kind="stable")
+    return profile[cell], cell, space.contexts.T.ravel()[cell] + 1.0
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_supply_rows_equal_ranking_every_full_profile(k):
+    for n in range(1, 13):
+        space = OrbitSpace(symmetric_instance(*make_uniform(k), n))
+        got, want = space.supply_rows(), _supply_reference(space)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, err_msg=f"n={n}")
+
+
+def _closed_form_reference(space, scores):
+    """The closed form on every bidder's score at each cell, column 0 kept."""
+    return closed_form_alloc_batch(space.rows([scores]), 0.5)[:, 0].reshape(space.shape)
+
+
+@pytest.mark.parametrize("n,k,low,seed", [
+    (1, 1, 0.0, 0), (1, 1, 2.0, 1), (1, 4, 0.0, 2), (5, 1, 0.0, 3), (6, 1, 1.5, 4),
+    (2, 3, 0.0, 5), (3, 2, 0.3, 6), (4, 5, 0.0, 7), (7, 2, 0.0, 8), (9, 4, 0.2, 9),
+    (5, 6, 0.0, 10),
+])
+def test_orbit_closed_form_from_context_sums_equals_full_rows(n, k, low, seed):
+    """Own score beside ``contexts @ score`` gives the shares of the full
+    (cells, n) rows, within 1e-12 relative, zeros included; a lowest type
+    at value 0 has phi^+ = 0."""
+    rng = np.random.default_rng(seed)
+    values = low + np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, k - 1))])
+    raw = rng.uniform(0.1, 1.0, k)
+    space = OrbitSpace(symmetric_instance(TypeSpace(values),
+                                          DiscreteDistribution(raw / raw.sum()), n))
+    phi_plus = virtual_values(space.instance).phi_plus[0]
+    if low == 0.0:
+        assert phi_plus[0] == 0.0
+    for (tables, _), scores in ((heuristic_lb_rrm_tables(space), phi_plus),
+                                (pseudo_surplus_tables(space), values)):
+        want = _closed_form_reference(space, scores)
+        assert np.all(np.abs(tables.x - want) <= TOL * np.abs(want)), (tables.x, want)
+
+
+def test_orbit_closed_form_peak_memory_per_cell():
+    """uniform:5 at n = 30 has 204,600 orbit cells; the closed form reads two
+    numbers per cell, not the n others' scores (729 bytes per cell before)."""
+    space = OrbitSpace(symmetric_instance(*make_uniform(5), 30))
+    tracemalloc.start()
+    try:
+        heuristic_lb_rrm_tables(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * math.prod(space.shape)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])

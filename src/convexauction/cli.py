@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -150,6 +151,15 @@ def _thread_count() -> int:
     return max(1, value)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` over ``path`` in place, then cut a regular file to length:
+    emptying it on open makes ext4 write it to disk on close, a wait per call."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        fh.write(text)
+        if os.path.isfile(path):
+            fh.truncate()
+
+
 def _run_method(method: str, run, space: OrbitSpace, greedy: GreedyConfig, oracle: OracleConfig):
     """Run, time and verify ``method``'s pipeline ``run``; returns (report,
     seconds, verified), or None to skip."""
@@ -189,23 +199,24 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     else:
         results = dict(zip(jobs, map(work, jobs.items())))
 
-    with open(cfg.output_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for method, n in rows:
-            outcome = results[(pipeline[method], n)]
-            if outcome is None:
-                continue
-            report, runtime, verified = outcome
-            if method in _REVENUE_OF:
-                _, report = _as_revenue(None, report)
-            runtime_ms = f"{runtime * 1000:.3f}" if cfg.timing else ""
-            writer.writerow(
-                [method, cfg.distribution, n, report.kind.value, repr(report.objective_value),
-                 runtime_ms, str(verified).lower()]
-            )
-            for text in report.warnings:
-                print(f"warning: {method} n={n}: {text}", file=sys.stderr)
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    for method, n in rows:
+        outcome = results[(pipeline[method], n)]
+        if outcome is None:
+            continue
+        report, runtime, verified = outcome
+        if method in _REVENUE_OF:
+            _, report = _as_revenue(None, report)
+        runtime_ms = f"{runtime * 1000:.3f}" if cfg.timing else ""
+        writer.writerow(
+            [method, cfg.distribution, n, report.kind.value, repr(report.objective_value),
+             runtime_ms, str(verified).lower()]
+        )
+        for text in report.warnings:
+            print(f"warning: {method} n={n}: {text}", file=sys.stderr)
+    _write_text(cfg.output_path, fh.getvalue())
     return cfg.output_path
 
 
@@ -251,8 +262,7 @@ def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> Non
             else None
         ),
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
@@ -370,8 +380,7 @@ def _cmd_export(args) -> int:
     instance = symmetric_instance(space, dist, args.n)
     text = oracle_mod.export_program(instance, args.program)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

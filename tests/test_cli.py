@@ -47,6 +47,10 @@ class TestExperiment:
         run_experiment(ExperimentConfig(output_path=str(out1), **cfg))
         run_experiment(ExperimentConfig(output_path=str(out2), **cfg))
         assert out1.read_bytes() == out2.read_bytes()
+        # an existing, longer file is overwritten in place and cut to length
+        out2.write_bytes(out1.read_bytes() * 3)
+        run_experiment(ExperimentConfig(output_path=str(out2), **cfg))
+        assert out1.read_bytes() == out2.read_bytes()
 
         with open(out1) as fh:
             rows = list(csv.DictReader(fh))
@@ -394,6 +398,9 @@ class TestMechanismFiles:
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_mechanism(str(p1), inst, mech)
         inst2, mech2 = load_mechanism(str(p1))
+        save_mechanism(str(p2), inst2, mech2)
+        assert p1.read_bytes() == p2.read_bytes()
+        p2.write_bytes(b"x" * (3 * p1.stat().st_size))
         save_mechanism(str(p2), inst2, mech2)
         assert p1.read_bytes() == p2.read_bytes()
 

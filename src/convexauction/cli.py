@@ -9,10 +9,11 @@ produce byte-identical CSV when timing is suppressed with --no-timing.
 One registry, ``METHODS``, serves ``experiment`` and ``solve``: each entry
 maps (profile space, GreedyConfig, OracleConfig) to (Tables, report), and the
 report's kind and objective value are what both commands print.
-``experiment`` solves every method on the orbit space of its symmetric
-instance (K * C(n+K-2, K-1) cells of own type and count of the other
-bidders' types; see ``spaces``); ``_run_method`` alone times each run and
-verifies it against the default checks of its payment style (``oracle.check``).
+``experiment`` solves one bidder count at a time on the orbit space of its
+symmetric instance (K * C(n+K-2, K-1) cells of own type and count of the
+other bidders' types; see ``spaces``), dropping it before the next count;
+``_run_method`` alone times each run and verifies it against the default
+checks of its payment style (``oracle.check``).
 ``solve``, ``check``, ``discretize`` and mechanism files work on dense
 ``(n, K_0, ..., K_{n-1})`` tables.
 
@@ -30,12 +31,12 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,17 +141,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CONVEX_AUCTION_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"CONVEX_AUCTION_THREADS must be an integer, got {raw!r}") from None
-    if value == 0:
-        return min(4, os.cpu_count() or 1)
-    return max(1, value)
-
-
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` over ``path`` in place, then cut a regular file to length:
     emptying it on open makes ext4 write it to disk on close, a wait per call."""
@@ -176,34 +166,29 @@ def _run_method(method: str, run, space: OrbitSpace, greedy: GreedyConfig, oracl
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Produce the experiment CSV; returns the output path.
 
-    Rows that share a pipeline (an alias, or ``heur_rrm_rev``) share its one
-    run per n.  Warnings go to stderr after the runs, in row order, as
-    ``warning: <method> n=<n>: <text>``; the CSV does not carry them.
+    One n at a time: build its orbit space, run each distinct pipeline once
+    on it (an alias or ``heur_rrm_rev`` shares its pipeline's run), keep only
+    the outcomes and drop the space.  Rows are written method-major; warnings
+    go to stderr after the runs, in row order, as ``warning: <method> n=<n>:
+    <text>``; the CSV does not carry them.
     """
-    workers = _thread_count()
     greedy, oracle = GreedyConfig(epsilon=cfg.epsilon), OracleConfig(grid=cfg.oracle_grid)
     space, dist = parse_distribution(cfg.distribution)
     ns = range(cfg.n_min, cfg.n_max + 1)
     pipeline = {m: _REVENUE_OF.get(m, METHODS[m]) for m in cfg.methods}
-    rows = [(method, n) for method in cfg.methods for n in ns]
-    jobs = {(pipeline[method], n): method for method, n in rows}  # run -> a row's method
-    orbits = {n: OrbitSpace(symmetric_instance(space, dist, n)) for n in ns}
-
-    def work(job):
-        (run, n), method = job
-        return _run_method(method, run, orbits[n], greedy, oracle)
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(jobs, pool.map(work, jobs.items())))
-    else:
-        results = dict(zip(jobs, map(work, jobs.items())))
+    results = {}  # (pipeline, n) -> (report, seconds, verified) or None
+    for n in ns:
+        orbit = OrbitSpace(symmetric_instance(space, dist, n))
+        for method, run in pipeline.items():
+            if (run, n) not in results:
+                results[run, n] = _run_method(method, run, orbit, greedy, oracle)
+        del orbit
 
     fh = io.StringIO()
     writer = csv.writer(fh)
     writer.writerow(CSV_COLUMNS)
-    for method, n in rows:
-        outcome = results[(pipeline[method], n)]
+    for method, n in itertools.product(cfg.methods, ns):
+        outcome = results[pipeline[method], n]
         if outcome is None:
             continue
         report, runtime, verified = outcome

@@ -223,7 +223,7 @@ class OrbitSpace(ProfileSpace):
         return out.reshape(-1, 2)
 
     def cells(self, rows):
-        return rows[:, 0].reshape(-1, len(self.contexts))
+        return rows[:, 0].reshape(-1, len(self.contexts)).copy()  # a view keeps rows alive
 
     def supply_rows(self):
         return self._supply_rows

@@ -1,10 +1,12 @@
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from convexauction import oracle
+from convexauction import cli, oracle
 from convexauction.cli import (
     METHODS,
     ExperimentConfig,
@@ -143,21 +145,26 @@ class TestExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(distribution="uniform:3", n_min=1, n_max=1, methods=("zzz",))
 
-    def test_parallel_run_is_byte_identical(self, tmp_path, monkeypatch):
-        cfg = dict(
-            distribution="categorical:3,10,0.8",
-            n_min=1,
-            n_max=3,
-            methods=("heur_lb_cf", "heur_brm_rev"),
-            timing=False,
-        )
-        monkeypatch.setenv("CONVEX_AUCTION_THREADS", "1")
-        serial = tmp_path / "serial.csv"
-        run_experiment(ExperimentConfig(output_path=str(serial), **cfg))
-        monkeypatch.setenv("CONVEX_AUCTION_THREADS", "3")
-        threaded = tmp_path / "threaded.csv"
-        run_experiment(ExperimentConfig(output_path=str(threaded), **cfg))
-        assert serial.read_bytes() == threaded.read_bytes()
+    def test_one_profile_space_is_held_at_a_time(self, tmp_path, monkeypatch):
+        """Each bidder count's orbit space is dead before the next is built."""
+        built = []
+        real = cli.OrbitSpace
+
+        def tracked(instance):
+            gc.collect()
+            assert [ref() for ref in built] == [None] * len(built)
+            space = real(instance)
+            built.append(weakref.ref(space))
+            return space
+
+        monkeypatch.setattr(cli, "OrbitSpace", tracked)
+        out = tmp_path / "serial.csv"
+        run_experiment(ExperimentConfig(
+            distribution="categorical:3,10,0.8", n_min=1, n_max=4,
+            methods=("heur_lb_cf", "heur_brm_rev", "surplus"), output_path=str(out),
+            timing=False))
+        assert len(built) == 4
+        assert len(out.read_text().splitlines()) == 1 + 3 * 4
 
     def test_warnings_go_to_stderr(self, tmp_path, capsys):
         """At eps = 0.05 the greedy pseudo-surplus rule on uniform:5, n = 20 is
@@ -263,12 +270,9 @@ class TestExperiment:
 
     SHARED = ("heur_lb_cf", "heur_rrm_cf", "heur_rrm_rev", "heur_brm_cf", "heur_brm_rev")
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_rows_sharing_a_pipeline_equal_single_method_runs(self, tmp_path, monkeypatch,
-                                                              threads):
+    def test_rows_sharing_a_pipeline_equal_single_method_runs(self, tmp_path):
         """Aliases and ``heur_rrm_rev`` reuse one run per n; each row still
         reads exactly as when its method runs alone."""
-        monkeypatch.setenv("CONVEX_AUCTION_THREADS", threads)
 
         def rows(methods, name):
             out = tmp_path / name
@@ -611,14 +615,6 @@ class TestCommands:
             assert err.startswith("error: ") and named in err, err
         with pytest.raises(ValueError, match=named):
             load_mechanism(str(mech_path))
-
-    def test_non_integer_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CONVEX_AUCTION_THREADS", "abc")
-        out = tmp_path / "exp.csv"
-        assert main(["experiment", "--dist", "uniform:2", "--bidders", "1..2",
-                     "--methods", "heur_lb_cf", "--output", str(out)]) == 2
-        assert "CONVEX_AUCTION_THREADS" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_usage_errors_exit_two(self, capsys):
         assert main(["solve", "--dist", "categorical:3,10,0.8", "--n", "2",

@@ -27,6 +27,7 @@ from convexauction.mechanisms import (
     heuristic_brm_tables,
     heuristic_lb_rrm_tables,
     pseudo_surplus_tables,
+    surplus_tables,
 )
 from convexauction.oracle import OracleRefusal, check, exact_tables
 from convexauction.payments import chain
@@ -211,6 +212,19 @@ def test_orbit_closed_form_peak_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak < 128 * math.prod(space.shape)
+
+
+@pytest.mark.parametrize("run", [
+    surplus_tables,
+    lambda space: heuristic_lb_rrm_tables(space, "greedy", GREEDY),
+    lambda space: heuristic_lb_rrm_tables(space, "closed_form"),
+], ids=["pointwise", "greedy", "closed_form"])
+def test_orbit_allocation_owns_its_memory(run):
+    """The orbit ``x`` is not a view of the engine's (cells, n) or (cells, 2)
+    output, which would stay alive as long as the table does."""
+    tables, _ = run(OrbitSpace(symmetric_instance(*make_uniform(5), 12)))
+    assert tables.x.shape == (5, 1365)
+    assert tables.x.base is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])

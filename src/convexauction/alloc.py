@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AuctionInstance, InterimAllocation
+from .core import AuctionInstance, InterimAllocation, grid_steps
 from .virtual import VirtualValueTable
 
 TIE_TOL = 1e-12
@@ -35,15 +35,11 @@ class GreedyConfig:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if not 0 < self.epsilon <= 1:
-            raise ValueError("epsilon must lie in (0, 1]")
-        steps = 1.0 / self.epsilon
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("1/epsilon must be an integer")
+        grid_steps("epsilon", self.epsilon)
 
     @property
     def steps(self) -> int:
-        return round(1.0 / self.epsilon)
+        return grid_steps("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,16 @@ DEFAULT_TOL = 1e-9
 PMF_TOL = 1e-12
 
 
+def grid_steps(name: str, step: float, top: float = 1.0) -> int:
+    """1/step for a step in (0, top] with an integer inverse; else a ValueError naming it."""
+    if not 0 < step <= top:
+        raise ValueError(f"{name} must lie in (0, {top:g}]")
+    steps = 1.0 / step
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"1/{name} must be an integer")
+    return round(steps)
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)

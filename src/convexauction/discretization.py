@@ -5,25 +5,26 @@ each entry by a residual of magnitude at most delta.  That shifts any single
 perceived payment by at most delta * (2 z_l - z_1) and the total expected
 revenue by O(sqrt(delta)); ``discretization_gap`` measures both empirically.
 
-The per-entry least-squares choice (nearest grid point) ignores two coupled
-constraints that independent rounding can break: the rounded table must
-stay ex-post feasible and monotone.  We therefore round in two passes:
-first floor every entry (floors of a feasible monotone table are feasible
-and monotone), then for each own type of each bidder, top type first, bump
-every entry of that type (all at distinct profiles) up one step where its
-ceiling is strictly closer, the profile budget allows it, and the chain
-stays monotone.  Both passes keep every entry within delta of the original.
+The nearest grid point per entry can break feasibility and monotonicity, so
+``round_table`` rounds the cells of any profile space in two passes: floor
+every entry (floors of a feasible monotone table are feasible and monotone),
+then for each block's own types, top first, bump each cell (all at distinct
+profiles) up one step where its ceiling is strictly closer, the chain stays
+monotone, and its profile's total plus the cell's multiplicity stays within
+1/delta steps (``supply_rows``).  ``round_allocation``, ``discretization_gap``
+and the exact oracle all round with it; every entry stays within delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import payments as pay
 from .core import (AuctionInstance, ExPostAllocation, RobustPaymentRule, _frozen_array,
-                   own_type_matrix)
+                   grid_steps, make_uniform, own_type_matrix)
+from .spaces import DenseSpace, ProfileSpace
 
 _BUDGET_TOL = 1e-12
 
@@ -42,41 +43,45 @@ class DiscretizationReport:
         object.__setattr__(self, "residuals", _frozen_array(self.residuals))
 
 
+def round_table(space: ProfileSpace, x: np.ndarray, delta: float) -> np.ndarray:
+    """``x``, a table of ``space``'s layout, rounded to multiples of delta,
+    keeping x >= 0, supply and monotonicity in own type."""
+    steps = grid_steps("delta", delta)
+    want = x.ravel()
+    ks = np.floor(want / delta + 1e-12)
+    closer = want - ks * delta > delta / 2 + _BUDGET_TOL  # a cell moves only at its turn
+    # every cell lies in one profile, where its share counts mult times
+    profile, cell, count = space.supply_rows()
+    at, mult = np.empty_like(cell), np.empty(len(cell))
+    at[cell], mult[cell] = profile, count
+    total = np.bincount(profile, count * ks[cell])
+    for cells in space.split(np.arange(ks.size).reshape(space.shape)):
+        k, up, p, m = ks[cells], closer[cells], at[cells], mult[cells]
+        # top type first, so a bump never overtakes the next type's final value;
+        # a bump needs x above (k + 1/2) delta, so no entry of [0, 1] passes 1
+        for ell in range(len(k) - 1, -1, -1):
+            bump = up[ell] & (total[p[ell]] + m[ell] <= steps)
+            if ell + 1 < len(k):
+                bump &= k[ell] < k[ell + 1]
+            k[ell] += bump
+            total[p[ell]] += bump * m[ell]
+        ks[cells] = k
+    return (ks * delta).reshape(space.shape)
+
+
+def _round(space: DenseSpace, alloc: ExPostAllocation, delta: float):
+    rounded = ExPostAllocation(round_table(space, alloc.table, delta))
+    residuals = alloc.table - rounded.table
+    return rounded, DiscretizationReport(delta, residuals, float(np.abs(residuals).max()))
+
+
 def round_allocation(
     alloc: ExPostAllocation, delta: float
 ) -> tuple[ExPostAllocation, DiscretizationReport]:
     """Round every entry to the grid, preserving feasibility and monotonicity."""
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    steps = 1.0 / delta
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValueError("1/delta must be an integer")
-    steps_int = round(steps)
-    orig = alloc.table
-    ks = np.floor(orig / delta + 1e-12).astype(np.int64)
-
-    profile_sums = ks.sum(axis=0)
-    # bump pass: top type first within each chain so bumps never overtake
-    # the next type's (already final) value
-    for i in range(alloc.n):
-        # views with bidder i's own type first; writes land in ks and profile_sums
-        k, want, total = (np.moveaxis(t, i, 0) for t in (ks[i], orig[i], profile_sums))
-        for ell in range(k.shape[0] - 1, -1, -1):
-            bump = ((want[ell] - k[ell] * delta > delta / 2 + _BUDGET_TOL)
-                    & (total[ell] < steps_int) & (k[ell] < steps_int))
-            if ell + 1 < k.shape[0]:
-                bump &= k[ell] < k[ell + 1]
-            k[ell] += bump
-            total[ell] += bump
-
-    rounded = ExPostAllocation(ks * delta)
-    residuals = orig - rounded.table
-    report = DiscretizationReport(
-        delta=delta,
-        residuals=residuals,
-        max_abs_residual=float(np.abs(residuals).max()),
-    )
-    return rounded, report
+    # rounding reads only the layout, so any instance of the table's shape does
+    layout = AuctionInstance(tuple(make_uniform(k) for k in alloc.table.shape[1:]))
+    return _round(DenseSpace(layout), alloc, delta)
 
 
 def discretization_gap(
@@ -90,9 +95,8 @@ def discretization_gap(
     """
     if not alloc_star.is_monotone() or not alloc_star.is_feasible():
         raise ValueError("discretization gap needs a monotone, feasible allocation")
-    rounded, report = round_allocation(alloc_star, delta)
-
-    q_star = pay.perceived_payment(alloc_star, instance)
+    q_star = pay.perceived_payment(alloc_star, instance)  # checks the table's shape
+    rounded, report = _round(DenseSpace(instance), alloc_star, delta)
     q_round = pay.perceived_payment(rounded, instance)
     gap = np.abs(q_star - q_round)
     zs = [instance.values(i) for i in range(instance.n)]
@@ -104,10 +108,5 @@ def discretization_gap(
         pay.expected_revenue(RobustPaymentRule(np.sqrt(pay.clamp(q, True))), instance)
         for q in (q_star, q_round)
     )
-    return DiscretizationReport(
-        delta=delta,
-        residuals=report.residuals,
-        max_abs_residual=report.max_abs_residual,
-        perceived_payment_gap=float(gap.max()),
-        revenue_gap=abs(rev_star - rev_round),
-    )
+    return replace(report, perceived_payment_gap=float(gap.max()),
+                   revenue_gap=abs(rev_star - rev_round))

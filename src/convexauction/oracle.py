@@ -19,8 +19,8 @@ evaluates the slacks and payments once and assembles its matrix from the
 pairs of nonzeros that share a constraint or payment row (one ``bincount``);
 the Bayesian monotonicity and payment rows, dense over the contexts, are
 paired on the interim rule and applied through the collapse.  The solver
-returns the better of its last iterate and that iterate rounded to the
-configured grid (when the rounded table is still feasible).  It reports
+returns the better of its last iterate and that iterate rounded to the grid
+(``discretization.round_table``, when it stays feasible).  It reports
 ``grid_slack`` as a certified gap: an upper bound on the optimum, from
 Lagrangian duality at the last iterate, minus the revenue of the returned
 table, priced by the pipelines' payment step (``mechanisms``); and
@@ -36,7 +36,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import payments as pay
-from .core import DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, own_type_matrix
+from .core import (DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, grid_steps,
+                   own_type_matrix)
+from .discretization import round_table
 from .mechanisms import Mechanism, Tables, _dense, _interim, _price
 from .spaces import DenseSpace, ProfileSpace
 from .virtual import virtual_values
@@ -50,27 +52,20 @@ class OracleRefusal(ValueError):
 class OracleConfig:
     """Rounding grid and size cap for the exact solvers.
 
-    The solver's answer is rounded to multiples of ``grid`` when that keeps
-    the table feasible and does not lower revenue; ``max_profile_vars`` caps
-    the allocation variables of the program solved, the cells of its profile
-    space's table: n * K_0 * ... * K_{n-1} dense, K * C(n+K-2, K-1) on orbits.
+    The solver's answer is rounded to multiples of ``grid`` (``round_table``)
+    when that keeps it feasible and does not lower revenue.  ``max_profile_vars``
+    caps the allocation variables of the program solved, the cells of its
+    profile space's table: n * K_0 * ... * K_{n-1} dense, K * C(n+K-2, K-1)
+    on orbits.
     """
 
     grid: float = 1e-3
     max_profile_vars: int = 64
 
     def __post_init__(self):
-        if not 0 < self.grid <= 0.1:
-            raise ValueError("grid must lie in (0, 0.1]")
-        steps = 1.0 / self.grid
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("1/grid must be an integer")
+        grid_steps("grid", self.grid, top=0.1)
         if self.max_profile_vars < 1:
             raise ValueError("max_profile_vars must be positive")
-
-    @property
-    def steps(self) -> int:
-        return round(1.0 / self.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +469,8 @@ def _solve(
     """Best certified table, its objective value, the optimum's upper bound
     and the solver's Newton steps.
 
-    Returns the better of the last iterate and that iterate rounded to
-    multiples of ``config.grid``, if the rounded table is still feasible.
+    Returns the better of the last iterate and ``round_table`` of it on
+    ``space`` at ``config.grid``, if the rounded table passes every slack row.
     """
     size = math.prod(space.shape)
     if size > config.max_profile_vars:
@@ -490,11 +485,10 @@ def _solve(
     for cells in blk.cells:
         start[cells] = (np.arange(len(cells)) + 1)[:, None] / ((len(cells) + 1) * n)
     x, bound, steps = _barrier(prog, start)
-    best = max(
-        (c for c in (x, np.round(x * config.steps) / config.steps)
-         if np.all((prog.h - prog.G @ c)[: prog.m] >= -1e-12)),
-        key=prog.revenue,
-    )
+    # rounding keeps x >= 0, supply and ex-post monotonicity, not brm's interim one
+    rounded = round_table(space, x.reshape(space.shape), config.grid).ravel()
+    feasible = [c for c in (x, rounded) if np.all((prog.h - prog.G @ c)[: prog.m] >= -1e-12)]
+    best = max(feasible, key=prog.revenue)
     return best.reshape(space.shape), prog.revenue(best), bound, steps
 
 

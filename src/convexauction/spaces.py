@@ -125,7 +125,8 @@ class DenseSpace(ProfileSpace):
         return tuple(self.instance.context_pmf(i).ravel() for i in range(self.instance.n))
 
     def split(self, table):
-        return [np.moveaxis(table[i], i, 0).reshape(k, -1)
+        # contiguous, so every block's products take the same NumPy path
+        return [np.ascontiguousarray(np.moveaxis(table[i], i, 0).reshape(k, -1))
                 for i, k in enumerate(self.instance.shape)]
 
     def join(self, mats):

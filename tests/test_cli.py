@@ -454,6 +454,9 @@ class TestCommands:
         assert main(["check", str(mech_path), "--constraints", "bic,bir,xp"]) == 0
         captured = capsys.readouterr().out
         assert captured.count("pass") == 3
+        # XA on an ex-post table: the expected total share, collapsed from x
+        assert main(["check", str(mech_path), "--constraints", "xa"]) == 0
+        assert capsys.readouterr().out.startswith("xa: pass")
 
     @pytest.mark.parametrize("method, golden", [
         ("exact_rrm", 5 * (1 + math.sqrt(2) / 2)),
@@ -629,21 +632,26 @@ class TestCommands:
         assert main(["experiment", "--help"]) == 0
         assert "--no-timing" in capsys.readouterr().out
 
-    def test_export_stdout(self, capsys):
-        assert main(["export", "--dist", "uniform:2", "--n", "2",
-                     "--program", "rrm_xp"]) == 0
+    def test_export_stdout(self, tmp_path, capsys):
+        args = ["export", "--dist", "uniform:2", "--n", "2", "--program", "rrm_xp"]
+        assert main(args) == 0
         out = capsys.readouterr().out
         assert out.startswith("OBJECTIVE maximize: ")
+        path = tmp_path / "rrm_xp.txt"
+        assert main(args + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == out
 
     def test_discretize_command(self, tmp_path, capsys):
-        mech_path = tmp_path / "m.json"
-        main([
-            "solve", "--dist", "categorical:3,10,0.8", "--n", "2",
-            "--method", "heur_rrm_cf", "--output", str(mech_path),
-        ])
+        mech_path, _ = self._solved_file(tmp_path, "heur_rrm_cf")
         assert main(["discretize", str(mech_path), "--delta", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "revenue_gap=" in out
+        # an ex-ante file has interim rules only: nothing to round
+        mech_path, _ = self._solved_file(tmp_path, "ex_ante")
+        capsys.readouterr()
+        assert main(["discretize", str(mech_path), "--delta", "0.05"]) == 2
+        assert capsys.readouterr().err == "error: mechanism has no ex-post allocation\n"
 
     def test_experiment_command_with_exact(self, tmp_path):
         out = tmp_path / "exp.csv"

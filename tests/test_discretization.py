@@ -4,12 +4,36 @@ import numpy as np
 import pytest
 
 from convexauction import (
+    DiscreteDistribution,
     ExPostAllocation,
+    TypeSpace,
     discretization_gap,
     heuristic_lb_rrm,
     round_allocation,
+    symmetric_instance,
 )
+from convexauction.discretization import round_table
+from convexauction.mechanisms import heuristic_lb_rrm_tables, pseudo_surplus_tables
+from convexauction.spaces import OrbitSpace
 from conftest import random_instance, random_monotone_allocation
+
+
+def _dense_axis_rounding(table: np.ndarray, delta: float) -> np.ndarray:
+    """Reference: the floor-then-bump rounding written on the dense table's
+    axes, bidder by bidder and own type top first."""
+    steps = round(1.0 / delta)
+    ks = np.floor(table / delta + 1e-12).astype(np.int64)
+    profile_sums = ks.sum(axis=0)
+    for i in range(table.shape[0]):
+        k, want, total = (np.moveaxis(t, i, 0) for t in (ks[i], table[i], profile_sums))
+        for ell in range(k.shape[0] - 1, -1, -1):
+            bump = ((want[ell] - k[ell] * delta > delta / 2 + 1e-12)
+                    & (total[ell] < steps) & (k[ell] < steps))
+            if ell + 1 < k.shape[0]:
+                bump &= k[ell] < k[ell + 1]
+            k[ell] += bump
+            total[ell] += bump
+    return ks * delta
 
 
 class TestRoundAllocation:
@@ -41,6 +65,29 @@ class TestRoundAllocation:
                 assert report.max_abs_residual <= delta + 1e-12
                 assert rounded.is_feasible()
                 assert rounded.is_monotone()
+                want = _dense_axis_rounding(alloc.table, delta)
+                assert rounded.table.tobytes() == want.tobytes()
+
+    def test_orbit_tables_stay_feasible_monotone_and_on_the_grid(self):
+        """On type-count orbits a cell's bump adds its multiplicity to its
+        profile's total; random symmetric instances up to n = 9."""
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n, k = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            values = np.cumsum(rng.uniform(0.1, 1.0, k)) - rng.choice([0.1, 0.0])
+            pmf = rng.uniform(0.1, 1.0, k)
+            space = OrbitSpace(symmetric_instance(
+                TypeSpace(values), DiscreteDistribution(pmf / pmf.sum()), n))
+            # both rules are monotone in own type, the virtual one on regular instances
+            runs = [pseudo_surplus_tables] + [heuristic_lb_rrm_tables] * all(space.virtual[1])
+            for tables, _ in (run(space) for run in runs):
+                for delta in (0.5, 0.25, 0.1, 0.05, 0.01):
+                    r = round_table(space, tables.x, delta)
+                    assert np.abs(tables.x - r).max() <= delta + 1e-12
+                    assert space.supply(r) <= 1e-12
+                    assert np.all(np.diff(r, axis=0) >= 0)
+                    assert r.min() >= 0
+                    np.testing.assert_array_equal(r, np.round(r / delta) * delta)
 
     def test_rejects_bad_delta(self):
         alloc = ExPostAllocation(np.array([[0.5]]))
@@ -87,3 +134,8 @@ class TestDiscretizationGap:
         table[0, 0, 0] = 0.9
         with pytest.raises(ValueError):
             discretization_gap(categorical_pair, ExPostAllocation(table), 0.1)
+
+    def test_rejects_table_of_another_shape(self, categorical_pair):
+        table = ExPostAllocation(np.full((3, 2, 2, 2), 0.2))
+        with pytest.raises(ValueError, match="does not match instance dimensions"):
+            discretization_gap(categorical_pair, table, 0.1)

@@ -33,6 +33,7 @@ from convexauction import (
 from convexauction import oracle
 from convexauction.alloc import GreedyConfig
 from convexauction.cli import METHODS
+from convexauction.discretization import round_table
 from convexauction.spaces import DenseSpace, OrbitSpace
 from conftest import single_type_instance
 
@@ -365,6 +366,23 @@ class TestNewtonSystem:
             assert np.abs(rhs2 - rhs).max() <= 1e-12 * np.abs(rhs).max()
             grad2 = residual(np.zeros(m))
             assert np.abs(grad2 - grad).max() <= 1e-12 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("mode", ["rrm", "rrm_linear"])
+    @pytest.mark.parametrize("label", NEWTON_SPACES)
+    def test_rounded_candidate_passes_every_slack_row(self, label, mode):
+        """The robust programs' slack rows are x >= 0, supply and ex-post
+        monotonicity, which the grid rounding keeps: at random strictly
+        feasible tables and at the solver's last iterate from one of them."""
+        space = NEWTON_SPACES[label]()
+        blk = oracle._Blocks(space)
+        prog = oracle._program(blk, mode)
+        rng = np.random.default_rng(11)
+        points = [_interior_point(blk, rng) for _ in range(5)]
+        points.append(oracle._barrier(prog, points[0])[0])
+        for x in points:
+            for grid in (1e-3, 1e-2, 0.05, 0.1):
+                rounded = round_table(space, x.reshape(space.shape), grid).ravel()
+                assert (prog.h - prog.G @ rounded)[: prog.m].min() >= -1e-12, grid
 
 
 def test_exact_rows_report_their_newton_steps():

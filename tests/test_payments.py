@@ -11,7 +11,9 @@ from convexauction import (
     interim_collapse,
     perceived_payment,
     robust_payment,
+    symmetric_instance,
 )
+from convexauction.cli import parse_distribution
 from convexauction.payments import interim_perceived
 from conftest import random_instance, random_monotone_allocation, single_type_instance
 
@@ -101,6 +103,24 @@ class TestInterimCollapse:
         )
         for t in interim.tables:
             np.testing.assert_allclose(t, 0.3)
+
+    @pytest.mark.parametrize("dist, n", [
+        ("uniform:5", 5), ("uniform:5", 7), ("binomial:4,0.5", 5), ("uniform:3", 8),
+    ])
+    def test_symmetric_table_gives_every_bidder_the_same_vector(self, dist, n):
+        """x_i(v) = g(v_i, sorted(v_-i)) is the same (own type x context)
+        matrix for every bidder, so each collapses to bitwise the same vector."""
+        instance = symmetric_instance(*parse_distribution(dist), n)
+        profiles = np.indices(instance.shape).reshape(n, -1).T
+        others = [np.sort(np.delete(profiles, i, axis=1), axis=1) for i in range(n)]
+        _, context = np.unique(np.concatenate(others), axis=0, return_inverse=True)
+        g = np.random.default_rng(3).uniform(0.0, 1.0 / n, (instance.shape[0], context.max() + 1))
+        context = context.reshape(n, -1)
+        table = np.stack([g[profiles[:, i], context[i]].reshape(instance.shape)
+                          for i in range(n)])
+        first, *rest = interim_collapse(ExPostAllocation(table), instance).tables
+        for i, t in enumerate(rest, 1):
+            assert t.tobytes() == first.tobytes(), i
 
 
 class TestBayesianPayment:

@@ -352,6 +352,9 @@ def _cmd_discretize(args) -> int:
     if mech.allocation is None:
         print("error: mechanism has no ex-post allocation", file=sys.stderr)
         return 2
+    if mech.perceived != "quadratic":
+        raise ValueError("discretize prices payments as p = sqrt(q), so it needs "
+                         f"perceived='quadratic', got perceived={mech.perceived!r}")
     report = discretization_gap(instance, mech.allocation, args.delta)
     print(f"delta={report.delta!r}")
     print(f"max_abs_residual={report.max_abs_residual!r}")
@@ -421,9 +424,9 @@ def _cmd_experiment(args) -> int:
               file=sys.stderr)
         return 2
     methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
-    low, _, high = bidders.partition("..")
+    low, dots, high = bidders.partition("..")
     try:
-        n_min, n_max = int(low), int(high or low)
+        n_min, n_max = int(low), int(high if dots else low)
     except ValueError:
         raise ValueError(f"bidders must be N or N..M in whole numbers, got {bidders!r}") from None
     no_timing = file_cfg.get("no_timing", "false").lower()

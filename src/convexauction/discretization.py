@@ -11,8 +11,9 @@ every entry (floors of a feasible monotone table are feasible and monotone),
 then for each block's own types, top first, bump each cell (all at distinct
 profiles) up one step where its ceiling is strictly closer, the chain stays
 monotone, and its profile's total plus the cell's multiplicity stays within
-1/delta steps (``supply_rows``).  ``round_allocation``, ``discretization_gap``
-and the exact oracle all round with it; every entry stays within delta.
+1/delta steps (the space's ``profile`` and ``multiplicity``).
+``round_allocation``, ``discretization_gap`` and the exact oracle all round
+with it; every entry stays within delta.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ def round_table(space: ProfileSpace, x: np.ndarray, delta: float) -> np.ndarray:
     ks = np.floor(want / delta + 1e-12)
     closer = want - ks * delta > delta / 2 + _BUDGET_TOL  # a cell moves only at its turn
     # every cell lies in one profile, where its share counts mult times
-    profile, cell, count = space.supply_rows()
-    at, mult = np.empty_like(cell), np.empty(len(cell))
-    at[cell], mult[cell] = profile, count
-    total = np.bincount(profile, count * ks[cell])
-    for cells in space.split(np.arange(ks.size).reshape(space.shape)):
+    at, mult = space.profile.ravel(), space.multiplicity.ravel()
+    total = np.bincount(at, mult * ks)
+    for cells in space.index:
         k, up, p, m = ks[cells], closer[cells], at[cells], mult[cells]
         # top type first, so a bump never overtakes the next type's final value;
         # a bump needs x above (k + 1/2) delta, so no entry of [0, 1] passes 1

@@ -213,8 +213,9 @@ class _Blocks:
     Ex-post pieces act on the allocation table x, flattened in the space's
     own order (``space.shape``); interim pieces (``hat=True``) act on the
     interim rule x̂, flattened block by block.  Each piece is a small matrix
-    per block on its own types, applied along every context, and supply is
-    the space's own rows.  The solver multiplies by dense copies of the
+    per block on its own types, applied along every context (the space's
+    ``index``), and supply adds each cell, times its ``multiplicity``, to its
+    ``profile``'s row.  The solver multiplies by dense copies of the
     pieces and builds its Newton systems from their pairs of nonzeros
     (``_gram``); the exporter prints their nonzero entries.  So every
     constraint has one definition, and exports stay proportional to their
@@ -224,8 +225,7 @@ class _Blocks:
     def __init__(self, space: ProfileSpace):
         self.space = space
         self.size = math.prod(space.shape)
-        # the flat index of every cell, and of every x̂ entry, per block
-        self.cells = space.split(np.arange(self.size).reshape(space.shape))
+        # the flat index of every x̂ entry, per block
         ends = np.cumsum([len(b.values) for b in space.blocks])
         self.hats = [np.arange(e - len(b.values), e)[:, None] for b, e in zip(space.blocks, ends)]
         self.hat_size = int(ends[-1])
@@ -235,7 +235,7 @@ class _Blocks:
         the context held fixed; its row r at a context is anchored at (has the
         row index of) that context's entry r + ``shift``."""
         rows, cols, vals = [], [], []
-        for block, index in zip(self.space.blocks, self.hats if hat else self.cells):
+        for block, index in zip(self.space.blocks, self.hats if hat else self.space.index):
             m = matrix(block)
             r, c = np.nonzero(m)
             rows.append(index[r + shift])
@@ -246,8 +246,9 @@ class _Blocks:
 
     def supply(self) -> _Sparse:
         """The bidders' total share at each profile; supply is sum <= 1."""
-        profile, cell, count = self.space.supply_rows()
-        return _sparse([profile], [cell], [count], (int(profile.max()) + 1, self.size))
+        profile = self.space.profile
+        return _sparse([profile], [np.arange(self.size)], [self.space.multiplicity],
+                       (int(profile.max()) + 1, self.size))
 
     def mono(self, hat: bool) -> _Sparse:
         """x at own type k - 1 minus x at own type k, for every k >= 1 (<= 0);
@@ -263,9 +264,10 @@ class _Blocks:
 
     def collapse(self) -> _Sparse:
         """x̂ = C x: each block's share averaged over its contexts."""
+        cells = self.space.index
         return _sparse(
-            [np.broadcast_to(h, c.shape) for h, c in zip(self.hats, self.cells)], self.cells,
-            [np.broadcast_to(w, c.shape) for w, c in zip(self.space.weights, self.cells)],
+            [np.broadcast_to(h, c.shape) for h, c in zip(self.hats, cells)], cells,
+            [np.broadcast_to(w, c.shape) for w, c in zip(self.space.weights, cells)],
             (self.hat_size, self.size))
 
     def weights(self, hat: bool) -> np.ndarray:
@@ -275,10 +277,8 @@ class _Blocks:
         blocks = self.space.blocks
         if hat:
             return np.concatenate([b.count * b.pmf for b in blocks])
-        out = np.empty(self.size)
-        for b, cells, w in zip(blocks, self.cells, self.space.weights):
-            out[cells] = (b.count * b.pmf)[:, None] * w
-        return out
+        mats = [(b.count * b.pmf)[:, None] * w for b, w in zip(blocks, self.space.weights)]
+        return self.space.join(mats).ravel()
 
 
 @dataclass(frozen=True)
@@ -482,7 +482,7 @@ def _solve(
     prog = _program(blk, mode)
     # x(k, c) = (k + 1) / ((K + 1) n): strictly monotone, strictly inside supply
     start, n = np.empty(blk.size), space.instance.n
-    for cells in blk.cells:
+    for cells in space.index:
         start[cells] = (np.arange(len(cells)) + 1)[:, None] / ((len(cells) + 1) * n)
     x, bound, steps = _barrier(prog, start)
     # rounding keeps x >= 0, supply and ex-post monotonicity, not brm's interim one

@@ -21,8 +21,8 @@ the blocks:
 Only three things differ between the spaces: the engine score row built for
 each cell (``rows`` and ``cells``), the closed form's input (``sums``: on
 orbits each cell's own score beside ``contexts @ score``, the other bidders'
-sum), and which cells share a profile (``supply_rows``), from which the
-ex-post supply check and the exact oracle's supply constraints are built.
+sum), and the cell layout (``index``, ``profile`` and ``multiplicity``), which
+the ex-post supply check, the exact oracle's constraints and the rounding read.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ class ProfileSpace:
     shape: tuple[int, ...]  # the table shape
     blocks: tuple[Block, ...]
     weights: tuple[np.ndarray, ...]  # probability of each context, per block
+    # the cell layout, stated once: every cell's flat index, per block; and as
+    # tables, the full type profile each cell lies in, and how many bidders'
+    # shares at that profile the cell stands for
+    index: list[np.ndarray]
+    profile: np.ndarray
+    multiplicity: np.ndarray
 
     def split(self, table: np.ndarray) -> list[np.ndarray]:
         """One ``(own type x context)`` matrix per block."""
@@ -83,11 +89,6 @@ class ProfileSpace:
         """The allocation table from the engine's output for ``rows``."""
         raise NotImplementedError
 
-    def supply_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(profile, flat cell, multiplicity) entries sorted by profile and cell;
-        a profile's total share is the multiplicity-weighted sum of its cells."""
-        raise NotImplementedError
-
     @cached_property
     def virtual(self) -> tuple[VirtualValueTable, tuple[bool, ...]]:
         """The instance's virtual values and each bidder's regularity."""
@@ -96,8 +97,8 @@ class ProfileSpace:
 
     def supply(self, table: np.ndarray) -> float:
         """Worst excess of the bidders' total share over 1 at any profile."""
-        profile, cell, count = self.supply_rows()
-        return float(np.bincount(profile, count * table.ravel()[cell]).max()) - 1.0
+        shares = (self.multiplicity * table).ravel()
+        return float(np.bincount(self.profile.ravel(), shares).max()) - 1.0
 
     def collapse(self, mats) -> tuple[np.ndarray, ...]:
         """Expectation over contexts: one own-type vector per block."""
@@ -119,6 +120,7 @@ class DenseSpace(ProfileSpace):
         self.instance = instance
         self.shape = (instance.n, *instance.shape)
         self.blocks = tuple(_block(instance, i, 1) for i in range(instance.n))
+        self.multiplicity = np.broadcast_to(1.0, self.shape)
 
     @cached_property
     def weights(self):
@@ -143,26 +145,30 @@ class DenseSpace(ProfileSpace):
     def cells(self, rows):
         return rows.T.reshape(self.instance.n, *self.instance.shape)
 
-    def supply_rows(self):
-        # bidder i's share at profile v is cell i * P + v
-        n, size = self.instance.n, math.prod(self.instance.shape)
-        profile = np.repeat(np.arange(size), n)
-        return profile, profile + size * np.tile(np.arange(n), size), np.ones(n * size)
+    @cached_property
+    def profile(self):
+        # bidder i's share at profile v is cell (i, v)
+        size = math.prod(self.instance.shape)
+        return np.tile(np.arange(size), self.instance.n).reshape(self.shape)
+
+    @cached_property
+    def index(self):
+        return [i * self.profile[0].size + v for i, v in enumerate(self.split(self.profile))]
 
 
 def _compositions(total: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every count vector over len(pmf) types summing to ``total``, and its
-    multinomial probability total!/prod c_j! * prod pmf_j^c_j, evaluated in
-    log space: the factorials overflow a float from total = 171 on."""
+    """Every count vector over len(pmf) types summing to ``total``, in rank
+    order (``OrbitSpace``), and its multinomial probability total!/prod c_j! *
+    prod pmf_j^c_j in log space: the factorials overflow a float from 171 on."""
     counts = np.zeros((1, 0), dtype=np.int64)
     left = np.array([total])
-    for _ in pmf[:-1]:
-        # each row branches into every count 0..left for this type
+    for _ in pmf[1:]:
+        # each row branches into every count left..0 for this type, last type first
         reps = left + 1
-        c = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        c = np.repeat(np.cumsum(reps) - 1, reps) - np.arange(reps.sum())
         counts = np.column_stack([np.repeat(counts, reps, axis=0), c])
         left = np.repeat(left, reps) - c
-    counts = np.column_stack([counts, left])
+    counts = np.ascontiguousarray(np.column_stack([counts, left])[:, ::-1])
     log_factorial = np.array([math.lgamma(a + 1) for a in range(total + 1)])
     log_weight = log_factorial[total] - log_factorial[counts].sum(axis=1) + counts @ np.log(pmf)
     return counts, np.exp(log_weight)
@@ -171,8 +177,10 @@ def _compositions(total: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class OrbitSpace(ProfileSpace):
     """Symmetric instances: cells (own type, context), one block for all bidders.
 
-    Contexts are indexed by their rank in the combinatorial number system,
-    so the index of any count vector is computed, not searched for.
+    Contexts are indexed by their rank in the combinatorial number system, so
+    the index of any count vector is computed, not searched for: the bars
+    b_j = c_0 + ... + c_j + j are a (K-1)-subset, ranked as sum_j C(b_j, j+1),
+    which orders c_{K-1} descending, then c_{K-2} descending, and so on.
     """
 
     def __init__(self, instance: AuctionInstance):
@@ -180,26 +188,15 @@ class OrbitSpace(ProfileSpace):
             raise ValueError("orbit space needs identically distributed bidders")
         n, k = instance.n, instance.shape[0]
         self.instance = instance
-        # binom[a, j] = C(a, j); ranks of count vectors summing to n - 1 or n
+        # binom[a, j] = C(a, j), for the ranks of full type profiles (``profile``)
         self._binom = np.array(
             [[math.comb(a, j) for j in range(k)] for a in range(n + k - 1)], dtype=np.int64
         )
-        counts, weights = _compositions(n - 1, instance.pmf(0))
-        order = np.argsort(self._rank(counts))
-        self.contexts = counts[order]
-        self.shape = (k, len(counts))
-        self.weights = (weights[order],)
+        self.contexts, weights = _compositions(n - 1, instance.pmf(0))
+        self.shape = (k, len(self.contexts))
+        self.weights = (weights,)
         self.blocks = (_block(instance, 0, n),)
-
-    def _rank(self, counts: np.ndarray) -> np.ndarray:
-        """Rank of count vectors (last axis) among those with the same sum.
-
-        The bars b_j = c_0 + ... + c_j + j of the stars-and-bars picture are
-        a (K-1)-subset, ranked as sum_j C(b_j, j+1).
-        """
-        k = counts.shape[-1]
-        bars = np.cumsum(counts[..., :-1], axis=-1) + np.arange(k - 1)
-        return self._binom[bars, np.arange(1, k)].sum(axis=-1)
+        self.multiplicity = self.contexts.T + 1.0  # cell (k, c) is c_k + 1 bidders
 
     def split(self, table):
         return [table]
@@ -226,11 +223,12 @@ class OrbitSpace(ProfileSpace):
     def cells(self, rows):
         return rows[:, 0].reshape(-1, len(self.contexts)).copy()  # a view keeps rows alive
 
-    def supply_rows(self):
-        return self._supply_rows
+    @cached_property
+    def index(self):
+        return [np.arange(math.prod(self.shape)).reshape(self.shape)]
 
     @cached_property
-    def _supply_rows(self):
+    def profile(self):
         # cell (k, c) is one of the c_k + 1 type-k bidders at full type count
         # m = c + e_k, so the total share at m is sum_k m_k x(k, m - e_k),
         # read from the table, not the engine's rows.  m's bars are c's plus
@@ -241,11 +239,4 @@ class OrbitSpace(ProfileSpace):
         profile = np.zeros((k, c), dtype=np.int64)
         np.cumsum(self._binom[bars, j + 1], axis=0, out=profile[1:])
         profile[:-1] += np.cumsum(self._binom[bars + 1, j + 1][::-1], axis=0)[::-1]
-        # counting sort; block k's profiles are distinct, so cells stay in order
-        count = np.bincount(profile.ravel())
-        slot = np.cumsum(count) - count
-        cell = np.empty(k * c, dtype=np.int64)
-        for own, p in enumerate(profile):
-            cell[slot[p]] = own * c + np.arange(c)
-            slot[p] += 1
-        return np.repeat(np.arange(len(count)), count), cell, self.contexts.T.ravel()[cell] + 1.0
+        return profile

@@ -320,6 +320,7 @@ class TestExperiment:
     @pytest.mark.parametrize("line, named", [
         ("bidders=1..x", "'1..x'"),
         ("bidders=two", "'two'"),
+        ("bidders=3..", "'3..'"),
         ("epsilon=abc", "'abc'"),
         ("oracle_grid=0.x", "'0.x'"),
     ])
@@ -337,12 +338,13 @@ class TestExperiment:
         assert err.startswith(f"error: {key} must be ") and named in err, err
         assert not out.exists()
 
-    def test_bad_bidders_flag_exits_two_naming_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bidders", ["2..y", "3.."])
+    def test_bad_bidders_flag_exits_two_naming_it(self, tmp_path, capsys, bidders):
         out = tmp_path / "flag.csv"
-        assert main(["experiment", "--dist", "uniform:2", "--bidders", "2..y",
+        assert main(["experiment", "--dist", "uniform:2", "--bidders", bidders,
                      "--methods", "heur_lb_cf", "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bidders must be ") and "'2..y'" in err, err
+        assert err.startswith("error: bidders must be ") and repr(bidders) in err, err
         assert not out.exists()
 
     def test_repeated_config_key_exits_two_naming_it(self, tmp_path, capsys):
@@ -652,6 +654,12 @@ class TestCommands:
         capsys.readouterr()
         assert main(["discretize", str(mech_path), "--delta", "0.05"]) == 2
         assert capsys.readouterr().err == "error: mechanism has no ex-post allocation\n"
+        # a surplus file pays p = q: its gaps are not those of p = sqrt(q)
+        mech_path, _ = self._solved_file(tmp_path, "surplus")
+        capsys.readouterr()
+        assert main(["discretize", str(mech_path), "--delta", "0.05"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "perceived='linear'" in captured.err, captured.err
 
     def test_experiment_command_with_exact(self, tmp_path):
         out = tmp_path / "exp.csv"

@@ -297,7 +297,7 @@ def _interior_point(blk, rng):
     """A random strictly feasible table: the solver's start, each cell moved
     by at most 0.3 of the gap between adjacent own types."""
     x, n = np.empty(blk.size), blk.space.instance.n
-    for cells in blk.cells:
+    for cells in blk.space.index:
         k = len(cells)
         x[cells] = (np.arange(1, k + 1)[:, None] + rng.uniform(-0.3, 0.3, cells.shape)) / (
             (k + 1) * n)

@@ -142,6 +142,15 @@ def test_dense_and_orbit_agree_on_corpus(label, instance):
     assert_spaces_agree(instance)
 
 
+def _rank(counts):
+    """Reference rank of count vectors (last axis) among those with the same
+    sum: the bars b_j = c_0 + ... + c_j + j of the stars-and-bars picture are
+    a (K-1)-subset, ranked as sum_j C(b_j, j+1)."""
+    k = counts.shape[-1]
+    bars = np.cumsum(counts[..., :-1], axis=-1) + np.arange(k - 1)
+    return np.vectorize(math.comb, otypes=[np.int64])(bars, np.arange(1, k)).sum(axis=-1)
+
+
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5), (9, 2)])
 def test_contexts_are_the_count_vectors_indexed_by_rank(n, k):
     space = OrbitSpace(symmetric_instance(*make_uniform(k), n))
@@ -149,28 +158,59 @@ def test_contexts_are_the_count_vectors_indexed_by_rank(n, k):
     assert len(contexts) == math.comb(n + k - 2, k - 1)
     assert np.all(contexts.sum(axis=1) == n - 1) and np.all(contexts >= 0)
     assert len({tuple(c) for c in contexts}) == len(contexts)
-    np.testing.assert_array_equal(space._rank(contexts), np.arange(len(contexts)))
+    np.testing.assert_array_equal(_rank(contexts), np.arange(len(contexts)))
     assert math.isclose(space.weights[0].sum(), 1.0, rel_tol=1e-12)
 
 
 def _supply_reference(space):
-    """(profile, cell, multiplicity): every full count vector c + e_k ranked
-    on its own, then a stable sort of the cells by profile."""
+    """(profile, cell, multiplicity) sorted by profile and cell.  On orbits
+    every full count vector c + e_k is ranked on its own, then the cells are
+    sorted stably by profile; on dense tables bidder i's share at profile v
+    is cell i * P + v."""
+    if isinstance(space, DenseSpace):
+        n, size = space.instance.n, math.prod(space.instance.shape)
+        profile = np.repeat(np.arange(size), n)
+        return profile, profile + size * np.tile(np.arange(n), size), np.ones(n * size)
     k = space.shape[0]
     full = space.contexts + np.eye(k, dtype=np.int64)[:, None]
-    profile = space._rank(full).ravel()
+    profile = _rank(full).ravel()
     cell = np.argsort(profile, kind="stable")
     return profile[cell], cell, space.contexts.T.ravel()[cell] + 1.0
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_supply_rows_equal_ranking_every_full_profile(k):
+def test_cell_layout_ranks_every_full_profile(k):
+    """Each cell's profile and multiplicity: on orbits the reference rank of
+    c + e_k and c_k + 1; on dense tables v's flat index and 1 at cell (i, v).
+    ``index`` is every cell's flat index split into blocks.  The supply check
+    and the rounding budget add the same numbers in the same order as over
+    the sorted (profile, cell, multiplicity) entries."""
+    rng = np.random.default_rng(k)
     for n in range(1, 13):
-        space = OrbitSpace(symmetric_instance(*make_uniform(k), n))
-        got, want = space.supply_rows(), _supply_reference(space)
-        assert len(got) == len(want) == 3
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b, err_msg=f"n={n}")
+        instance = symmetric_instance(*make_uniform(k), n)
+        orbit = OrbitSpace(instance)
+        full = orbit.contexts + np.eye(k, dtype=np.int64)[:, None]
+        np.testing.assert_array_equal(orbit.profile, _rank(full), err_msg=f"n={n}")
+        np.testing.assert_array_equal(orbit.multiplicity, orbit.contexts.T + 1)
+        spaces = [orbit]
+        if k**n <= 4096:
+            dense = DenseSpace(instance)
+            flat = np.arange(k**n).reshape(instance.shape)
+            np.testing.assert_array_equal(dense.profile, np.broadcast_to(flat, dense.shape))
+            np.testing.assert_array_equal(dense.multiplicity, np.ones(dense.shape))
+            spaces.append(dense)
+        for space in spaces:
+            size = math.prod(space.shape)
+            want = space.split(np.arange(size).reshape(space.shape))
+            assert len(space.index) == len(want)
+            for got, expected in zip(space.index, want):
+                np.testing.assert_array_equal(got, expected)
+            profile, cell, count = _supply_reference(space)
+            table = rng.uniform(0.0, 1.0 / n, space.shape)
+            totals = np.bincount(profile, count * table.ravel()[cell])
+            assert space.supply(table) == float(totals.max()) - 1.0
+            budget = np.bincount(space.profile.ravel(), space.multiplicity.ravel() * table.ravel())
+            assert budget.tobytes() == totals.tobytes(), f"n={n}"
 
 
 def _closed_form_reference(space, scores):

@@ -10,6 +10,10 @@ form a group that moves in whole group steps, and the steps with the largest
 marginal gains win.  It finds those steps by an exchange from the closed-form
 start rather than by simulating them one by one; a tie at the last step is
 split evenly among the tied bidders.
+
+The batch engines solve one row per type profile; column j stands for
+``sizes[j]`` bidders with the same score (1 by default), each given its share.
+A column of size 0 stands for no one and must not score above 0.
 """
 
 from __future__ import annotations
@@ -56,16 +60,17 @@ def pointwise_max(c) -> np.ndarray:
     return pointwise_max_batch(np.asarray(c, dtype=np.float64)[None, :])[0]
 
 
-def pointwise_max_batch(scores: np.ndarray) -> np.ndarray:
-    """Row-wise pointwise maximization over a (profiles x bidders) matrix.
+def pointwise_max_batch(scores: np.ndarray, sizes=1) -> np.ndarray:
+    """Row-wise pointwise maximization over a (profiles x groups) matrix.
 
-    A positive score wins when it is at least (1 - ``TIE_TOL``) times the row's top score.
+    A positive score wins when it is at least (1 - ``TIE_TOL``) times the row's
+    top score; each winning bidder gets one over the total size of the winners.
     """
     scores = np.asarray(scores, dtype=np.float64)
     out = np.zeros_like(scores)
     top = scores.max(axis=1, keepdims=True)
     winners = (scores >= top - TIE_TOL * top) & (scores > 0)
-    counts = winners.sum(axis=1, keepdims=True)
+    counts = (winners * sizes).sum(axis=1, keepdims=True)
     np.divide(winners, counts, out=out, where=counts > 0)
     return out
 
@@ -83,13 +88,14 @@ def eqp_solver(c, config: GreedyConfig = GreedyConfig()) -> np.ndarray:
     return eqp_solver_batch(np.asarray(c, dtype=np.float64)[None, :], config)[0]
 
 
-def eqp_solver_batch(scores: np.ndarray, config: GreedyConfig = GreedyConfig()) -> np.ndarray:
+def eqp_solver_batch(scores: np.ndarray, config: GreedyConfig = GreedyConfig(),
+                     sizes=1) -> np.ndarray:
     """Row-wise greedy equi-marginal allocation, computed from whole group steps.
 
     Each row is sorted by s = sqrt(c^+); scores within tol = ``TIE_TOL`` times
-    the row's largest s of their neighbour form a group of m members that
-    share one representative s (the group's largest).  Group step t gives
-    each member eps/m and gains
+    the row's largest s of their neighbour form a group; its m members, the
+    columns' ``sizes`` added up, share one representative s (the group's
+    largest).  Group step t gives each member eps/m and gains
     s * (sqrt(t eps/m + eps) - sqrt(t eps/m)), which falls with t, so the
     greedy takes the S = 1/eps largest step gains of its row.  The step counts
     start at floor(m x_cf / eps) from the closed form and are corrected by an
@@ -107,13 +113,14 @@ def eqp_solver_batch(scores: np.ndarray, config: GreedyConfig = GreedyConfig()) 
     root = np.sqrt(np.maximum(scores[live], 0.0))
     order = np.argsort(-root, axis=1, kind="stable")
     s = np.take_along_axis(root, order, axis=1)
+    size = np.take_along_axis(np.broadcast_to(sizes, scores.shape)[live], order, axis=1)
     rows, cols = s.shape
     tol = TIE_TOL * s[:, :1]
     head = np.ones_like(s, dtype=bool)
     head[:, 1:] = (s[:, :-1] - s[:, 1:] > tol) | ((s[:, :-1] > 0) != (s[:, 1:] > 0))
     group = np.cumsum(head, axis=1) - 1  # column -> group, groups in score order
     lin = group + cols * np.arange(rows)[:, None]
-    m = np.bincount(lin.ravel(), minlength=rows * cols).reshape(rows, cols)
+    m = np.bincount(lin.ravel(), size.ravel(), minlength=rows * cols).reshape(rows, cols)
     sg = np.zeros_like(s)  # per group: representative score (the group's first)
     np.put(sg, lin[head], s[head])
     valid = (m > 0) & (sg > 0)
@@ -175,13 +182,14 @@ def closed_form_alloc(c, alpha: float = 0.5) -> np.ndarray:
     return closed_form_alloc_batch(np.asarray(c, dtype=np.float64)[None, :], alpha)[0]
 
 
-def closed_form_alloc_batch(scores: np.ndarray, alpha: float = 0.5) -> np.ndarray:
-    """Row-wise proportional closed form over a (profiles x bidders) matrix."""
+def closed_form_alloc_batch(scores: np.ndarray, alpha: float = 0.5, sizes=1) -> np.ndarray:
+    """Row-wise proportional closed form over a (profiles x groups) matrix: the
+    total is sum_j size_j (c_j^+)^(a/(1-a))."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly in (0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
     powered = np.maximum(scores, 0.0) ** (alpha / (1.0 - alpha))
-    totals = powered.sum(axis=1, keepdims=True)
+    totals = (sizes * powered).sum(axis=1, keepdims=True)
     out = np.zeros_like(scores)
     np.divide(powered, totals, out=out, where=totals > 0)
     return out

@@ -118,13 +118,14 @@ class Tables:
 def _allocate(
     space: ProfileSpace, scores: list[np.ndarray], engine: str, config: GreedyConfig
 ) -> np.ndarray:
-    """Run one allocation engine on every cell's score row."""
+    """Run one allocation engine on every full type profile, once each."""
+    groups, sizes = space.groups(scores)
     if engine == "pointwise":
-        out = pointwise_max_batch(space.rows(scores))
+        out = pointwise_max_batch(groups, sizes)
     elif engine == "greedy":
-        out = eqp_solver_batch(space.rows(scores), config)
+        out = eqp_solver_batch(groups, config, sizes)
     elif engine == "closed_form":
-        out = closed_form_alloc_batch(space.sums(scores), 0.5)
+        out = closed_form_alloc_batch(groups, 0.5, sizes)
     else:
         raise ValueError(f"unknown allocation engine {engine!r}")
     return space.cells(out)

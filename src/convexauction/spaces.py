@@ -18,11 +18,11 @@ the blocks:
   weighted by its multinomial probability (n-1)!/prod c_j! * prod f_j^c_j.
   One block stands for all n bidders: K * C cells in place of n * K^n.
 
-Only three things differ between the spaces: the engine score row built for
-each cell (``rows`` and ``cells``), the closed form's input (``sums``: on
-orbits each cell's own score beside ``contexts @ score``, the other bidders'
-sum), and the cell layout (``index``, ``profile`` and ``multiplicity``), which
-the ex-post supply check, the exact oracle's constraints and the rounding read.
+Only two things differ between the spaces: the engine input (``groups``, one
+row per full type profile and one column per group of same-score bidders,
+with the group sizes) and the cell layout (``index``, ``profile`` and
+``multiplicity``), through which ``cells``, the ex-post supply check, the
+exact oracle's constraints and the rounding read the tables.
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ class ProfileSpace:
     shape: tuple[int, ...]  # the table shape
     blocks: tuple[Block, ...]
     weights: tuple[np.ndarray, ...]  # probability of each context, per block
-    # the cell layout, stated once: every cell's flat index, per block; and as
-    # tables, the full type profile each cell lies in, and how many bidders'
-    # shares at that profile the cell stands for
-    index: list[np.ndarray]
+    # the cell layout, stated once: every cell's flat index, per block
+    # (``index``); and as tables, the full type profile each cell lies in, and
+    # how many bidders' shares at that profile the cell stands for
     profile: np.ndarray
     multiplicity: np.ndarray
 
@@ -73,21 +72,23 @@ class ProfileSpace:
         """The table whose blocks are ``mats``; inverse of ``split``."""
         raise NotImplementedError
 
-    def rows(self, scores: list[np.ndarray]) -> np.ndarray:
-        """Engine input: every bidder's score at each cell, shape (cells, n).
+    @cached_property
+    def index(self) -> list[np.ndarray]:
+        return self.split(np.arange(math.prod(self.shape)).reshape(self.shape))
 
-        ``scores`` holds one own-type score vector per block.
-        """
+    def groups(self, scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | int]:
+        """Engine input from one own-type score vector per block: a (P, G)
+        score matrix, one row per full type profile as numbered in ``profile``
+        and G = ``shape[0]`` groups of same-score bidders, and the group sizes."""
         raise NotImplementedError
 
-    def sums(self, scores: list[np.ndarray]) -> np.ndarray:
-        """Closed-form engine input, read back by ``cells``: ``rows``, or at
-        alpha = 1/2 the own score beside the sum of the other positive scores."""
-        return self.rows(scores)
-
-    def cells(self, rows: np.ndarray) -> np.ndarray:
-        """The allocation table from the engine's output for ``rows``."""
-        raise NotImplementedError
+    def cells(self, out: np.ndarray) -> np.ndarray:
+        """The allocation table from the engine's (P, G) output for ``groups``:
+        cell (a, ...) is row ``profile[a, ...]`` of column a, which starts at
+        a * P in the column-major output."""
+        g = self.shape[0]
+        column = np.arange(g).reshape((g,) + (1,) * (len(self.shape) - 1))
+        return out.T.ravel()[column * len(out) + self.profile]
 
     @cached_property
     def virtual(self) -> tuple[VirtualValueTable, tuple[bool, ...]]:
@@ -139,11 +140,9 @@ class DenseSpace(ProfileSpace):
             out[i] = np.moveaxis(own_first, 0, i)
         return out
 
-    def rows(self, scores):
-        return own_type_matrix(self.instance, scores).reshape(self.instance.n, -1).T
-
-    def cells(self, rows):
-        return rows.T.reshape(self.instance.n, *self.instance.shape)
+    def groups(self, scores):
+        # bidder i's score in column i, a group of one
+        return own_type_matrix(self.instance, scores).reshape(self.instance.n, -1).T, 1
 
     @cached_property
     def profile(self):
@@ -151,27 +150,20 @@ class DenseSpace(ProfileSpace):
         size = math.prod(self.instance.shape)
         return np.tile(np.arange(size), self.instance.n).reshape(self.shape)
 
-    @cached_property
-    def index(self):
-        return [i * self.profile[0].size + v for i, v in enumerate(self.split(self.profile))]
 
-
-def _compositions(total: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every count vector over len(pmf) types summing to ``total``, in rank
-    order (``OrbitSpace``), and its multinomial probability total!/prod c_j! *
-    prod pmf_j^c_j in log space: the factorials overflow a float from 171 on."""
-    counts = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([total])
-    for _ in pmf[1:]:
-        # each row branches into every count left..0 for this type, last type first
-        reps = left + 1
-        c = np.repeat(np.cumsum(reps) - 1, reps) - np.arange(reps.sum())
-        counts = np.column_stack([np.repeat(counts, reps, axis=0), c])
-        left = np.repeat(left, reps) - c
-    counts = np.ascontiguousarray(np.column_stack([counts, left])[:, ::-1])
-    log_factorial = np.array([math.lgamma(a + 1) for a in range(total + 1)])
-    log_weight = log_factorial[total] - log_factorial[counts].sum(axis=1) + counts @ np.log(pmf)
-    return counts, np.exp(log_weight)
+def _compositions(total: int, binom: np.ndarray) -> np.ndarray:
+    """Every count vector over K types summing to ``total``, one row each in rank
+    order (``OrbitSpace``), column-major.  Rank r is decoded last bar first: for
+    j = K-1 down to 1, b_j is the largest b with C(b, j) = ``binom[b, j]`` at
+    most r, and r -= C(b_j, j)."""
+    k = binom.shape[1]
+    bars = np.empty((k + 1, math.comb(total + k - 1, k - 1)), dtype=np.int64)
+    bars[0], bars[k] = -1, total + k - 1
+    rank = np.arange(bars.shape[1])
+    for j in range(k - 1, 0, -1):
+        bars[j] = np.searchsorted(binom[:, j], rank, side="right") - 1
+        rank -= binom[bars[j], j]
+    return (np.diff(bars, axis=0) - 1).T
 
 
 class OrbitSpace(ProfileSpace):
@@ -189,12 +181,19 @@ class OrbitSpace(ProfileSpace):
         n, k = instance.n, instance.shape[0]
         self.instance = instance
         # binom[a, j] = C(a, j), for the ranks of full type profiles (``profile``)
-        self._binom = np.array(
-            [[math.comb(a, j) for j in range(k)] for a in range(n + k - 1)], dtype=np.int64
-        )
-        self.contexts, weights = _compositions(n - 1, instance.pmf(0))
+        self._binom = np.array([[math.comb(a, j) for j in range(k)] for a in range(n + k - 1)],
+                               dtype=np.int64)
+        # every full type profile's counts, in the smallest signed integer type
+        # that holds n (one that holds -(n+1) does); the first C profiles hold
+        # a type-(K-1) bidder, and less that bidder they are the contexts
+        self.profiles = _compositions(n, self._binom).astype(np.min_scalar_type(-n - 1))
+        self.contexts = self.profiles[: math.comb(n + k - 2, k - 1)].copy()
+        self.contexts[:, -1] -= 1
         self.shape = (k, len(self.contexts))
-        self.weights = (weights,)
+        # multinomial probabilities in log space: factorials overflow a float from 171 on
+        log_factorial = np.array([math.lgamma(a + 1) for a in range(n)])
+        log_weight = log_factorial[n - 1] - log_factorial[self.contexts].sum(axis=1)
+        self.weights = (np.exp(log_weight + self.contexts @ np.log(instance.pmf(0))),)
         self.blocks = (_block(instance, 0, n),)
         self.multiplicity = self.contexts.T + 1.0  # cell (k, c) is c_k + 1 bidders
 
@@ -204,38 +203,24 @@ class OrbitSpace(ProfileSpace):
     def join(self, mats):
         return mats[0]
 
-    def rows(self, scores):
-        s = scores[0]
-        k, c, n = s.size, len(self.contexts), self.instance.n
-        own = np.broadcast_to(s[:, None, None], (k, c, 1))
-        # the other bidders' scores, by ascending type, at each context
-        others = np.repeat(np.tile(s, c), self.contexts.ravel()).reshape(c, n - 1)
-        others = np.broadcast_to(others, (k, c, n - 1))
-        return np.concatenate([own, others], axis=2).reshape(k * c, n)
-
-    def sums(self, scores):
-        s = scores[0]
-        out = np.empty((s.size, len(self.contexts), 2))
-        out[..., 0] = s[:, None]
-        out[..., 1] = self.contexts @ np.maximum(s, 0.0)
-        return out.reshape(-1, 2)
-
-    def cells(self, rows):
-        return rows[:, 0].reshape(-1, len(self.contexts)).copy()  # a view keeps rows alive
-
     @cached_property
-    def index(self):
-        return [np.arange(math.prod(self.shape)).reshape(self.shape)]
+    def _present(self) -> np.ndarray:
+        return self.profiles.T > 0
+
+    def groups(self, scores):
+        # type k's score in column k, a group of its count; absent types score
+        # 0 (or -0), which no engine lets compete
+        return (scores[0][:, None] * self._present).T, self.profiles
 
     @cached_property
     def profile(self):
         # cell (k, c) is one of the c_k + 1 type-k bidders at full type count
-        # m = c + e_k, so the total share at m is sum_k m_k x(k, m - e_k),
-        # read from the table, not the engine's rows.  m's bars are c's plus
-        # one from j = k on: rank sum_{j<k} C(b_j, j+1) + sum_{j>=k} C(b_j+1, j+1)
+        # m = c + e_k, so the total share at m is sum_k m_k x(k, m - e_k).  m's
+        # bars are c's plus one from j = k on: rank
+        # sum_{j<k} C(b_j, j+1) + sum_{j>=k} C(b_j+1, j+1)
         k, c = self.shape
         j = np.arange(k - 1)[:, None]
-        bars = np.cumsum(self.contexts.T[:-1], axis=0) + j
+        bars = np.cumsum(self.contexts.T[:-1], axis=0, dtype=np.int64) + j
         profile = np.zeros((k, c), dtype=np.int64)
         np.cumsum(self._binom[bars, j + 1], axis=0, out=profile[1:])
         profile[:-1] += np.cumsum(self._binom[bars + 1, j + 1][::-1], axis=0)[::-1]

@@ -20,7 +20,7 @@ from convexauction import (
     symmetric_instance,
     virtual_values,
 )
-from convexauction.alloc import closed_form_alloc_batch
+from convexauction.alloc import closed_form_alloc_batch, eqp_solver_batch, pointwise_max_batch
 from convexauction.cli import METHODS, main
 from convexauction.mechanisms import (
     bound_tables,
@@ -28,6 +28,7 @@ from convexauction.mechanisms import (
     heuristic_lb_rrm_tables,
     pseudo_surplus_tables,
     surplus_tables,
+    virtual_surplus_tables,
 )
 from convexauction.oracle import OracleRefusal, check, exact_tables
 from convexauction.payments import chain
@@ -191,6 +192,13 @@ def test_cell_layout_ranks_every_full_profile(k):
         orbit = OrbitSpace(instance)
         full = orbit.contexts + np.eye(k, dtype=np.int64)[:, None]
         np.testing.assert_array_equal(orbit.profile, _rank(full), err_msg=f"n={n}")
+        # the engine's rows: every full profile once, in rank order, and the
+        # contexts are the first C of them less one type-(K-1) bidder
+        assert len(orbit.profiles) == math.comb(n + k - 1, k - 1)
+        assert np.all(orbit.profiles.sum(axis=1) == n) and np.all(orbit.profiles >= 0)
+        np.testing.assert_array_equal(_rank(orbit.profiles), np.arange(len(orbit.profiles)))
+        np.testing.assert_array_equal(orbit.profiles[orbit.profile], full)
+        np.testing.assert_array_equal(_rank(orbit.contexts), np.arange(len(orbit.contexts)))
         np.testing.assert_array_equal(orbit.multiplicity, orbit.contexts.T + 1)
         spaces = [orbit]
         if k**n <= 4096:
@@ -213,9 +221,14 @@ def test_cell_layout_ranks_every_full_profile(k):
             assert budget.tobytes() == totals.tobytes(), f"n={n}"
 
 
-def _closed_form_reference(space, scores):
-    """The closed form on every bidder's score at each cell, column 0 kept."""
-    return closed_form_alloc_batch(space.rows([scores]), 0.5)[:, 0].reshape(space.shape)
+def _cell_rows(space, s):
+    """Every bidder's score at each orbit cell, shape (cells, n): the cell's
+    own score, then the other bidders' by ascending type."""
+    k, c, n = s.size, len(space.contexts), space.instance.n
+    own = np.broadcast_to(s[:, None, None], (k, c, 1))
+    others = np.repeat(np.tile(s, c), space.contexts.ravel()).reshape(c, n - 1)
+    others = np.broadcast_to(others, (k, c, n - 1))
+    return np.concatenate([own, others], axis=2).reshape(k * c, n)
 
 
 @pytest.mark.parametrize("n,k,low,seed", [
@@ -223,35 +236,55 @@ def _closed_form_reference(space, scores):
     (2, 3, 0.0, 5), (3, 2, 0.3, 6), (4, 5, 0.0, 7), (7, 2, 0.0, 8), (9, 4, 0.2, 9),
     (5, 6, 0.0, 10),
 ])
-def test_orbit_closed_form_from_context_sums_equals_full_rows(n, k, low, seed):
-    """Own score beside ``contexts @ score`` gives the shares of the full
-    (cells, n) rows, within 1e-12 relative, zeros included; a lowest type
-    at value 0 has phi^+ = 0."""
+def test_orbit_engines_on_full_profiles_equal_the_cell_rows(n, k, low, seed):
+    """One engine row per full type profile, with group sizes, gives the
+    shares of the (cells, n) rows that list every bidder's score: pointwise
+    and greedy bit for bit, the closed form within 1e-12 relative, zeros
+    included.  A lowest type at value 0 has phi^+ = 0; phi itself can be
+    negative."""
     rng = np.random.default_rng(seed)
     values = low + np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, k - 1))])
     raw = rng.uniform(0.1, 1.0, k)
     space = OrbitSpace(symmetric_instance(TypeSpace(values),
                                           DiscreteDistribution(raw / raw.sum()), n))
-    phi_plus = virtual_values(space.instance).phi_plus[0]
+    phi = virtual_values(space.instance)
+    phi_plus = phi.phi_plus[0]
     if low == 0.0:
         assert phi_plus[0] == 0.0
+    exact = [(surplus_tables(space), values, pointwise_max_batch),
+             (virtual_surplus_tables(space), phi.phi[0], pointwise_max_batch)]
+    for eps in (1e-3, 0.05):
+        cfg = GreedyConfig(epsilon=eps)
+        engine = lambda rows, cfg=cfg: eqp_solver_batch(rows, cfg)  # noqa: E731
+        exact += [(heuristic_lb_rrm_tables(space, "greedy", cfg), phi_plus, engine),
+                  (pseudo_surplus_tables(space, "greedy", cfg), values, engine)]
+    for (tables, _), scores, engine in exact:
+        want = engine(_cell_rows(space, scores))[:, 0].reshape(space.shape)
+        assert tables.x.tobytes() == want.tobytes(), (tables.provenance, tables.x, want)
     for (tables, _), scores in ((heuristic_lb_rrm_tables(space), phi_plus),
                                 (pseudo_surplus_tables(space), values)):
-        want = _closed_form_reference(space, scores)
+        want = closed_form_alloc_batch(_cell_rows(space, scores), 0.5)[:, 0].reshape(space.shape)
         assert np.all(np.abs(tables.x - want) <= TOL * np.abs(want)), (tables.x, want)
 
 
-def test_orbit_closed_form_peak_memory_per_cell():
-    """uniform:5 at n = 30 has 204,600 orbit cells; the closed form reads two
-    numbers per cell, not the n others' scores (729 bytes per cell before)."""
+@pytest.mark.parametrize("run,bound", [
+    (surplus_tables, 128),
+    (lambda space: heuristic_lb_rrm_tables(space, "greedy"), 512),
+    (heuristic_lb_rrm_tables, 128),
+], ids=["pointwise", "greedy", "closed_form"])
+def test_orbit_engine_peak_memory_per_cell(run, bound):
+    """uniform:5 at n = 30 has 204,600 orbit cells and 46,376 full type
+    profiles; each engine reads one row of five scores per profile.  An
+    engine fed a row of the n bidders' scores per cell needs about 520 bytes
+    per cell pointwise and 5,200 greedy, above these bounds."""
     space = OrbitSpace(symmetric_instance(*make_uniform(5), 30))
     tracemalloc.start()
     try:
-        heuristic_lb_rrm_tables(space)
+        run(space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * math.prod(space.shape)
+    assert peak < bound * math.prod(space.shape)
 
 
 @pytest.mark.parametrize("run", [
@@ -260,8 +293,8 @@ def test_orbit_closed_form_peak_memory_per_cell():
     lambda space: heuristic_lb_rrm_tables(space, "closed_form"),
 ], ids=["pointwise", "greedy", "closed_form"])
 def test_orbit_allocation_owns_its_memory(run):
-    """The orbit ``x`` is not a view of the engine's (cells, n) or (cells, 2)
-    output, which would stay alive as long as the table does."""
+    """The orbit ``x`` is not a view of the engine's (profiles, K) output,
+    which would stay alive as long as the table does."""
     tables, _ = run(OrbitSpace(symmetric_instance(*make_uniform(5), 12)))
     assert tables.x.shape == (5, 1365)
     assert tables.x.base is None
@@ -282,6 +315,18 @@ def test_orbit_weights_sum_to_one_at_two_thousand_bidders():
     weights = OrbitSpace(symmetric_instance(*make_uniform(2), 2000)).weights[0]
     assert len(weights) == 2000
     assert abs(weights.sum() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [127, 128, 32767, 32768])
+def test_orbit_counts_hold_n_at_the_integer_type_bounds(n):
+    """The counts' integer type widens at these n.  Every full profile holds n
+    bidders, so where all n have the top type each gets 1/n, not 0."""
+    space = OrbitSpace(symmetric_instance(*make_uniform(2), n))
+    assert np.all(space.profiles.sum(axis=1) == n) and np.all(space.profiles >= 0)
+    (top,) = np.flatnonzero(space.contexts[:, 1] == n - 1)
+    for tables, _ in (surplus_tables(space), heuristic_lb_rrm_tables(space, "greedy"),
+                      pseudo_surplus_tables(space)):
+        assert math.isclose(tables.x[1, top], 1.0 / n, rel_tol=TOL), tables.provenance
 
 
 def test_experiment_at_eleven_hundred_bidders_verifies(tmp_path):

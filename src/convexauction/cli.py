@@ -350,8 +350,7 @@ def _cmd_check(args) -> int:
 def _cmd_discretize(args) -> int:
     instance, mech = load_mechanism(args.mechanism)
     if mech.allocation is None:
-        print("error: mechanism has no ex-post allocation", file=sys.stderr)
-        return 2
+        raise ValueError("mechanism has no ex-post allocation")
     if mech.perceived != "quadratic":
         raise ValueError("discretize prices payments as p = sqrt(q), so it needs "
                          f"perceived='quadratic', got perceived={mech.perceived!r}")
@@ -420,9 +419,7 @@ def _cmd_experiment(args) -> int:
     bidders = pick(args.bidders, "bidders", None)
     methods_raw = pick(args.methods, "methods", None)
     if not dist or not bidders or methods_raw is None:
-        print("error: dist, bidders and methods are required (flags or config file)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("dist, bidders and methods are required (flags or config file)")
     methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
     low, dots, high = bidders.partition("..")
     try:

@@ -157,6 +157,14 @@ class AuctionInstance:
             return np.ones(())
         return np.asarray(reduce(np.multiply.outer, others))
 
+    def check_table(self, what: str, table) -> None:
+        """Raise ValueError naming ``what`` unless ``table`` is an ndarray of
+        shape ``(n, *shape)`` or n interim vectors of lengths K_i."""
+        dense = isinstance(table, np.ndarray)
+        got = table.shape if dense else [np.shape(v) for v in table]
+        if got != ((self.n, *self.shape) if dense else [(k,) for k in self.shape]):
+            raise ValueError(f"{what} does not match instance dimensions")
+
     def is_symmetric(self) -> bool:
         s0, d0 = self.bidders[0]
         return all(
@@ -250,15 +258,13 @@ class ExPostAllocation:
     def n(self) -> int:
         return int(self.table.shape[0])
 
-    def is_feasible(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_feasible(self) -> bool:
         """Ex-post feasible: the bidders' shares sum to at most 1 everywhere."""
-        return bool(np.all(self.table.sum(axis=0) <= 1 + tol))
+        return bool(np.all(self.table.sum(axis=0) <= 1 + DEFAULT_TOL))
 
-    def is_monotone(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_monotone(self) -> bool:
         """Each bidder's share is non-decreasing in their own type."""
-        return all(
-            np.all(np.diff(self.table[i], axis=i) >= -tol) for i in range(self.n)
-        )
+        return all(np.all(np.diff(self.table[i], axis=i) >= -DEFAULT_TOL) for i in range(self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,8 +290,8 @@ class InterimAllocation:
     def n(self) -> int:
         return len(self.tables)
 
-    def is_monotone(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(np.all(np.diff(t) >= -tol) for t in self.tables)
+    def is_monotone(self) -> bool:
+        return all(np.all(np.diff(t) >= -DEFAULT_TOL) for t in self.tables)
 
 
 @dataclass(frozen=True, eq=False)

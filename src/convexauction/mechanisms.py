@@ -90,16 +90,16 @@ class Tables:
 
     @classmethod
     def of(cls, instance: AuctionInstance, mech: Mechanism) -> Tables:
-        """A mechanism's tables on the instance's dense space."""
-        return cls(
-            DenseSpace(instance),
-            x=None if mech.allocation is None else mech.allocation.table,
-            p=None if mech.robust_payments is None else mech.robust_payments.table,
-            xhat=None if mech.interim_allocation is None else mech.interim_allocation.tables,
-            h=None if mech.interim_payments is None else mech.interim_payments.tables,
-            provenance=mech.provenance,
-            perceived=mech.perceived,
-        )
+        """A mechanism's tables on the instance's dense space; a table that
+        does not match the instance raises ValueError (``check_table``)."""
+        x, p = (None if r is None else r.table for r in (mech.allocation, mech.robust_payments))
+        xhat, h = (None if r is None else r.tables
+                   for r in (mech.interim_allocation, mech.interim_payments))
+        for what, table in (("allocation table", x), ("payment table", p),
+                            ("interim allocation", xhat), ("interim payments", h)):
+            if table is not None:
+                instance.check_table(what, table)
+        return cls(DenseSpace(instance), x, p, xhat, h, mech.provenance, mech.perceived)
 
     def mechanism(self) -> Mechanism:
         """The dense tables wrapped (and validated) as a ``Mechanism``."""
@@ -334,7 +334,7 @@ class BoundReport:
         return not self.failures
 
 
-def bound_tables(tables: Tables, tol: float = DEFAULT_TOL) -> BoundReport:
+def bound_tables(tables: Tables) -> BoundReport:
     """``bound_report`` on any profile space.
 
     A block stands for ``block.count`` bidders, so each per-bidder entry
@@ -363,14 +363,14 @@ def bound_tables(tables: Tables, tol: float = DEFAULT_TOL) -> BoundReport:
     failures = []
     # IR caps p at sqrt(v x) at each profile; BIR caps h at sqrt(v x̂) only
     if tables.p is not None:
-        if revenue > robust_ps + tol:
+        if revenue > robust_ps + DEFAULT_TOL:
             failures.append("revenue exceeds robust pseudo-surplus")
-    elif revenue > bayes_ps + tol:
+    elif revenue > bayes_ps + DEFAULT_TOL:
         failures.append("revenue exceeds Bayesian pseudo-surplus")
-    if robust_ps > bayes_ps + tol:
+    if robust_ps > bayes_ps + DEFAULT_TOL:
         failures.append("robust pseudo-surplus exceeds Bayesian pseudo-surplus")
     for i, (rev, upper) in enumerate(zip(per_bidder_rev, per_bidder_sqrt)):
-        if rev > upper + tol:
+        if rev > upper + DEFAULT_TOL:
             failures.append(
                 f"bidder {i} expected payment exceeds sqrt of expected virtual surplus"
             )
@@ -386,9 +386,7 @@ def bound_tables(tables: Tables, tol: float = DEFAULT_TOL) -> BoundReport:
     )
 
 
-def bound_report(
-    instance: AuctionInstance, mech: Mechanism, tol: float = DEFAULT_TOL
-) -> BoundReport:
+def bound_report(instance: AuctionInstance, mech: Mechanism) -> BoundReport:
     """Evaluate the pseudo-surplus, sqrt-of-virtual-surplus, and heuristic bounds.
 
     Revenue is bounded by the robust pseudo-surplus under ex-post payments
@@ -402,4 +400,4 @@ def bound_report(
         raise ValueError("bound report needs a mechanism with payments")
     if mech.perceived != "quadratic":
         raise ValueError("bounds are defined for quadratic perceived payments")
-    return bound_tables(Tables.of(instance, mech), tol)
+    return bound_tables(Tables.of(instance, mech))

@@ -72,7 +72,11 @@ class OracleConfig:
 # Constraint verifier
 # ---------------------------------------------------------------------------
 
-CONSTRAINTS = ("ic", "ir", "bic", "bir", "xp", "xa")
+# what each constraint set reads (XA reads x̂ if there is no x), and each input's name
+CONSTRAINTS = {"ic": ("x", "q"), "ir": ("x", "q"), "bic": ("xhat", "qhat"),
+               "bir": ("xhat", "qhat"), "xp": ("x",), "xa": ("x",)}
+_NEEDS = {"x": "an ex-post allocation", "q": "payments on every profile",
+          "xhat": "an interim or ex-post allocation", "qhat": "payments"}
 
 
 @dataclass(frozen=True)
@@ -81,97 +85,77 @@ class ConstraintCheck:
     worst_violation: float
 
 
-def verify(
-    instance: AuctionInstance,
-    mech: Mechanism,
-    which=None,
-    tol: float = DEFAULT_TOL,
-) -> dict[str, ConstraintCheck]:
+def verify(instance: AuctionInstance, mech: Mechanism, which=None) -> dict[str, ConstraintCheck]:
     """Exhaustively evaluate the requested constraint sets on a mechanism.
 
-    ``which`` is an iterable over {"ic", "ir", "bic", "bir", "xp", "xa"}.
-    When omitted it defaults to the set matching the mechanism's payment
-    style: IC/IR/XP for robust payments, BIC/BIR plus XP or XA for interim
-    ones.  Violations are results, not errors; a NaN or infinite worst
-    violation fails its constraint and is reported as is.
+    ``which`` is an iterable over ``CONSTRAINTS``.  When omitted it defaults
+    to the set matching the mechanism's payment style: IC/IR/XP for robust
+    payments, BIC/BIR plus XP or XA for interim ones.  A set passes when its
+    worst violation is at most ``DEFAULT_TOL``; a NaN or infinite one fails
+    and is reported as is.  Tables that do not match the instance, and a set
+    whose inputs the mechanism lacks, raise ValueError.
     """
-    return check(Tables.of(instance, mech), which, tol)
+    return check(Tables.of(instance, mech), which)
 
 
-def check(
-    tables: Tables, which=None, tol: float = DEFAULT_TOL
-) -> dict[str, ConstraintCheck]:
+def check(tables: Tables, which=None) -> dict[str, ConstraintCheck]:
     """``verify`` on any profile space.
 
-    Every constraint but XP is evaluated block by block on (own type x
-    context) matrices; XP asks the space for the bidders' total share at
-    each profile.
+    The inputs are derived once: the ex-post pair, blocks of ``x`` with ``p``
+    or with ``h`` broadcast along the contexts, and, only if an asked set
+    reads it, the interim pair, from ``xhat`` and ``h`` or the ex-post pair's
+    collapse.  IC/IR and BIC/BIR run one loop over (own type x context)
+    matrices; an interim rule is a block with one context.
     """
     if which is None:
-        if tables.p is not None:
-            which = ("ic", "ir", "xp")
-        elif tables.x is not None:
-            which = ("bic", "bir", "xp")
-        else:
-            which = ("bic", "bir", "xa")
+        which = (("ic", "ir", "xp") if tables.p is not None
+                 else ("bic", "bir", "xp") if tables.x is not None else ("bic", "bir", "xa"))
     which = tuple(w.lower() for w in which)
     for w in which:
         if w not in CONSTRAINTS:
             raise ValueError(f"unknown constraint {w!r}")
 
-    space = tables.space
-
-    def perceived(p):
-        return p**2 if tables.perceived == "quadratic" else p
-
-    xs = None if tables.x is None else space.split(tables.x)
+    space, power = tables.space, 2 if tables.perceived == "quadratic" else 1
+    x = None if tables.x is None else space.split(tables.x)
+    h = None if tables.h is None else [v**power for v in tables.h]
+    q = xhat = qhat = None
     if tables.p is not None:
-        qs = [perceived(p) for p in space.split(tables.p)]
-    elif tables.h is not None and xs is not None:
-        qs = [np.broadcast_to(perceived(h)[:, None], x.shape) for h, x in zip(tables.h, xs)]
-    else:
-        qs = None
+        q = [p**power for p in space.split(tables.p)]
+    elif h is not None and x is not None:
+        q = [np.broadcast_to(v[:, None], a.shape) for v, a in zip(h, x)]
+    reads = {w: ("xhat",) if w == "xa" and x is None else CONSTRAINTS[w] for w in which}
+    if any("xhat" in r for r in reads.values()):
+        xhat = tables.xhat if tables.xhat is not None or x is None else space.collapse(x)
+        qhat = h if h is not None or q is None else space.collapse(q)
+        xhat, qhat = (None if v is None else [a[:, None] for a in v] for v in (xhat, qhat))
+    inputs = {"x": x, "q": q, "xhat": xhat, "qhat": qhat}
+    for name, needs in reads.items():
+        lacking = [_NEEDS[k] for k in needs if inputs[k] is None]
+        if lacking:
+            raise ValueError(f"{name} check needs " + " and ".join(lacking))
 
     results: dict[str, ConstraintCheck] = {}
     for name in which:
         # per-block worst violations; np.max propagates a NaN where max() drops it
         parts: list[float] = []
-        if name in ("ic", "ir", "bic", "bir"):
-            if name in ("ic", "ir"):
-                if xs is None or qs is None:
-                    raise ValueError(f"{name} check needs an ex-post allocation and payments")
-                pairs = list(zip(xs, qs))
-            else:
-                if tables.h is None and qs is None:
-                    raise ValueError(f"{name} check needs payments")
-                xhat = tables.xhat if tables.xhat is not None else space.collapse(xs)
-                qhat = ([perceived(h) for h in tables.h] if tables.h is not None
-                        else space.collapse(qs))
-                # an interim rule is a block with a single context
-                pairs = [(a[:, None], b[:, None]) for a, b in zip(xhat, qhat)]
-            for block, (x, q) in zip(space.blocks, pairs):
-                z = block.values
-                util = z[:, None] * x - q
+        if name == "xp":
+            parts.append(space.supply(tables.x))
+        elif name == "xa":
+            parts.append(space.mean(tables.xhat if x is None else space.collapse(x)) - 1.0)
+        else:
+            for block, a, b in zip(space.blocks, *(inputs[k] for k in reads[name])):
+                util = block.values[:, None] * a - b
                 if name.endswith("ir"):
                     parts.append(-util.min())
                 else:
                     # deviation utility of reporting w while holding type v
-                    dev = z[:, None, None] * x[None, :, :]
-                    dev -= q[None, :, :]
+                    dev = block.values[:, None, None] * a[None, :, :]
+                    dev -= b[None, :, :]
                     dev -= util[:, None, :]
                     parts.append(dev.max())
-        elif name == "xp":
-            if xs is None:
-                raise ValueError("xp check needs an ex-post allocation")
-            parts.append(space.supply(tables.x))
-        else:  # xa
-            if xs is not None:
-                parts.append(space.expect(xs) - 1.0)
-            else:
-                parts.append(space.mean(tables.xhat) - 1.0)
         worst = float(np.max(parts + [0.0]))
         # a violation that could not be evaluated is a failure, reported as is
-        results[name] = ConstraintCheck(math.isfinite(worst) and worst <= tol, worst)
+        results[name] = ConstraintCheck(math.isfinite(worst) and worst <= DEFAULT_TOL, worst)
     return results
 
 

@@ -69,8 +69,7 @@ def perceived_payment(
     Raises ValueError when the allocation is not monotone; the payment
     characterization does not define payments for non-monotone rules.
     """
-    if alloc.table.shape != (instance.n, *instance.shape):
-        raise ValueError("allocation table does not match instance dimensions")
+    instance.check_table("allocation table", alloc.table)
     if not alloc.is_monotone():
         raise ValueError("perceived payments require a monotone allocation")
     space = DenseSpace(instance)
@@ -89,8 +88,7 @@ def interim_collapse(
     alloc: ExPostAllocation, instance: AuctionInstance
 ) -> InterimAllocation:
     """Expected allocation over the other bidders' types, per bidder and type."""
-    if alloc.table.shape != (instance.n, *instance.shape):
-        raise ValueError("allocation table does not match instance dimensions")
+    instance.check_table("allocation table", alloc.table)
     space = DenseSpace(instance)
     return InterimAllocation(space.collapse(space.split(alloc.table)))
 
@@ -109,8 +107,7 @@ def bayesian_payment(
     interim: InterimAllocation, instance: AuctionInstance
 ) -> InterimPaymentRule:
     """Per-type payments h_i(v_i) with h_i^2 equal to the interim perceived payment."""
-    if interim.n != instance.n:
-        raise ValueError("interim allocation does not match instance dimensions")
+    instance.check_table("interim allocation", interim.tables)
     qhat = interim_perceived(interim, instance)
     return InterimPaymentRule(tuple(np.sqrt(clamp(q, True)) for q in qhat))
 
@@ -121,10 +118,7 @@ def expected_revenue(
     """Total expected payments to the auctioneer."""
     space = DenseSpace(instance)
     if isinstance(rule, RobustPaymentRule):
-        if rule.table.shape != (instance.n, *instance.shape):
-            raise ValueError("payment table does not match instance dimensions")
+        instance.check_table("payment table", rule.table)
         return space.expect(space.split(rule.table))
-    for i in range(instance.n):
-        if rule.tables[i].shape != (instance.shape[i],):
-            raise ValueError("payment table does not match instance dimensions")
+    instance.check_table("payment table", rule.tables)
     return space.mean(rule.tables)

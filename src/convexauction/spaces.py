@@ -172,7 +172,8 @@ class OrbitSpace(ProfileSpace):
     Contexts are indexed by their rank in the combinatorial number system, so
     the index of any count vector is computed, not searched for: the bars
     b_j = c_0 + ... + c_j + j are a (K-1)-subset, ranked as sum_j C(b_j, j+1),
-    which orders c_{K-1} descending, then c_{K-2} descending, and so on.
+    which orders c_{K-1} descending, then c_{K-2} descending, and so on.  The
+    layout is built on first use: the ex-ante rows read only the block, at any n.
     """
 
     def __init__(self, instance: AuctionInstance):
@@ -180,22 +181,40 @@ class OrbitSpace(ProfileSpace):
             raise ValueError("orbit space needs identically distributed bidders")
         n, k = instance.n, instance.shape[0]
         self.instance = instance
+        self.shape = (k, math.comb(n + k - 2, k - 1))
+        self.blocks = (_block(instance, 0, n),)
+
+    @cached_property
+    def _binom(self) -> np.ndarray:
         # binom[a, j] = C(a, j), for the ranks of full type profiles (``profile``)
-        self._binom = np.array([[math.comb(a, j) for j in range(k)] for a in range(n + k - 1)],
-                               dtype=np.int64)
+        n, k = self.instance.n, self.shape[0]
+        return np.array([[math.comb(a, j) for j in range(k)] for a in range(n + k - 1)], np.int64)
+
+    @cached_property
+    def profiles(self) -> np.ndarray:
         # every full type profile's counts, in the smallest signed integer type
         # that holds n (one that holds -(n+1) does); the first C profiles hold
         # a type-(K-1) bidder, and less that bidder they are the contexts
-        self.profiles = _compositions(n, self._binom).astype(np.min_scalar_type(-n - 1))
-        self.contexts = self.profiles[: math.comb(n + k - 2, k - 1)].copy()
-        self.contexts[:, -1] -= 1
-        self.shape = (k, len(self.contexts))
+        n = self.instance.n
+        return _compositions(n, self._binom).astype(np.min_scalar_type(-n - 1))
+
+    @cached_property
+    def contexts(self) -> np.ndarray:
+        contexts = self.profiles[: self.shape[1]].copy()
+        contexts[:, -1] -= 1
+        return contexts
+
+    @cached_property
+    def weights(self):
         # multinomial probabilities in log space: factorials overflow a float from 171 on
+        n = self.instance.n
         log_factorial = np.array([math.lgamma(a + 1) for a in range(n)])
         log_weight = log_factorial[n - 1] - log_factorial[self.contexts].sum(axis=1)
-        self.weights = (np.exp(log_weight + self.contexts @ np.log(instance.pmf(0))),)
-        self.blocks = (_block(instance, 0, n),)
-        self.multiplicity = self.contexts.T + 1.0  # cell (k, c) is c_k + 1 bidders
+        return (np.exp(log_weight + self.contexts @ np.log(self.instance.pmf(0))),)
+
+    @cached_property
+    def multiplicity(self):
+        return self.contexts.T + 1.0  # cell (k, c) is c_k + 1 bidders
 
     def split(self, table):
         return [table]

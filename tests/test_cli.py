@@ -534,6 +534,22 @@ class TestCommands:
         assert main(["check", str(mech_path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constraints, named", [(None, "bic"), ("xa", "xa")])
+    def test_check_exits_two_naming_the_set_a_file_cannot_feed(
+            self, tmp_path, capsys, constraints, named):
+        """Interim payments alone: no allocation to check BIC or XA against."""
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "ex_ante")
+        doc["interim_allocation"] = None
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        extra = ["--constraints", constraints] if constraints else []
+        assert main(["check", str(mech_path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} check needs an interim or ex-post")
+
     @staticmethod
     def _solved_file(tmp_path, method):
         import json

@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,11 +31,13 @@ from convexauction import (
     InterimPaymentRule,
     RobustPaymentRule,
     bayesian_payment,
+    bound_report,
 )
 from convexauction import oracle
 from convexauction.alloc import GreedyConfig
 from convexauction.cli import METHODS
 from convexauction.discretization import round_table
+from convexauction.mechanisms import heuristic_brm_tables, heuristic_lb_rrm_tables
 from convexauction.spaces import DenseSpace, OrbitSpace
 from conftest import single_type_instance
 
@@ -102,6 +106,64 @@ class TestVerify:
         mech = Mechanism(ExPostAllocation(np.zeros((2, 2, 2))))
         with pytest.raises(ValueError):
             verify(two_bidder_0_100, mech, ("nope",))
+
+
+TABLES = ("x", "p", "xhat", "h")
+
+
+@pytest.mark.parametrize("space_of", [DenseSpace, OrbitSpace])
+@pytest.mark.parametrize("keep", list(itertools.product((False, True), repeat=4)),
+                         ids=lambda keep: "+".join(t for t, k in zip(TABLES, keep) if k) or "none")
+def test_every_table_subset_checks_or_names_what_it_lacks(space_of, keep):
+    """Each subset of {x, p, xhat, h} on each set: a result where the set's
+    inputs can be derived (x with p or h for IC/IR; xhat or x, with h or p,
+    for BIC/BIR; x for XP; x or xhat for XA), else a ValueError naming it."""
+    space = space_of(symmetric_instance(*make_uniform(3), 3))
+    robust, _ = heuristic_lb_rrm_tables(space)
+    bayesian, _ = heuristic_brm_tables(space)
+    full = replace(robust, xhat=bayesian.xhat, h=bayesian.h)
+    tables = replace(full, **{t: None for t, k in zip(TABLES, keep) if not k})
+    x, p, xhat, h = keep
+    derivable = {"ic": x and (p or h), "ir": x and (p or h), "bic": (x or xhat) and (p or h),
+                 "bir": (x or xhat) and (p or h), "xp": x, "xa": x or xhat}
+    for name in oracle.CONSTRAINTS:
+        if derivable[name]:
+            assert list(oracle.check(tables, (name,))) == [name]
+        else:
+            with pytest.raises(ValueError, match=f"^{name} check needs "):
+                oracle.check(tables, (name,))
+    try:
+        results = oracle.check(tables)
+    except ValueError as exc:
+        assert re.match(r"(ic|ir|bic|bir|xp|xa) check needs ", str(exc))
+    else:
+        assert all(derivable[name] for name in results)
+
+
+def _instance(*type_counts):
+    return AuctionInstance(tuple(
+        (TypeSpace(np.linspace(1.0, 2.0, k)), DiscreteDistribution(np.full(k, 1.0 / k)))
+        for k in type_counts))
+
+
+def test_tables_of_another_instance_are_rejected():
+    """A (2, 3)-type mechanism checked or bounded on the (3, 2)-type instance."""
+    mech, _ = heuristic_lb_rrm(_instance(2, 3))
+    for instance in (_instance(3, 2), _instance(2, 3, 2)):
+        with pytest.raises(ValueError, match="allocation table does not match instance"):
+            verify(instance, mech, ("ic", "ir"))
+        with pytest.raises(ValueError, match="allocation table does not match instance"):
+            bound_report(instance, mech)
+    payments = replace(mech, allocation=None)
+    with pytest.raises(ValueError, match="payment table does not match instance"):
+        verify(_instance(3, 2), payments, ("ic",))
+    bayesian, _ = heuristic_brm(_instance(2, 3))
+    interim = Mechanism(None, interim_allocation=bayesian.interim_allocation)
+    with pytest.raises(ValueError, match="interim allocation does not match instance"):
+        verify(_instance(3, 2), interim, ("xa",))
+    paid = Mechanism(None, interim_payments=bayesian.interim_payments)
+    with pytest.raises(ValueError, match="interim payments does not match instance"):
+        verify(_instance(2, 2), paid, ("bic",))
 
 
 class TestExactRrm:

@@ -6,6 +6,7 @@ import pytest
 from convexauction import (
     ExPostAllocation,
     InterimAllocation,
+    InterimPaymentRule,
     bayesian_payment,
     expected_revenue,
     interim_collapse,
@@ -198,6 +199,16 @@ class TestExpectedRevenue:
     def test_zero_payments(self, categorical_pair):
         rule = robust_payment(ExPostAllocation(np.zeros((2, 2, 2))), categorical_pair)
         assert expected_revenue(rule, categorical_pair) == 0.0
+
+    @pytest.mark.parametrize("lengths", [(2,), (2, 2, 2), (2, 3)])
+    def test_interim_vectors_of_another_shape_are_rejected(self, categorical_pair, lengths):
+        """One vector per bidder, of its type count (2 here); any other shape
+        is a ValueError, not a revenue or an IndexError."""
+        vectors = tuple(np.zeros(k) for k in lengths)
+        with pytest.raises(ValueError, match="payment table does not match instance"):
+            expected_revenue(InterimPaymentRule(vectors), categorical_pair)
+        with pytest.raises(ValueError, match="interim allocation does not match instance"):
+            bayesian_payment(InterimAllocation(vectors), categorical_pair)
 
 
 class TestIdentities:

@@ -16,6 +16,7 @@ from convexauction import (
     OracleConfig,
     TypeSpace,
     is_regular,
+    make_binomial,
     make_uniform,
     symmetric_instance,
     virtual_values,
@@ -24,6 +25,7 @@ from convexauction.alloc import closed_form_alloc_batch, eqp_solver_batch, point
 from convexauction.cli import METHODS, main
 from convexauction.mechanisms import (
     bound_tables,
+    ex_ante_tables,
     heuristic_brm_tables,
     heuristic_lb_rrm_tables,
     pseudo_surplus_tables,
@@ -336,6 +338,18 @@ def test_experiment_at_eleven_hundred_bidders_verifies(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["n_bidders"], r["verified"]) for r in rows] == [("1100", "true")]
+
+
+def test_ex_ante_rows_at_a_thousand_bidders_never_build_the_orbit_layout():
+    """binomial:9,0.5 at n = 1,000: C(1008, 9), about 2.9e21 contexts.  The
+    ex-ante rows and their BIC/BIR/XA checks read only the block."""
+    space = OrbitSpace(symmetric_instance(*make_binomial(9, 0.5), 1000))
+    assert space.shape == (10, math.comb(1008, 9))
+    for truncate in (False, True):
+        tables, report = ex_ante_tables(space, truncate)
+        assert report.revenue > 0
+        assert all(c.passed for c in check(tables).values())
+    assert not {"_binom", "profiles", "contexts", "weights", "multiplicity"} & set(vars(space))
 
 
 def test_orbit_verifier_fails_xp_on_a_scaled_table():

@@ -18,9 +18,10 @@ checks of its payment style (``oracle.check``).
 ``(n, K_0, ..., K_{n-1})`` tables.
 
 Mechanism files are compact JSON (one line, written by the C encoder; any
-JSON layout loads) with explicit field order; allocation and payment
-tables are nested arrays indexed [bidder][profile index], profiles flattened
-in the lexicographic order documented in ``core``.
+JSON layout loads) written from and read into dense ``mechanisms.Tables``:
+ex-post tables are nested arrays indexed [bidder][profile index], profiles
+flattened in the lexicographic order documented in ``core``, and interim
+tables hold one vector per bidder.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -47,11 +48,7 @@ from .alloc import GreedyConfig
 from .core import (
     AuctionInstance,
     DiscreteDistribution,
-    ExPostAllocation,
-    InterimAllocation,
-    InterimPaymentRule,
     ObjectiveKind,
-    RobustPaymentRule,
     TypeSpace,
     make_binomial,
     make_categorical,
@@ -59,7 +56,7 @@ from .core import (
     symmetric_instance,
 )
 from .discretization import discretization_gap
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, Tables
 from .oracle import OracleConfig, OracleRefusal
 from .spaces import DenseSpace, OrbitSpace
 
@@ -212,40 +209,25 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 _FORMAT = "convexauction-mechanism/1"
 
 
-def _tables_to_lists(table: np.ndarray) -> list:
-    n = table.shape[0]
-    return [table[i].ravel().tolist() for i in range(n)]
+def _rows(table) -> list | None:
+    # one list per bidder: an (n, *shape) table's flattened rows, or an interim vector
+    return None if table is None else [row.ravel().tolist() for row in table]
 
 
 def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> None:
+    """Write ``mech``; a table that does not match ``instance`` raises ValueError first."""
+    tables = Tables.of(instance, mech)
+    bidders = [{"values": instance.values(i).tolist(), "pmf": instance.pmf(i).tolist()}
+               for i in range(instance.n)]
     doc = {
         "format": _FORMAT,
-        "instance": {
-            "bidders": [
-                {"values": instance.values(i).tolist(), "pmf": instance.pmf(i).tolist()}
-                for i in range(instance.n)
-            ]
-        },
-        "provenance": mech.provenance,
-        "perceived": mech.perceived,
-        "allocation": (
-            _tables_to_lists(mech.allocation.table) if mech.allocation else None
-        ),
-        "robust_payments": (
-            _tables_to_lists(mech.robust_payments.table)
-            if mech.robust_payments
-            else None
-        ),
-        "interim_allocation": (
-            [t.tolist() for t in mech.interim_allocation.tables]
-            if mech.interim_allocation
-            else None
-        ),
-        "interim_payments": (
-            [t.tolist() for t in mech.interim_payments.tables]
-            if mech.interim_payments
-            else None
-        ),
+        "instance": {"bidders": bidders},
+        "provenance": tables.provenance,
+        "perceived": tables.perceived,
+        "allocation": _rows(tables.x),
+        "robust_payments": _rows(tables.p),
+        "interim_allocation": _rows(tables.xhat),
+        "interim_payments": _rows(tables.h),
     }
     _write_text(path, json.dumps(doc) + "\n")
 
@@ -279,34 +261,28 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
          DiscreteDistribution(array("pmf", field(b, "pmf"))))
         for b in field(field(doc, "instance"), "bidders", list, "a list of bidders")
     ))
-    shape = instance.shape
+    shape, cells = instance.shape, math.prod(instance.shape)
 
-    def expost(key, rule):
+    def expost(key):
         rows = field(doc, key)
         if rows is None:
             return None
-        cells = math.prod(shape)
         need = f"{instance.n} rows of {cells} entries, one number per profile"
-        return rule(array(key, rows, (instance.n, cells), need).reshape(instance.n, *shape))
+        return array(key, rows, (instance.n, cells), need).reshape(instance.n, *shape)
 
-    def interim(key, rule):
+    def interim(key):
         tables = field(doc, key)
         if tables is None:
             return None
         need = f"one entry per type, {list(shape)} per bidder, each a number"
         if not isinstance(tables, list) or len(tables) != instance.n:
             raise ValueError(f"mechanism file {path}: {key!r} needs {need}")
-        return rule(tuple(array(key, t, (k,), need) for t, k in zip(tables, shape)))
+        return tuple(array(key, t, (k,), need) for t, k in zip(tables, shape))
 
-    mech = Mechanism(
-        expost("allocation", ExPostAllocation),
-        robust_payments=expost("robust_payments", RobustPaymentRule),
-        interim_allocation=interim("interim_allocation", InterimAllocation),
-        interim_payments=interim("interim_payments", InterimPaymentRule),
-        provenance=field(doc, "provenance", str, "a string"),
-        perceived=field(doc, "perceived"),
-    )
-    return instance, mech
+    tables = Tables(DenseSpace(instance), expost("allocation"), expost("robust_payments"),
+                    interim("interim_allocation"), interim("interim_payments"),
+                    field(doc, "provenance", str, "a string"), field(doc, "perceived"))
+    return instance, tables.mechanism()
 
 
 # ---------------------------------------------------------------------------

@@ -335,11 +335,17 @@ class BoundReport:
 
 
 def bound_tables(tables: Tables) -> BoundReport:
-    """``bound_report`` on any profile space.
-
-    A block stands for ``block.count`` bidders, so each per-bidder entry
-    repeats its block's value that many times.
+    """``bound_report`` on any profile space; tables without an ex-post
+    allocation or payments, or with linear perceived payments, raise
+    ValueError.  A block stands for ``block.count`` bidders, so each
+    per-bidder entry repeats its block's value that many times.
     """
+    if tables.x is None:
+        raise ValueError("bound report needs an ex-post allocation")
+    if tables.p is None and tables.h is None:
+        raise ValueError("bound report needs a mechanism with payments")
+    if tables.perceived != "quadratic":
+        raise ValueError("bounds are defined for quadratic perceived payments")
     space = tables.space
     xs = space.split(tables.x)
     phi_plus, virtual, _ = _virtual(space)
@@ -392,12 +398,7 @@ def bound_report(instance: AuctionInstance, mech: Mechanism) -> BoundReport:
     Revenue is bounded by the robust pseudo-surplus under ex-post payments
     and by the Bayesian one under interim payments.  Ordering violations are
     reported as failures rather than raised: a broken ordering signals a
-    broken mechanism, which is a result, not a crash.
+    broken mechanism, which is a result, not a crash.  This is
+    ``bound_tables`` of the dense tables, which raises on inputs it cannot read.
     """
-    if mech.allocation is None:
-        raise ValueError("bound report needs an ex-post allocation")
-    if mech.robust_payments is None and mech.interim_payments is None:
-        raise ValueError("bound report needs a mechanism with payments")
-    if mech.perceived != "quadratic":
-        raise ValueError("bounds are defined for quadratic perceived payments")
     return bound_tables(Tables.of(instance, mech))

@@ -120,8 +120,11 @@ class DenseSpace(ProfileSpace):
     def __init__(self, instance: AuctionInstance):
         self.instance = instance
         self.shape = (instance.n, *instance.shape)
-        self.blocks = tuple(_block(instance, i, 1) for i in range(instance.n))
         self.multiplicity = np.broadcast_to(1.0, self.shape)
+
+    @cached_property
+    def blocks(self):
+        return tuple(_block(self.instance, i, 1) for i in range(self.instance.n))
 
     @cached_property
     def weights(self):

@@ -17,7 +17,7 @@ from convexauction.cli import (
     run_experiment,
     save_mechanism,
 )
-from convexauction import heuristic_brm, make_categorical, symmetric_instance
+from convexauction import heuristic_brm, make_categorical, make_uniform, symmetric_instance
 
 
 class TestParseDistribution:
@@ -410,6 +410,13 @@ class TestMechanismFiles:
         save_mechanism(str(p2), inst2, mech2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_refuses_tables_of_another_instance(self, tmp_path):
+        """A file that its own loader would refuse is never written."""
+        mech, _ = heuristic_brm(symmetric_instance(*make_uniform(3), 2), "closed_form")
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="allocation table does not match instance"):
+            save_mechanism(str(path), symmetric_instance(*make_uniform(2), 2), mech)
+        assert not path.exists()
 
     def test_indented_layout_still_loads(self, tmp_path):
         """Files written with ``json.dump(..., indent=1)`` load to the same

@@ -23,6 +23,13 @@ from convexauction import (
     verify,
     virtual_surplus_maximizer,
 )
+from convexauction.mechanisms import (
+    bound_tables,
+    ex_ante_tables,
+    heuristic_lb_rrm_tables,
+    surplus_tables,
+)
+from convexauction.spaces import OrbitSpace
 from conftest import corpus_instances, single_type_instance
 
 
@@ -290,6 +297,16 @@ class TestBoundReport:
         mech, _ = surplus_maximizer(inst)
         with pytest.raises(ValueError):
             bound_report(inst, mech)
+
+    @pytest.mark.parametrize("tables_of, named", [
+        (lambda space: ex_ante_tables(space)[0], "ex-post allocation"),
+        (lambda space: replace(heuristic_lb_rrm_tables(space)[0], p=None), "payments"),
+        (lambda space: surplus_tables(space)[0], "quadratic perceived payments"),
+    ], ids=["no-allocation", "no-payments", "linear"])
+    def test_tables_it_cannot_evaluate_raise_on_any_space(self, tables_of, named):
+        space = OrbitSpace(symmetric_instance(*make_uniform(3), 3))
+        with pytest.raises(ValueError, match=named):
+            bound_tables(tables_of(space))
 
 
 class TestVerificationByConstruction:

@@ -5,10 +5,13 @@ index k is
 
     phi_k = z_k - (z_{k+1} - z_k) * (1 - F_k) / f_k,
 
-with the sentinel z_{K+1} = z_K, so phi_K = z_K exactly.  A bidder's
-distribution is regular when phi is non-decreasing in k; regularity is what
-makes virtual-value-maximizing allocations monotone, so it is reported per
-bidder rather than asserted.
+with the sentinel z_{K+1} = z_K, so phi_K = z_K exactly.  A phi within
+1e-12 * max_k z_k of zero is set to exactly 0: it is zero up to rounding
+(uniform:5's middle type computes +1.1e-16), and a score of zero never wins
+supply, so rounding must not decide whether such a type competes.  A
+bidder's distribution is regular when phi is non-decreasing in k;
+regularity is what makes virtual-value-maximizing allocations monotone, so
+it is reported per bidder rather than asserted.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ def virtual_values(instance: AuctionInstance) -> VirtualValueTable:
         f = instance.pmf(i)
         cdf = instance.dist(i).cdf
         # gaps[-1] == 0 makes the hazard term vanish at the top type exactly.
-        phi.append(z - gaps * (1.0 - cdf) / f)
+        p = z - gaps * (1.0 - cdf) / f
+        p[np.abs(p) <= 1e-12 * z[-1]] = 0.0  # z ascends from >= 0, so z[-1] = max|z|
+        phi.append(p)
     plus = [np.maximum(p, 0.0) for p in phi]
     return VirtualValueTable(tuple(phi), tuple(plus))
 

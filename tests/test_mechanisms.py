@@ -10,6 +10,7 @@ from convexauction import (
     GreedyConfig,
     InterimPaymentRule,
     ObjectiveKind,
+    OracleConfig,
     TypeSpace,
     bound_report,
     ex_ante_relaxation,
@@ -29,6 +30,7 @@ from convexauction.mechanisms import (
     heuristic_lb_rrm_tables,
     surplus_tables,
 )
+from convexauction.oracle import check, exact_tables
 from convexauction.spaces import OrbitSpace
 from conftest import corpus_instances, single_type_instance
 
@@ -236,10 +238,11 @@ class TestExAnteRelaxation:
             values.append(report.objective_value)
         assert math.isclose(values[0], 0.97891, abs_tol=1e-5)
         assert math.isclose(values[1], 0.94407, abs_tol=1e-5)
-        mech, heur = heuristic_brm(inst, "closed_form")
-        assert all(c.passed for c in verify(inst, mech, ("bic", "bir", "xp")).values())
-        assert math.isclose(heur.revenue, 1.00783, abs_tol=1e-5)
-        assert heur.revenue > max(values)
+        config = OracleConfig(max_profile_vars=75)
+        tables, exact = exact_tables(OrbitSpace(inst), config, "brm")
+        assert all(c.passed for c in check(tables, ("bic", "bir", "xp")).values())
+        assert math.isclose(exact.revenue, 1.06995, abs_tol=1e-5)
+        assert exact.revenue > max(values)
 
     def test_truncated_verifies(self, categorical_pair):
         mech, report = ex_ante_relaxation(categorical_pair, truncate=True)
@@ -281,13 +284,16 @@ class TestBoundReport:
 
     def test_interim_payments_are_bounded_by_bayesian_pseudo_surplus(self):
         # BIR caps h at sqrt(v x̂), not at sqrt(v x) at each profile: this
-        # verified mechanism earns more than the robust pseudo-surplus
-        inst = symmetric_instance(*make_uniform(5), 4)
+        # verified mechanism earns sqrt(3)/2, more than the robust
+        # pseudo-surplus (2 + sqrt(2))/4 and equal to the Bayesian one
+        inst = symmetric_instance(*make_uniform(2), 2)
         mech, _ = heuristic_brm(inst, "closed_form")
         assert all(c.passed for c in verify(inst, mech).values())
         rep = bound_report(inst, mech)
         assert rep.ok, rep.failures
         assert rep.robust_pseudo_surplus < rep.revenue <= rep.bayesian_pseudo_surplus
+        assert math.isclose(rep.robust_pseudo_surplus, (2 + math.sqrt(2)) / 4)
+        assert math.isclose(rep.revenue, math.sqrt(3) / 2)
         doubled = InterimPaymentRule(tuple(2 * h for h in mech.interim_payments.tables))
         rep = bound_report(inst, replace(mech, interim_payments=doubled))
         assert "revenue exceeds Bayesian pseudo-surplus" in rep.failures

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexauction import (
     AuctionInstance,
     DiscreteDistribution,
     TypeSpace,
+    heuristic_brm,
+    heuristic_lb_rrm,
     is_regular,
     make_categorical,
     make_uniform,
@@ -62,6 +69,35 @@ class TestVirtualValues:
         inst = AuctionInstance(((space, dist),))
         phi = virtual_values(inst).phi[0]
         np.testing.assert_allclose(phi, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-12)
+
+
+def revenues(space, dist) -> list[float]:
+    return [run(symmetric_instance(space, dist, n), "closed_form")[1].revenue
+            for run in (heuristic_brm, heuristic_lb_rrm) for n in (2, 3)]
+
+
+def nudged(values: np.ndarray, steps: list[int]) -> np.ndarray:
+    """Each value moved by its number of ulp; 0 moves up only."""
+    out = values.copy()
+    for j, step in enumerate(steps):
+        step = abs(step) if out[j] == 0 else step
+        for _ in range(abs(step)):
+            out[j] = np.nextafter(out[j], math.copysign(np.inf, step))
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_a_zero_virtual_value_does_not_depend_on_rounding(k, data):
+    """uniform:K with odd K has phi = 0 at the middle type, whatever the last
+    bits of the grid; so such a type never wins supply, and revenues hold."""
+    space, dist = make_uniform(k)
+    steps = data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    moved = TypeSpace(nudged(space.values, steps))
+    phi = virtual_values(symmetric_instance(moved, dist, 1)).phi[0]
+    assert phi[k // 2] == 0.0
+    np.testing.assert_allclose(revenues(moved, dist), revenues(space, dist), rtol=0, atol=1e-12)
 
 
 class TestRegularity:

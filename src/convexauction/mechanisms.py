@@ -395,10 +395,10 @@ def bound_tables(tables: Tables) -> BoundReport:
 def bound_report(instance: AuctionInstance, mech: Mechanism) -> BoundReport:
     """Evaluate the pseudo-surplus, sqrt-of-virtual-surplus, and heuristic bounds.
 
-    Revenue is bounded by the robust pseudo-surplus under ex-post payments
-    and by the Bayesian one under interim payments.  Ordering violations are
-    reported as failures rather than raised: a broken ordering signals a
-    broken mechanism, which is a result, not a crash.  This is
-    ``bound_tables`` of the dense tables, which raises on inputs it cannot read.
+    ``bound_tables`` of the mechanism's dense tables.  Revenue is bounded by
+    the robust pseudo-surplus under ex-post payments and by the Bayesian one
+    under interim payments.  Ordering violations are reported as failures
+    rather than raised: a broken ordering signals a broken mechanism, which
+    is a result, not a crash.
     """
     return bound_tables(Tables.of(instance, mech))

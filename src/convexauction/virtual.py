@@ -6,12 +6,11 @@ index k is
     phi_k = z_k - (z_{k+1} - z_k) * (1 - F_k) / f_k,
 
 with the sentinel z_{K+1} = z_K, so phi_K = z_K exactly.  A phi within
-1e-12 * max_k z_k of zero is set to exactly 0: it is zero up to rounding
-(uniform:5's middle type computes +1.1e-16), and a score of zero never wins
-supply, so rounding must not decide whether such a type competes.  A
-bidder's distribution is regular when phi is non-decreasing in k;
-regularity is what makes virtual-value-maximizing allocations monotone, so
-it is reported per bidder rather than asserted.
+1e-12 * max_k z_k of zero is exactly 0 (uniform:5's middle type computes
++1.1e-16): a score of zero never wins supply, and rounding must not decide
+whether a type competes.  A bidder's distribution is regular when phi is
+non-decreasing in k; regularity is what makes virtual-value-maximizing
+allocations monotone, so it is reported per bidder rather than asserted.
 """
 
 from __future__ import annotations

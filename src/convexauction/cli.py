@@ -5,6 +5,9 @@ instances of one of the three stock distributions are solved for a range of
 bidder counts, and one CSV row is emitted per (method, n) with the objective
 kind, value, runtime and verification outcome.  Identical configurations
 produce byte-identical CSV when timing is suppressed with --no-timing.
+Each setting is one text value, from its flag or else from the --config file,
+whose keys are the flags' names; one routine converts it, so a bad value gets
+one message from either.  ``GreedyConfig`` and ``OracleConfig`` hold the defaults.
 
 One registry, ``METHODS``, serves ``experiment`` and ``solve``: each entry
 maps (profile space, GreedyConfig, OracleConfig) to (Tables, report), and the
@@ -125,14 +128,15 @@ class ExperimentConfig:
     n_min: int
     n_max: int
     methods: tuple[str, ...]
-    epsilon: float = 1e-3
-    oracle_grid: float = 1e-3
+    epsilon: float = GreedyConfig.epsilon
+    oracle_grid: float = OracleConfig.grid
     output_path: str = "experiment.csv"
     timing: bool = True
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError("bidder range must be non-empty")
+            raise ValueError("bidders must be N..M with 1 <= N <= M, "
+                             f"got {self.n_min}..{self.n_max}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -247,9 +251,13 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
             raise ValueError(f"mechanism file {path}: {key!r} needs {need}")
         return obj[key]
 
+    def has_boolean(value):  # numpy would read a JSON true or false among numbers as 1 or 0
+        kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
+        return bool in kinds or list in kinds and any(map(has_boolean, value))
+
     def array(key, value, want=None, need="a list of numbers"):
         try:
-            table = np.array(value)
+            table = None if has_boolean(value) else np.array(value)
         except ValueError:  # a ragged table
             table = None
         if table is None or table.dtype.kind not in "iuf" or want not in (None, table.shape):
@@ -292,9 +300,9 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
 def _cmd_solve(args) -> int:
     space, dist = parse_distribution(args.dist)
     instance = symmetric_instance(space, dist, args.n)
-    greedy, oracle = GreedyConfig(epsilon=args.epsilon), OracleConfig(grid=args.oracle_grid)
+    greedy = GreedyConfig(epsilon=_float("epsilon", args.epsilon))
+    oracle = OracleConfig(grid=_float("oracle_grid", args.oracle_grid))
     tables, report = METHODS[args.method](DenseSpace(instance), greedy, oracle)
-    mech = tables.mechanism()
     print(f"method={args.method} kind={report.kind.value}")
     print(f"objective={report.objective_value!r}")
     if report.revenue is not None:
@@ -306,7 +314,7 @@ def _cmd_solve(args) -> int:
     for w in report.warnings:
         print(f"warning: {w}")
     if args.output:
-        save_mechanism(args.output, instance, mech)
+        save_mechanism(args.output, instance, tables.mechanism())
         print(f"wrote {args.output}")
     return 0
 
@@ -315,12 +323,10 @@ def _cmd_check(args) -> int:
     instance, mech = load_mechanism(args.mechanism)
     which = tuple(c.strip() for c in args.constraints.split(",")) if args.constraints else None
     results = oracle_mod.verify(instance, mech, which)
-    ok = True
     for name, check in results.items():
         status = "pass" if check.passed else "FAIL"
         print(f"{name}: {status} (worst violation {check.worst_violation!r})")
-        ok = ok and check.passed
-    return 0 if ok else 1
+    return 0 if all(check.passed for check in results.values()) else 1
 
 
 def _cmd_discretize(args) -> int:
@@ -349,29 +355,26 @@ def _cmd_export(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = ("dist", "bidders", "methods", "epsilon", "oracle_grid", "output", "no_timing")
 _SWITCH = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """key=value lines with keys from ``_CONFIG_KEYS``, each at most once;
-    blank lines and #-comments ignored."""
+def _read_config_file(path: str, keys) -> dict[str, str]:
+    """key=value lines with keys from ``keys``, each once; blank lines and #-comments skipped."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = map(str.strip, line.partition("="))
             if not sep:
                 raise ValueError(f"bad config line {line!r} (expected key=value)")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r} in {path} (expected one of "
-                                 + ", ".join(_CONFIG_KEYS) + ")")
+                                 + ", ".join(keys) + ")")
             if key in values:
                 raise ValueError(f"config key {key!r} is set twice in {path}")
-            values[key] = value.strip()
+            values[key] = value
     return values
 
 
@@ -384,39 +387,32 @@ def _float(key: str, raw) -> float:
 
 
 def _cmd_experiment(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, fallback)
-
-    dist = pick(args.dist, "dist", None)
-    bidders = pick(args.bidders, "bidders", None)
-    methods_raw = pick(args.methods, "methods", None)
-    if not dist or not bidders or methods_raw is None:
+    # one text value per setting: the file's keys are the flags' names, and a flag wins
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    given = _read_config_file(args.config, flags) if args.config else {}
+    given.update((k, v) for k, v in flags.items() if v is not None)
+    if not given.get("dist") or not given.get("bidders") or "methods" not in given:
         raise ValueError("dist, bidders and methods are required (flags or config file)")
-    methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
+    bidders = given["bidders"]
     low, dots, high = bidders.partition("..")
     try:
         n_min, n_max = int(low), int(high if dots else low)
     except ValueError:
         raise ValueError(f"bidders must be N or N..M in whole numbers, got {bidders!r}") from None
-    no_timing = file_cfg.get("no_timing", "false").lower()
+    no_timing = given.get("no_timing", "false").lower()
     if no_timing not in _SWITCH:
         raise ValueError(f"config no_timing={no_timing!r} is not one of " + "/".join(_SWITCH))
     cfg = ExperimentConfig(
-        distribution=dist,
+        distribution=given["dist"],
         n_min=n_min,
         n_max=n_max,
-        methods=methods,
-        epsilon=_float("epsilon", pick(args.epsilon, "epsilon", 1e-3)),
-        oracle_grid=_float("oracle_grid", pick(args.oracle_grid, "oracle_grid", 1e-3)),
-        output_path=pick(args.output, "output", "experiment.csv"),
-        timing=not (args.no_timing or _SWITCH[no_timing]),
+        methods=tuple(m.strip() for m in given["methods"].split(",") if m.strip()),
+        epsilon=_float("epsilon", given.get("epsilon", ExperimentConfig.epsilon)),
+        oracle_grid=_float("oracle_grid", given.get("oracle_grid", ExperimentConfig.oracle_grid)),
+        output_path=given.get("output", ExperimentConfig.output_path),
+        timing=not _SWITCH[no_timing],
     )
-    path = run_experiment(cfg)
-    print(f"wrote {path}")
+    print(f"wrote {run_experiment(cfg)}")
     return 0
 
 
@@ -433,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="categorical:L,H,p | uniform:K | binomial:t,p")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--oracle-grid", type=float, default=1e-3)
+    p.add_argument("--epsilon", default=GreedyConfig.epsilon)
+    p.add_argument("--oracle-grid", default=OracleConfig.grid)
     p.add_argument("--output", help="write the mechanism file here")
     p.set_defaults(func=_cmd_solve)
 
@@ -460,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist")
     p.add_argument("--bidders", help="range like 1..6")
     p.add_argument("--methods", help="comma list from " + ",".join(METHODS))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--oracle-grid", type=float)
+    p.add_argument("--epsilon")
+    p.add_argument("--oracle-grid")
     p.add_argument("--output")
-    p.add_argument("--no-timing", action="store_const", const=True, default=None,
+    p.add_argument("--no-timing", action="store_const", const="true",
                    help="leave the runtime column empty for byte-identical reruns")
     p.set_defaults(func=_cmd_experiment)
     return parser

@@ -97,6 +97,7 @@ def interim_perceived(
     interim: InterimAllocation, instance: AuctionInstance
 ) -> tuple[np.ndarray, ...]:
     """Interim perceived payments q_hat_i(v_i) from an interim allocation."""
+    instance.check_table("interim allocation", interim.tables)
     return tuple(
         chain(t, instance.values(i), instance.space(i).gaps)
         for i, t in enumerate(interim.tables)
@@ -107,7 +108,6 @@ def bayesian_payment(
     interim: InterimAllocation, instance: AuctionInstance
 ) -> InterimPaymentRule:
     """Per-type payments h_i(v_i) with h_i^2 equal to the interim perceived payment."""
-    instance.check_table("interim allocation", interim.tables)
     qhat = interim_perceived(interim, instance)
     return InterimPaymentRule(tuple(np.sqrt(clamp(q, True)) for q in qhat))
 

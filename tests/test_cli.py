@@ -140,7 +140,7 @@ class TestExperiment:
             assert line.startswith("error: ") and name in line, line
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"with 1 <= N <= M, got 2\.\.1$"):
             ExperimentConfig(distribution="uniform:3", n_min=2, n_max=1, methods=())
         with pytest.raises(ValueError):
             ExperimentConfig(distribution="uniform:3", n_min=1, n_max=1, methods=("zzz",))
@@ -317,26 +317,51 @@ class TestExperiment:
         assert err.startswith("error: ") and named in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
     @pytest.mark.parametrize("line, named", [
         ("bidders=1..x", "'1..x'"),
         ("bidders=two", "'two'"),
         ("bidders=3..", "'3..'"),
+        ("bidders=0..3", "got 0..3"),
+        ("bidders=3..1", "got 3..1"),
         ("epsilon=abc", "'abc'"),
         ("oracle_grid=0.x", "'0.x'"),
     ])
     def test_bad_config_numbers_exit_two_naming_field_and_value(
-        self, tmp_path, capsys, line, named
+        self, tmp_path, capsys, line, named, source
     ):
+        """A bad value reads the same whether it came from the file or a flag."""
         out = tmp_path / "numbers.csv"
+        key, value = line.split("=")
+        settings = {"dist": "uniform:2", "methods": "heur_lb_cf", "output": str(out),
+                    "bidders": "1..1", key: value}
         config = tmp_path / "numbers.cfg"
-        config.write_text(f"dist=uniform:2\nmethods=heur_lb_cf\noutput={out}\n"
-                          + ("" if line.startswith("bidders") else "bidders=1..1\n")
-                          + f"{line}\n")
-        assert main(["experiment", "--config", str(config)]) == 2
+        config.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        argv = ["--config", str(config)] if source == "file" else flags
+        assert main(["experiment", *argv]) == 2
         err = capsys.readouterr().err
-        key = line.split("=")[0]
         assert err.startswith(f"error: {key} must be ") and named in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--epsilon", "abc"), ("--oracle-grid", "0.x")])
+    def test_bad_solve_number_exits_two_naming_it(self, capsys, flag, value):
+        assert main(["solve", "--dist", "uniform:2", "--n", "2", "--method", "heur_lb_cf",
+                     flag, value]) == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be a number, got {value!r}\n"
+
+    def test_flags_and_config_file_write_the_same_csv(self, tmp_path):
+        settings = {"dist": "categorical:3,10,0.8", "bidders": "1..4", "epsilon": "0.01",
+                    "methods": "heur_lb_cf,heur_lb_greedy,exact_rrm", "oracle_grid": "0.01"}
+        config = tmp_path / "same.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in settings.items()) + "no_timing=yes\n")
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(["experiment", "--config", str(config), "--output", str(from_file)]) == 0
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        assert main(["experiment", *flags, "--no-timing", "--output", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        assert len(from_file.read_text().splitlines()) == 1 + 3 * 4
 
     @pytest.mark.parametrize("bidders", ["2..y", "3.."])
     def test_bad_bidders_flag_exits_two_naming_it(self, tmp_path, capsys, bidders):
@@ -626,7 +651,11 @@ class TestCommands:
         (lambda doc: doc["instance"].update(bidders=5), "'bidders'"),
         (lambda doc: doc.update(allocation=[[{"x": 0.5}] * 4] * 2), "'allocation'"),
         (lambda doc: doc.update(provenance=7), "'provenance'"),
-    ], ids=["values-object", "bidders-number", "table-of-objects", "provenance-number"])
+        (lambda doc: doc["robust_payments"][0].__setitem__(1, True), "'robust_payments'"),
+        (lambda doc: doc["allocation"].__setitem__(1, [True] * 4), "'allocation'"),
+        (lambda doc: doc["instance"]["bidders"][1]["pmf"].__setitem__(0, False), "'pmf'"),
+    ], ids=["values-object", "bidders-number", "table-of-objects", "provenance-number",
+            "boolean-payment", "boolean-row", "boolean-pmf"])
     def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, edit, named):
         """A field of the wrong JSON type is a malformed file (exit 2), not a
         failed verification (exit 1) and not a traceback."""

@@ -200,15 +200,16 @@ class TestExpectedRevenue:
         rule = robust_payment(ExPostAllocation(np.zeros((2, 2, 2))), categorical_pair)
         assert expected_revenue(rule, categorical_pair) == 0.0
 
-    @pytest.mark.parametrize("lengths", [(2,), (2, 2, 2), (2, 3)])
+    @pytest.mark.parametrize("lengths", [(2,), (2, 2, 2), (2, 3), (1, 1)])
     def test_interim_vectors_of_another_shape_are_rejected(self, categorical_pair, lengths):
         """One vector per bidder, of its type count (2 here); any other shape
-        is a ValueError, not a revenue or an IndexError."""
+        is a ValueError, not a revenue, a broadcast vector or an IndexError."""
         vectors = tuple(np.zeros(k) for k in lengths)
         with pytest.raises(ValueError, match="payment table does not match instance"):
             expected_revenue(InterimPaymentRule(vectors), categorical_pair)
-        with pytest.raises(ValueError, match="interim allocation does not match instance"):
-            bayesian_payment(InterimAllocation(vectors), categorical_pair)
+        for price in (bayesian_payment, interim_perceived):
+            with pytest.raises(ValueError, match="interim allocation does not match instance"):
+                price(InterimAllocation(vectors), categorical_pair)
 
 
 class TestIdentities:

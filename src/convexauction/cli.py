@@ -12,9 +12,9 @@ one message from either.  ``GreedyConfig`` and ``OracleConfig`` hold the default
 One registry, ``METHODS``, serves ``experiment`` and ``solve``: each entry
 maps (profile space, GreedyConfig, OracleConfig) to (Tables, report), and the
 report's kind and objective value are what both commands print.
-``experiment`` solves one bidder count at a time on the orbit space of its
-symmetric instance (K * C(n+K-2, K-1) cells of own type and count of the
-other bidders' types; see ``spaces``), dropping it before the next count;
+``experiment`` holds one space at a time: each bidder count's symmetric
+instance as one class of n (``OrbitSpace``: K * C(n+K-2, K-1) cells of own
+type and count of the other bidders' types; see ``spaces``);
 ``_run_method`` alone times each run and verifies it against the default
 checks of its payment style (``oracle.check``).
 ``solve``, ``check``, ``discretize`` and mechanism files work on dense
@@ -473,7 +473,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

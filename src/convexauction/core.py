@@ -10,9 +10,9 @@ That order is the contract for every table in this package: ex-post
 allocation and payment tables are ndarrays of shape ``(n, K_0, ..., K_{n-1})``
 indexed by ``[bidder][type index of bidder 0]...[type index of bidder n-1]``,
 and flattened profile indices in CSV or serialized output use the same
-C-order convention.  Symmetric ``experiment`` rows are solved on type-count
-orbit tables of shape ``(K, C(n+K-2, K-1))`` instead (see ``spaces``); every
-serialized table stays dense.
+C-order convention.  Pipelines may also run on a space of bidder classes
+(``spaces``): ``experiment`` uses one class of n, with ``(K, C)`` tables of
+type counts, C = C(n+K-2, K-1).  Every serialized table stays dense.
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ class AuctionInstance:
         got = table.shape if dense else [np.shape(v) for v in table]
         if got != ((self.n, *self.shape) if dense else [(k,) for k in self.shape]):
             raise ValueError(f"{what} does not match instance dimensions")
-
-    def is_symmetric(self) -> bool:
-        s0, d0 = self.bidders[0]
-        return all(
-            np.array_equal(s.values, s0.values) and np.array_equal(d.pmf, d0.pmf)
-            for s, d in self.bidders[1:]
-        )
 
 
 def symmetric_instance(

@@ -8,11 +8,11 @@ variants of the concave objectives are interchangeable up to the greedy
 increment.
 
 Each pipeline, and the bound evaluator ``bound_tables``, is written once
-over a profile space (``spaces``) on the ``Tables`` of the space's layout.
-The public functions run it on the instance's dense space, with
-``(n, K_0, ..., K_{n-1})`` tables.  The ``experiment`` command runs it on
-the ``OrbitSpace`` of its symmetric instance instead: K * C(n+K-2, K-1)
-cells (own type, count of the other bidders' types) in place of n * K^n.
+over a profile space of bidder classes (``spaces``) on its ``Tables``.  The
+public functions run it on the dense space, n classes of one bidder, with
+``(n, K_0, ..., K_{n-1})`` tables; ``experiment`` on one class of n, with
+K * C(n+K-2, K-1) cells in place of n * K^n.  The engines solve each full
+type profile once, at most ``_ROWS`` profiles at a time.
 The exact oracles price their solved tables through the same payment step.
 
 Reports carry both the optimized objective and the realized revenue; the two
@@ -115,20 +115,26 @@ class Tables:
         )
 
 
+_ROWS = 2**15  # engine rows per slice: the greedy engine holds ~20 arrays of its input's size
+
+
 def _allocate(
     space: ProfileSpace, scores: list[np.ndarray], engine: str, config: GreedyConfig
 ) -> np.ndarray:
-    """Run one allocation engine on every full type profile, once each."""
-    groups, sizes = space.groups(scores)
+    """Run one allocation engine on every full type profile, once each, in
+    slices of at most ``_ROWS`` profiles; every row is independent."""
     if engine == "pointwise":
-        out = pointwise_max_batch(groups, sizes)
+        run = pointwise_max_batch
     elif engine == "greedy":
-        out = eqp_solver_batch(groups, config, sizes)
+        run = lambda rows, sizes: eqp_solver_batch(rows, config, sizes)  # noqa: E731
     elif engine == "closed_form":
-        out = closed_form_alloc_batch(groups, 0.5, sizes)
+        run = lambda rows, sizes: closed_form_alloc_batch(rows, 0.5, sizes)  # noqa: E731
     else:
         raise ValueError(f"unknown allocation engine {engine!r}")
-    return space.cells(out)
+    groups, sizes = space.groups(scores)
+    parts = [run(groups[start : start + _ROWS], sizes[start : start + _ROWS])
+             for start in range(0, len(groups), _ROWS)]
+    return space.cells(parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 def _support(space, alloc, perceived, warnings, what="allocation"):

@@ -4,91 +4,211 @@ A pipeline works on *blocks*.  A block is one bidder's cells as an
 ``(own type x context)`` matrix, with a probability for each context.  The
 chain payment formula, the monotone clamp, the IC/IR/BIC/BIR checks, the
 interim collapse and every expectation are written once over such matrices
-(``payments.chain``, ``mechanisms``, ``oracle.check``).  Two spaces supply
-the blocks:
+(``payments.chain``, ``mechanisms``, ``oracle.check``).
 
-* ``DenseSpace`` (any instance).  Tables are ``(n, K_0, ..., K_{n-1})`` in
-  the lexicographic order documented in ``core``.  Bidder i's block is its
-  table with the own-type axis moved first and the other bidders' profiles
-  as columns, weighted by ``instance.context_pmf(i)``.
-* ``OrbitSpace`` (symmetric instances).  With i.i.d. bidders every pointwise
-  rule depends only on a bidder's own type k and the multiset of the other
-  bidders' types, a *context* c counting how many of the n - 1 others hold
-  each type.  Tables are ``(K, C)`` with C = C(n+K-2, K-1) contexts, each
-  weighted by its multinomial probability (n-1)!/prod c_j! * prod f_j^c_j.
-  One block stands for all n bidders: K * C cells in place of n * K^n.
-
-Only two things differ between the spaces: the engine input (``groups``, one
-row per full type profile and one column per group of same-score bidders,
-with the group sizes) and the cell layout (``index``, ``profile`` and
-``multiplicity``), through which ``cells``, the ex-post supply check, the
-exact oracle's constraints and the rounding read the tables.
+A ``ProfileSpace`` takes the bidders in *classes*, runs of identically
+distributed bidders.  A pointwise rule sees a profile only through each
+class's type counts, so one block stands for all n_c bidders of class c: its
+contexts count the types of the class's other n_c - 1 bidders and of every
+other class, weighted by the product of the counts' multinomial
+probabilities.  A class's count vectors are ranked in the combinatorial
+number system (``_compositions``), profiles and contexts in mixed radix over
+the classes, class 0 slowest.  The engine (``groups``) reads one row per
+profile and one column per class of one bidder, holding its score, or per
+type of a larger class, sized by its count; the table holds each column's
+cells in turn, one per profile its bidder lies in.  ``DenseSpace`` is n
+classes of one: ``(n, K_0, ..., K_{n-1})`` tables in the order of ``core``.
+``OrbitSpace`` is one class of n: ``(K, C)`` tables, C = C(n+K-2, K-1)
+contexts, K * C cells in place of n * K^n, and the dense layout at n = 1.
+Other classes give a flat table.  ``cells``, the supply check, the exact
+oracle's constraints and the rounding read the cells through ``index``,
+``profile`` and ``multiplicity``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import AuctionInstance, own_type_matrix
+from .core import AuctionInstance
 from .virtual import VirtualValueTable, is_regular, virtual_values
 
 
 class Block(NamedTuple):
-    """One bidder's cells: own types as rows, contexts as columns."""
+    """One class's cells: own types as rows, contexts as columns."""
 
-    bidder: int  # the bidder whose values and pmf the rows use
+    bidder: int  # the class's first bidder, whose values and pmf the rows use
     values: np.ndarray
     gaps: np.ndarray
     pmf: np.ndarray
     count: int  # bidders the block stands for
 
 
-def _block(instance: AuctionInstance, i: int, count: int) -> Block:
-    return Block(i, instance.values(i), instance.space(i).gaps, instance.pmf(i), count)
+def _compositions(total: int, k: int) -> np.ndarray:
+    """Every count vector over K types summing to ``total``, one row each in rank
+    order, column-major.  Counted from the top type, the bars
+    b_j = c_{K-1} + ... + c_{K-1-j} + j are a (K-1)-subset, ranked as
+    sum_j C(b_j, j+1); so the unit vector e_k has rank k.  Rank r is decoded
+    last bar first: b_{j-1} is the largest b with C(b, j) = ``binom[b, j]`` at
+    most r, and r -= C(b_{j-1}, j)."""
+    binom = np.array([[math.comb(a, j) for j in range(k)] for a in range(total + k - 1)], np.int64)
+    bars = np.empty((k + 1, math.comb(total + k - 1, k - 1)), dtype=np.int64)
+    bars[0], bars[k] = -1, total + k - 1
+    rank = np.arange(bars.shape[1])
+    for j in range(k - 1, 0, -1):
+        bars[j] = np.searchsorted(binom[:, j], rank, side="right") - 1
+        rank -= binom[bars[j], j]
+    return (np.diff(bars, axis=0)[::-1] - 1).T
 
 
 class ProfileSpace:
-    """Tables of one layout, and the per-block views the kernels work on."""
+    """Tables over the type profiles of ``instance``, whose bidders come in
+    ``classes``: the sizes of consecutive runs of identical bidders.  The
+    layout is built on first use: the ex-ante rows read only the blocks."""
 
-    instance: AuctionInstance
-    shape: tuple[int, ...]  # the table shape
-    blocks: tuple[Block, ...]
-    weights: tuple[np.ndarray, ...]  # probability of each context, per block
-    # the cell layout, stated once: every cell's flat index, per block
-    # (``index``); and as tables, the full type profile each cell lies in, and
-    # how many bidders' shares at that profile the cell stands for
-    profile: np.ndarray
-    multiplicity: np.ndarray
+    def __init__(self, instance: AuctionInstance, classes: tuple[int, ...]):
+        firsts = tuple(accumulate(classes[:-1], initial=0))
+        if sum(classes) != instance.n or min(classes) < 1:
+            raise ValueError("classes must split the bidders into runs")
+        for i, size in zip(firsts, classes):
+            space, dist = instance.bidders[i]
+            if not all(np.array_equal(s.values, space.values) and np.array_equal(d.pmf, dist.pmf)
+                       for s, d in instance.bidders[i + 1 : i + size]):
+                raise ValueError("a class needs identically distributed bidders")
+        self.instance, self.classes, self._firsts = instance, classes, firsts
+        self._types = [instance.space(i).size for i in firsts]
+        self._sizes = [math.comb(n + k - 1, k - 1) for n, k in zip(classes, self._types)]
+        # per class, its engine columns and the grid of each column's cells: a
+        # class of one is one column over every profile; a larger class is one
+        # column per type, whose cells count its other bidders on its own axis
+        self._columns = []
+        for c, (n, k) in enumerate(zip(classes, self._types)):
+            grid = (*self._sizes[:c], math.comb(n + k - 2, k - 1), *self._sizes[c + 1 :])
+            self._columns.append((1, tuple(self._sizes)) if n == 1 else (k, grid))
+        grids = {grid for _, grid in self._columns}
+        self.shape = ((sum(g for g, _ in self._columns), *grids.pop()) if len(grids) == 1
+                      else (sum(g * math.prod(grid) for g, grid in self._columns),))
 
-    def split(self, table: np.ndarray) -> list[np.ndarray]:
-        """One ``(own type x context)`` matrix per block."""
-        raise NotImplementedError
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        inst = self.instance
+        return tuple(Block(i, inst.values(i), inst.space(i).gaps, inst.pmf(i), n)
+                     for i, n in zip(self._firsts, self.classes))
 
-    def join(self, mats: list[np.ndarray]) -> np.ndarray:
-        """The table whose blocks are ``mats``; inverse of ``split``."""
-        raise NotImplementedError
+    @cached_property
+    def profiles(self) -> tuple[np.ndarray, ...]:
+        """Per class, its bidders' type counts at each of its profiles, in the
+        smallest signed integer type that holds -(n_c+1)."""
+        return tuple(_compositions(n, k).astype(np.min_scalar_type(-n - 1))
+                     for n, k in zip(self.classes, self._types))
+
+    @cached_property
+    def contexts(self) -> tuple[np.ndarray, ...]:
+        """Per class, the type counts of its bidders but one, row-major: its
+        first C(n_c+K_c-2, K_c-1) profiles, which hold a type-0 bidder, less it."""
+        return tuple(np.ascontiguousarray(p[: math.comb(n + k - 2, k - 1)]
+                                          - np.eye(k, dtype=p.dtype)[0])
+                     for n, k, p in zip(self.classes, self._types, self.profiles))
+
+    def _chances(self, c: int, others: bool) -> np.ndarray:
+        """Probability of each count vector of class c's m bidders (all but one
+        if ``others``): m!/prod c_j! * prod f_j^c_j in log space, as factorials
+        overflow a float from 171 on; for m = 1 the pmf, bit for bit."""
+        m, pmf = self.classes[c] - others, self.blocks[c].pmf
+        if m < 2:
+            return pmf if m else np.ones(1)
+        counts = (self.contexts if others else self.profiles)[c]
+        log_factorial = np.array([math.lgamma(a + 1) for a in range(m + 1)])
+        return np.exp(log_factorial[m] - log_factorial[counts].sum(axis=1) + counts @ np.log(pmf))
+
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """Probability of each context, per block; multiplied left to right in
+        class order, as ``context_pmf`` does."""
+        return tuple(reduce(np.multiply.outer, [self._chances(d, d == c) for d in range(len(
+            self.classes))]).ravel() for c in range(len(self.classes)))
 
     @cached_property
     def index(self) -> list[np.ndarray]:
-        return self.split(np.arange(math.prod(self.shape)).reshape(self.shape))
+        """Every cell's flat index, per block: a column's cells in mixed radix
+        over its grid, after the cells of the columns before it."""
+        out, start = [], 0
+        for c, (g, grid) in enumerate(self._columns):
+            cells = np.arange(start, start + g * math.prod(grid)).reshape(g, *grid)
+            # own types lie along a class of one's axis, or a larger class's columns
+            own = c + 1 if self.classes[c] == 1 else 0
+            # row-major, so that every block's gathers come out row-major too
+            out.append(np.ascontiguousarray(cells.swapaxes(0, own).reshape(self._types[c], -1)))
+            start += cells.size
+        return out
 
-    def groups(self, scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | int]:
-        """Engine input from one own-type score vector per block: a (P, G)
-        score matrix, one row per full type profile as numbered in ``profile``
-        and G = ``shape[0]`` groups of same-score bidders, and the group sizes."""
-        raise NotImplementedError
+    def split(self, table: np.ndarray) -> list[np.ndarray]:
+        """One ``(own type x context)`` matrix per block: a view of the table
+        for a larger class, whose cells are one run of it in order."""
+        flat = table.reshape(-1)
+        return [flat[c[0, 0] : c[0, 0] + c.size].reshape(c.shape) if n > 1 else flat[c]
+                for c, n in zip(self.index, self.classes)]
+
+    def join(self, mats: list[np.ndarray]) -> np.ndarray:
+        """The table whose blocks are ``mats``; inverse of ``split``."""
+        out = np.empty(self.shape, np.result_type(*mats))
+        for cells, m in zip(self.index, mats):
+            out.reshape(-1)[cells] = m
+        return out
+
+    def _columns_of(self, rows: list[np.ndarray]) -> np.ndarray:
+        """(P, G) engine columns from one (columns x class profiles) matrix per
+        class, each laid along its class's axis of the profile grid."""
+        if len(rows) == 1:  # one class: its rows are the columns
+            return rows[0].T
+        m = len(self.classes)
+        out = np.empty((sum(map(len, rows)), *self._sizes), np.result_type(*rows))
+        start = 0
+        for c, r in enumerate(rows):
+            out[start : start + len(r)] = r.reshape(len(r), *(1,) * c, -1, *(1,) * (m - 1 - c))
+            start += len(r)
+        return out.reshape(len(out), -1).T
+
+    @cached_property
+    def _column_sizes(self) -> np.ndarray:
+        # a class of one's column holds one bidder, a type's its count
+        return self._columns_of([np.ones((1, k), np.int8) if n == 1 else self.profiles[c].T
+                                 for c, (n, k) in enumerate(zip(self.classes, self._types))])
+
+    def groups(self, scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Engine input from one own-type score vector per block: a (P, G) score
+        matrix, one row per full type profile in mixed radix and one column per
+        class of one (its bidder's score, size 1) or type of a larger class (its
+        score, sized by its count), and the (P, G) column sizes.  An absent type
+        scores 0 (or -0), which no engine lets compete."""
+        rows = [s[None] if n == 1 else s[:, None] * (self.profiles[c].T > 0)
+                for c, (n, s) in enumerate(zip(self.classes, scores))]
+        return self._columns_of(rows), self._column_sizes
+
+    @cached_property
+    def _at(self) -> np.ndarray:
+        # each cell's index in the engine's (G, P) output: its column's profiles with
+        # bidders, in order, since adding a type-k bidder keeps contexts' rank order
+        return np.flatnonzero(self._column_sizes.T).reshape(self.shape)
+
+    @property
+    def profile(self) -> np.ndarray:
+        """The full type profile each cell lies in."""
+        return self._at % len(self._column_sizes)
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """How many bidders' shares at its profile each cell stands for (c_k + 1)."""
+        return self.cells(self._column_sizes.astype(np.float64))
 
     def cells(self, out: np.ndarray) -> np.ndarray:
-        """The allocation table from the engine's (P, G) output for ``groups``:
-        cell (a, ...) is row ``profile[a, ...]`` of column a, which starts at
-        a * P in the column-major output."""
-        g = self.shape[0]
-        column = np.arange(g).reshape((g,) + (1,) * (len(self.shape) - 1))
-        return out.T.ravel()[column * len(out) + self.profile]
+        """The table from the engine's (P, G) output for ``groups``: each
+        column's rows at its cells' ``profile``."""
+        return out.T.ravel()[self._at]
 
     @cached_property
     def virtual(self) -> tuple[VirtualValueTable, tuple[bool, ...]]:
@@ -115,135 +235,14 @@ class ProfileSpace:
 
 
 class DenseSpace(ProfileSpace):
-    """Every profile of any instance; one block per bidder."""
+    """Every profile of any instance: n classes of one bidder."""
 
     def __init__(self, instance: AuctionInstance):
-        self.instance = instance
-        self.shape = (instance.n, *instance.shape)
-        self.multiplicity = np.broadcast_to(1.0, self.shape)
-
-    @cached_property
-    def blocks(self):
-        return tuple(_block(self.instance, i, 1) for i in range(self.instance.n))
-
-    @cached_property
-    def weights(self):
-        return tuple(self.instance.context_pmf(i).ravel() for i in range(self.instance.n))
-
-    def split(self, table):
-        # contiguous, so every block's products take the same NumPy path
-        return [np.ascontiguousarray(np.moveaxis(table[i], i, 0).reshape(k, -1))
-                for i, k in enumerate(self.instance.shape)]
-
-    def join(self, mats):
-        shape = self.instance.shape
-        out = np.empty((len(shape), *shape))
-        for i, m in enumerate(mats):
-            own_first = m.reshape(shape[i], *shape[:i], *shape[i + 1 :])
-            out[i] = np.moveaxis(own_first, 0, i)
-        return out
-
-    def groups(self, scores):
-        # bidder i's score in column i, a group of one
-        return own_type_matrix(self.instance, scores).reshape(self.instance.n, -1).T, 1
-
-    @cached_property
-    def profile(self):
-        # bidder i's share at profile v is cell (i, v)
-        size = math.prod(self.instance.shape)
-        return np.tile(np.arange(size), self.instance.n).reshape(self.shape)
-
-
-def _compositions(total: int, binom: np.ndarray) -> np.ndarray:
-    """Every count vector over K types summing to ``total``, one row each in rank
-    order (``OrbitSpace``), column-major.  Rank r is decoded last bar first: for
-    j = K-1 down to 1, b_j is the largest b with C(b, j) = ``binom[b, j]`` at
-    most r, and r -= C(b_j, j)."""
-    k = binom.shape[1]
-    bars = np.empty((k + 1, math.comb(total + k - 1, k - 1)), dtype=np.int64)
-    bars[0], bars[k] = -1, total + k - 1
-    rank = np.arange(bars.shape[1])
-    for j in range(k - 1, 0, -1):
-        bars[j] = np.searchsorted(binom[:, j], rank, side="right") - 1
-        rank -= binom[bars[j], j]
-    return (np.diff(bars, axis=0) - 1).T
+        super().__init__(instance, (1,) * instance.n)
 
 
 class OrbitSpace(ProfileSpace):
-    """Symmetric instances: cells (own type, context), one block for all bidders.
-
-    Contexts are indexed by their rank in the combinatorial number system, so
-    the index of any count vector is computed, not searched for: the bars
-    b_j = c_0 + ... + c_j + j are a (K-1)-subset, ranked as sum_j C(b_j, j+1),
-    which orders c_{K-1} descending, then c_{K-2} descending, and so on.  The
-    layout is built on first use: the ex-ante rows read only the block, at any n.
-    """
+    """Type-count orbits of identically distributed bidders: one class of n."""
 
     def __init__(self, instance: AuctionInstance):
-        if not instance.is_symmetric():
-            raise ValueError("orbit space needs identically distributed bidders")
-        n, k = instance.n, instance.shape[0]
-        self.instance = instance
-        self.shape = (k, math.comb(n + k - 2, k - 1))
-        self.blocks = (_block(instance, 0, n),)
-
-    @cached_property
-    def _binom(self) -> np.ndarray:
-        # binom[a, j] = C(a, j), for the ranks of full type profiles (``profile``)
-        n, k = self.instance.n, self.shape[0]
-        return np.array([[math.comb(a, j) for j in range(k)] for a in range(n + k - 1)], np.int64)
-
-    @cached_property
-    def profiles(self) -> np.ndarray:
-        # every full type profile's counts, in the smallest signed integer type
-        # that holds n (one that holds -(n+1) does); the first C profiles hold
-        # a type-(K-1) bidder, and less that bidder they are the contexts
-        n = self.instance.n
-        return _compositions(n, self._binom).astype(np.min_scalar_type(-n - 1))
-
-    @cached_property
-    def contexts(self) -> np.ndarray:
-        contexts = self.profiles[: self.shape[1]].copy()
-        contexts[:, -1] -= 1
-        return contexts
-
-    @cached_property
-    def weights(self):
-        # multinomial probabilities in log space: factorials overflow a float from 171 on
-        n = self.instance.n
-        log_factorial = np.array([math.lgamma(a + 1) for a in range(n)])
-        log_weight = log_factorial[n - 1] - log_factorial[self.contexts].sum(axis=1)
-        return (np.exp(log_weight + self.contexts @ np.log(self.instance.pmf(0))),)
-
-    @cached_property
-    def multiplicity(self):
-        return self.contexts.T + 1.0  # cell (k, c) is c_k + 1 bidders
-
-    def split(self, table):
-        return [table]
-
-    def join(self, mats):
-        return mats[0]
-
-    @cached_property
-    def _present(self) -> np.ndarray:
-        return self.profiles.T > 0
-
-    def groups(self, scores):
-        # type k's score in column k, a group of its count; absent types score
-        # 0 (or -0), which no engine lets compete
-        return (scores[0][:, None] * self._present).T, self.profiles
-
-    @cached_property
-    def profile(self):
-        # cell (k, c) is one of the c_k + 1 type-k bidders at full type count
-        # m = c + e_k, so the total share at m is sum_k m_k x(k, m - e_k).  m's
-        # bars are c's plus one from j = k on: rank
-        # sum_{j<k} C(b_j, j+1) + sum_{j>=k} C(b_j+1, j+1)
-        k, c = self.shape
-        j = np.arange(k - 1)[:, None]
-        bars = np.cumsum(self.contexts.T[:-1], axis=0, dtype=np.int64) + j
-        profile = np.zeros((k, c), dtype=np.int64)
-        np.cumsum(self._binom[bars, j + 1], axis=0, out=profile[1:])
-        profile[:-1] += np.cumsum(self._binom[bars + 1, j + 1][::-1], axis=0)[::-1]
-        return profile
+        super().__init__(instance, (instance.n,))

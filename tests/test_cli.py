@@ -680,6 +680,13 @@ class TestCommands:
         assert main(["solve", "--dist", "bogus:1", "--n", "1", "--method", "surplus"]) == 2
         capsys.readouterr()
 
+    def test_out_of_memory_is_an_error(self, capsys):
+        """20 bidders of uniform:5 have 5^20 profiles: the dense tables ask for
+        more memory than any address space holds, so the request fails before
+        any memory is touched, and is an error (exit 2), not a failed check."""
+        assert main(["solve", "--dist", "uniform:5", "--n", "20", "--method", "surplus"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parser_is_built_once(self, capsys):
         assert build_parser() is build_parser()
         assert main(["--help"]) == 0

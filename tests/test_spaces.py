@@ -1,4 +1,4 @@
-"""Dense and orbit profile spaces: same numbers, and an orbit verifier that fails."""
+"""Dense, orbit and class profile spaces: same numbers, and an orbit verifier that fails."""
 
 import csv
 import math
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexauction import (
+    AuctionInstance,
     DiscreteDistribution,
     GreedyConfig,
     OracleConfig,
@@ -34,7 +35,7 @@ from convexauction.mechanisms import (
 )
 from convexauction.oracle import OracleRefusal, check, exact_tables
 from convexauction.payments import chain
-from convexauction.spaces import DenseSpace, OrbitSpace
+from convexauction.spaces import DenseSpace, OrbitSpace, ProfileSpace
 from conftest import corpus_instances
 
 # the spaces are under test, not the greedy increment: a coarse one keeps
@@ -44,14 +45,12 @@ ORACLE = OracleConfig()
 TOL = 1e-12
 
 
-@st.composite
-def regular_symmetric_instances(draw):
-    """n <= 5 identical bidders with K <= 5 types and non-decreasing phi.
+def _regular_bidder(draw, k):
+    """A type space of k types and a pmf with non-decreasing phi.
 
     Draws the virtual values and the pmf, then solves
     phi_k = z_k - (z_{k+1} - z_k)(1 - F_k)/f_k backwards for the values.
     """
-    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
     pmf = raw / raw.sum()
     steps = draw(st.lists(st.floats(0.05, 2.0), min_size=k, max_size=k))
@@ -61,9 +60,34 @@ def regular_symmetric_instances(draw):
     for j in range(k - 2, -1, -1):
         z[j] = (phi[j] + hazard[j] * z[j + 1]) / (1.0 + hazard[j])
     z = z - z[0] + draw(st.sampled_from([0.0, 0.5]))
-    instance = symmetric_instance(TypeSpace(z), DiscreteDistribution(pmf), n)
+    return TypeSpace(z), DiscreteDistribution(pmf)
+
+
+@st.composite
+def regular_symmetric_instances(draw):
+    """n <= 5 identical regular bidders with K <= 5 types."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    instance = symmetric_instance(*_regular_bidder(draw, k), n)
     assert all(is_regular(virtual_values(instance)))
     return instance
+
+
+@st.composite
+def regular_class_instances(draw):
+    """Two or three classes of regular bidders, one of one bidder and one of
+    two or three, in any order, with K <= 4 types each and at most 400 dense
+    cells (the largest K shrinks until they fit)."""
+    classes = draw(st.permutations([1, draw(st.integers(2, 3))]
+                                   + draw(st.lists(st.integers(1, 3), max_size=1))))
+    ks = [draw(st.integers(1, 4)) for _ in classes]
+    while sum(classes) * math.prod(k**n for k, n in zip(ks, classes)) > 400:
+        ks[ks.index(max(ks))] -= 1
+    bidders = ()
+    for n, k in zip(classes, ks):
+        bidders += (_regular_bidder(draw, k),) * n
+    instance = AuctionInstance(bidders)
+    assert all(is_regular(virtual_values(instance)))
+    return instance, tuple(classes)
 
 
 def _close(a: float, b: float) -> bool:
@@ -83,8 +107,9 @@ def assert_exact_agree(method, dense, orbit):
         assert all(c.passed for c in check(tables).values()), (dt.provenance, check(tables))
 
 
-def assert_spaces_agree(instance):
-    dense, orbit = DenseSpace(instance), OrbitSpace(instance)
+def assert_spaces_agree(dense, orbit):
+    """Every method's objective, revenue, checks and bounds agree on the dense
+    space and on ``orbit``, another space of the same instance."""
     for method, name in dict(zip(METHODS.values(), METHODS)).items():  # aliases once
         if name.startswith("exact_"):
             assert_exact_agree(method, dense, orbit)
@@ -117,7 +142,7 @@ def assert_spaces_agree(instance):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(regular_symmetric_instances())
 def test_dense_and_orbit_agree_on_random_regular_instances(instance):
-    assert_spaces_agree(instance)
+    assert_spaces_agree(DenseSpace(instance), OrbitSpace(instance))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -142,22 +167,75 @@ CORPUS = corpus_instances(5)
 
 @pytest.mark.parametrize("label,instance", CORPUS, ids=[label for label, _ in CORPUS])
 def test_dense_and_orbit_agree_on_corpus(label, instance):
-    assert_spaces_agree(instance)
+    assert_spaces_agree(DenseSpace(instance), OrbitSpace(instance))
+
+
+def _class_cells(dense, space, classes):
+    """The flat index, in ``space``'s table, of each dense cell (i, v): the
+    cell of bidder i's class at own type v_i whose profile has v's type
+    counts in every class."""
+    def counts(profile):  # one tuple of type counts per class
+        return tuple(map(tuple, profile))
+    at = {}
+    digits = np.unravel_index(space.profile, [len(p) for p in space.profiles])
+    for c, cells in enumerate(space.index):
+        for k, row in enumerate(cells):
+            for cell in row:
+                profile = [space.profiles[d][r.flat[cell]] for d, r in enumerate(digits)]
+                at[c, k, counts(profile)] = cell
+    firsts = np.cumsum((0,) + classes)
+    out = np.empty(dense.shape, dtype=np.int64)
+    for i, *v in np.ndindex(dense.shape):
+        c = int(np.searchsorted(firsts, i, side="right")) - 1
+        profile = [np.bincount(v[a:b], minlength=len(space.blocks[d].values))
+                   for d, (a, b) in enumerate(zip(firsts, firsts[1:]))]
+        out[(i, *v)] = at[c, v[i], counts(profile)]
+    return out
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(regular_class_instances())
+def test_class_space_tables_equal_the_dense_tables(drawn):
+    """Two or three classes: every non-exact pipeline's tables, cell by cell,
+    and every method's numbers agree with the dense space's."""
+    instance, classes = drawn
+    dense, space = DenseSpace(instance), ProfileSpace(instance, classes)
+    cells = _class_cells(dense, space, classes)
+    firsts = np.cumsum((0,) + classes)
+    block = np.searchsorted(firsts, np.arange(instance.n), side="right") - 1
+    for method, name in dict(zip(METHODS.values(), METHODS)).items():
+        if name.startswith("exact_"):
+            continue
+        (dt, _), (ct, _) = (method(s, GREEDY, ORACLE) for s in (dense, space))
+        for field in ("x", "p"):
+            d, c = getattr(dt, field), getattr(ct, field)
+            assert (d is None) == (c is None), (dt.provenance, field)
+            if d is not None:
+                np.testing.assert_allclose(c.ravel()[cells], d, rtol=TOL, atol=TOL,
+                                           err_msg=f"{dt.provenance} {field}")
+        for field in ("xhat", "h"):
+            d, c = getattr(dt, field), getattr(ct, field)
+            assert (d is None) == (c is None), (dt.provenance, field)
+            for i in range(instance.n * (d is not None)):
+                np.testing.assert_allclose(c[block[i]], d[i], rtol=TOL, atol=TOL,
+                                           err_msg=f"{dt.provenance} {field}")
+    assert_spaces_agree(dense, space)
 
 
 def _rank(counts):
     """Reference rank of count vectors (last axis) among those with the same
-    sum: the bars b_j = c_0 + ... + c_j + j of the stars-and-bars picture are
-    a (K-1)-subset, ranked as sum_j C(b_j, j+1)."""
+    sum: counted from the top type, the bars b_j = c_{K-1} + ... + c_{K-1-j} + j
+    of the stars-and-bars picture are a (K-1)-subset, ranked as
+    sum_j C(b_j, j+1)."""
     k = counts.shape[-1]
-    bars = np.cumsum(counts[..., :-1], axis=-1) + np.arange(k - 1)
+    bars = np.cumsum(counts[..., ::-1][..., :-1], axis=-1) + np.arange(k - 1)
     return np.vectorize(math.comb, otypes=[np.int64])(bars, np.arange(1, k)).sum(axis=-1)
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5), (9, 2)])
 def test_contexts_are_the_count_vectors_indexed_by_rank(n, k):
     space = OrbitSpace(symmetric_instance(*make_uniform(k), n))
-    contexts = space.contexts
+    (contexts,) = space.contexts
     assert len(contexts) == math.comb(n + k - 2, k - 1)
     assert np.all(contexts.sum(axis=1) == n - 1) and np.all(contexts >= 0)
     assert len({tuple(c) for c in contexts}) == len(contexts)
@@ -174,11 +252,11 @@ def _supply_reference(space):
         n, size = space.instance.n, math.prod(space.instance.shape)
         profile = np.repeat(np.arange(size), n)
         return profile, profile + size * np.tile(np.arange(n), size), np.ones(n * size)
-    k = space.shape[0]
-    full = space.contexts + np.eye(k, dtype=np.int64)[:, None]
+    (contexts,) = space.contexts
+    full = contexts + np.eye(contexts.shape[1], dtype=np.int64)[:, None]
     profile = _rank(full).ravel()
     cell = np.argsort(profile, kind="stable")
-    return profile[cell], cell, space.contexts.T.ravel()[cell] + 1.0
+    return profile[cell], cell, contexts.T.ravel()[cell] + 1.0
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -192,16 +270,17 @@ def test_cell_layout_ranks_every_full_profile(k):
     for n in range(1, 13):
         instance = symmetric_instance(*make_uniform(k), n)
         orbit = OrbitSpace(instance)
-        full = orbit.contexts + np.eye(k, dtype=np.int64)[:, None]
-        np.testing.assert_array_equal(orbit.profile, _rank(full), err_msg=f"n={n}")
-        # the engine's rows: every full profile once, in rank order, and the
-        # contexts are the first C of them less one type-(K-1) bidder
-        assert len(orbit.profiles) == math.comb(n + k - 1, k - 1)
-        assert np.all(orbit.profiles.sum(axis=1) == n) and np.all(orbit.profiles >= 0)
-        np.testing.assert_array_equal(_rank(orbit.profiles), np.arange(len(orbit.profiles)))
-        np.testing.assert_array_equal(orbit.profiles[orbit.profile], full)
-        np.testing.assert_array_equal(_rank(orbit.contexts), np.arange(len(orbit.contexts)))
-        np.testing.assert_array_equal(orbit.multiplicity, orbit.contexts.T + 1)
+        (profiles,), (contexts,) = orbit.profiles, orbit.contexts
+        (profile,), (multiplicity,) = orbit.split(orbit.profile), orbit.split(orbit.multiplicity)
+        full = contexts + np.eye(k, dtype=np.int64)[:, None]
+        np.testing.assert_array_equal(profile, _rank(full), err_msg=f"n={n}")
+        # the engine's rows: every full profile once, in rank order
+        assert len(profiles) == math.comb(n + k - 1, k - 1)
+        assert np.all(profiles.sum(axis=1) == n) and np.all(profiles >= 0)
+        np.testing.assert_array_equal(_rank(profiles), np.arange(len(profiles)))
+        np.testing.assert_array_equal(profiles[profile], full)
+        np.testing.assert_array_equal(_rank(contexts), np.arange(len(contexts)))
+        np.testing.assert_array_equal(multiplicity, contexts.T + 1)
         spaces = [orbit]
         if k**n <= 4096:
             dense = DenseSpace(instance)
@@ -226,9 +305,10 @@ def test_cell_layout_ranks_every_full_profile(k):
 def _cell_rows(space, s):
     """Every bidder's score at each orbit cell, shape (cells, n): the cell's
     own score, then the other bidders' by ascending type."""
-    k, c, n = s.size, len(space.contexts), space.instance.n
+    (contexts,) = space.contexts
+    k, c, n = s.size, len(contexts), space.instance.n
     own = np.broadcast_to(s[:, None, None], (k, c, 1))
-    others = np.repeat(np.tile(s, c), space.contexts.ravel()).reshape(c, n - 1)
+    others = np.repeat(np.tile(s, c), contexts.ravel()).reshape(c, n - 1)
     others = np.broadcast_to(others, (k, c, n - 1))
     return np.concatenate([own, others], axis=2).reshape(k * c, n)
 
@@ -269,17 +349,20 @@ def test_orbit_engines_on_full_profiles_equal_the_cell_rows(n, k, low, seed):
         assert np.all(np.abs(tables.x - want) <= TOL * np.abs(want)), (tables.x, want)
 
 
-@pytest.mark.parametrize("run,bound", [
-    (surplus_tables, 128),
-    (lambda space: heuristic_lb_rrm_tables(space, "greedy"), 512),
-    (heuristic_lb_rrm_tables, 128),
-], ids=["pointwise", "greedy", "closed_form"])
-def test_orbit_engine_peak_memory_per_cell(run, bound):
+@pytest.mark.parametrize("run,n,bound", [
+    pytest.param(surplus_tables, 30, 128, id="pointwise"),
+    pytest.param(lambda space: heuristic_lb_rrm_tables(space, "greedy"), 30, 512, id="greedy"),
+    pytest.param(heuristic_lb_rrm_tables, 30, 128, id="closed_form"),
+    pytest.param(lambda space: heuristic_lb_rrm_tables(space, "greedy"), 50, 64, id="greedy_n50"),
+])
+def test_orbit_engine_peak_memory_per_cell(run, n, bound):
     """uniform:5 at n = 30 has 204,600 orbit cells and 46,376 full type
     profiles; each engine reads one row of five scores per profile.  An
     engine fed a row of the n bidders' scores per cell needs about 520 bytes
-    per cell pointwise and 5,200 greedy, above these bounds."""
-    space = OrbitSpace(symmetric_instance(*make_uniform(5), 30))
+    per cell pointwise and 5,200 greedy, above these bounds.  At n = 50
+    (1,464,125 cells, 316,251 profiles) the greedy engine runs in slices of
+    profiles; run whole, its own arrays take about 200 bytes per cell."""
+    space = OrbitSpace(symmetric_instance(*make_uniform(5), n))
     tracemalloc.start()
     try:
         run(space)
@@ -307,7 +390,7 @@ def test_orbit_weights_are_the_multinomial_probabilities(n):
     pmf = np.array([0.2, 0.3, 0.5])
     space = OrbitSpace(symmetric_instance(TypeSpace(np.array([1.0, 2.0, 3.0])),
                                           DiscreteDistribution(pmf), n))
-    for c, weight in zip(space.contexts.tolist(), space.weights[0]):
+    for c, weight in zip(space.contexts[0].tolist(), space.weights[0]):
         exact = math.comb(n - 1, c[0]) * math.comb(n - 1 - c[0], c[1]) * math.prod(pmf**c)
         assert math.isclose(weight, exact, rel_tol=1e-14), (c, weight, exact)
 
@@ -324,8 +407,9 @@ def test_orbit_counts_hold_n_at_the_integer_type_bounds(n):
     """The counts' integer type widens at these n.  Every full profile holds n
     bidders, so where all n have the top type each gets 1/n, not 0."""
     space = OrbitSpace(symmetric_instance(*make_uniform(2), n))
-    assert np.all(space.profiles.sum(axis=1) == n) and np.all(space.profiles >= 0)
-    (top,) = np.flatnonzero(space.contexts[:, 1] == n - 1)
+    (profiles,), (contexts,) = space.profiles, space.contexts
+    assert np.all(profiles.sum(axis=1) == n) and np.all(profiles >= 0)
+    (top,) = np.flatnonzero(contexts[:, 1] == n - 1)
     for tables, _ in (surplus_tables(space), heuristic_lb_rrm_tables(space, "greedy"),
                       pseudo_surplus_tables(space)):
         assert math.isclose(tables.x[1, top], 1.0 / n, rel_tol=TOL), tables.provenance
@@ -349,7 +433,9 @@ def test_ex_ante_rows_at_a_thousand_bidders_never_build_the_orbit_layout():
         tables, report = ex_ante_tables(space, truncate)
         assert report.revenue > 0
         assert all(c.passed for c in check(tables).values())
-    assert not {"_binom", "profiles", "contexts", "weights", "multiplicity"} & set(vars(space))
+    layout = {"profiles", "contexts", "weights", "index", "_column_sizes", "_at", "profile",
+              "multiplicity"}
+    assert not layout & set(vars(space))
 
 
 def test_orbit_verifier_fails_xp_on_a_scaled_table():

@@ -20,11 +20,12 @@ checks of its payment style (``oracle.check``).
 ``solve``, ``check``, ``discretize`` and mechanism files work on dense
 ``(n, K_0, ..., K_{n-1})`` tables.
 
-Mechanism files are compact JSON (one line, written by the C encoder; any
-JSON layout loads) written from and read into dense ``mechanisms.Tables``:
-ex-post tables are nested arrays indexed [bidder][profile index], profiles
-flattened in the lexicographic order documented in ``core``, and interim
-tables hold one vector per bidder.
+Mechanism files are compact JSON (one line, byte for byte what ``json.dumps``
+writes; any JSON layout loads) written from and read into dense
+``mechanisms.Tables``: ex-post tables are nested arrays indexed [bidder]
+[profile index], profiles flattened in the lexicographic order documented in
+``core``, and interim tables hold one vector per bidder.  A table's text
+formats each distinct value once (``_rows``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -213,34 +214,47 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 _FORMAT = "convexauction-mechanism/1"
 
 
-def _rows(table) -> list | None:
-    # one list per bidder: an (n, *shape) table's flattened rows, or an interim vector
-    return None if table is None else [row.ravel().tolist() for row in table]
+def _rows(table) -> str:
+    """``json.dumps`` of a table's rows, one list per bidder (an (n, *shape)
+    table's flattened rows, or an interim vector), or of None.  Each distinct
+    float, by bits so that -0.0 stays apart, is formatted once, by
+    ``float.__repr__`` as ``json.dumps`` does: tables repeat few values."""
+    if table is None:
+        return "null"
+    rows = [np.ravel(row) for row in table]
+    bits, at = np.unique(np.concatenate(rows).view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), object)
+    words = text[at].tolist()
+    starts = itertools.accumulate(map(len, rows), initial=0)
+    return "[" + ", ".join("[" + ", ".join(words[s : s + len(row)]) + "]"
+                           for s, row in zip(starts, rows)) + "]"
 
 
 def save_mechanism(path: str, instance: AuctionInstance, mech: Mechanism) -> None:
-    """Write ``mech``; a table that does not match ``instance`` raises ValueError first."""
+    """Write ``mech``; a table that does not match ``instance`` raises ValueError first.
+    The text is ``json.dumps`` of the whole document and a newline; the
+    tables, its last four fields, are written by ``_rows``."""
     tables = Tables.of(instance, mech)
     bidders = [{"values": instance.values(i).tolist(), "pmf": instance.pmf(i).tolist()}
                for i in range(instance.n)]
-    doc = {
+    text = json.dumps({
         "format": _FORMAT,
         "instance": {"bidders": bidders},
         "provenance": tables.provenance,
         "perceived": tables.perceived,
-        "allocation": _rows(tables.x),
-        "robust_payments": _rows(tables.p),
-        "interim_allocation": _rows(tables.xhat),
-        "interim_payments": _rows(tables.h),
-    }
-    _write_text(path, json.dumps(doc) + "\n")
+    })[:-1]
+    for key, table in (("allocation", tables.x), ("robust_payments", tables.p),
+                       ("interim_allocation", tables.xhat), ("interim_payments", tables.h)):
+        text += f', "{key}": {_rows(table)}'
+    _write_text(path, text + "}\n")
 
 
 def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
     """Read a mechanism file.  A missing field, a field of the wrong JSON type,
     or a table that does not match the instance's type counts raises ValueError."""
     with open(path) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a mechanism file: {path}")
 
@@ -255,9 +269,12 @@ def load_mechanism(path: str) -> tuple[AuctionInstance, Mechanism]:
         kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
         return bool in kinds or list in kinds and any(map(has_boolean, value))
 
+    # a JSON boolean is written true or false, so a text with neither has none
+    booleans = "true" in text or "false" in text
+
     def array(key, value, want=None, need="a list of numbers"):
         try:
-            table = None if has_boolean(value) else np.array(value)
+            table = None if booleans and has_boolean(value) else np.array(value)
         except ValueError:  # a ragged table
             table = None
         if table is None or table.dtype.kind not in "iuf" or want not in (None, table.shape):

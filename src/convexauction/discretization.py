@@ -94,7 +94,8 @@ def discretization_gap(
     """
     if not alloc_star.is_monotone() or not alloc_star.is_feasible():
         raise ValueError("discretization gap needs a monotone, feasible allocation")
-    q_star = pay.perceived_payment(alloc_star, instance)  # checks the table's shape
+    instance.check_table("allocation table", alloc_star.table)
+    q_star = pay.dense_chain(alloc_star.table, instance)
     rounded, report = _round(DenseSpace(instance), alloc_star, delta)
     q_round = pay.perceived_payment(rounded, instance)
     gap = np.abs(q_star - q_round)

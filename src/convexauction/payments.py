@@ -72,9 +72,14 @@ def perceived_payment(
     instance.check_table("allocation table", alloc.table)
     if not alloc.is_monotone():
         raise ValueError("perceived payments require a monotone allocation")
+    return dense_chain(alloc.table, instance)
+
+
+def dense_chain(table: np.ndarray, instance: AuctionInstance) -> np.ndarray:
+    """``chain`` along every bidder's own types of a dense table, unchecked."""
     space = DenseSpace(instance)
     return space.join([chain(x, b.values, b.gaps)
-                       for x, b in zip(space.split(alloc.table), space.blocks)])
+                       for x, b in zip(space.split(table), space.blocks)])
 
 
 def robust_payment(

@@ -48,6 +48,12 @@ class Block(NamedTuple):
     count: int  # bidders the block stands for
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # a layout array is shared by every table of its space, so none may write it
+    a.setflags(write=False)
+    return a
+
+
 def _compositions(total: int, k: int) -> np.ndarray:
     """Every count vector over K types summing to ``total``, one row each in rank
     order, column-major.  Counted from the top type, the bars
@@ -129,11 +135,11 @@ class ProfileSpace:
     def weights(self) -> tuple[np.ndarray, ...]:
         """Probability of each context, per block; multiplied left to right in
         class order, as ``context_pmf`` does."""
-        return tuple(reduce(np.multiply.outer, [self._chances(d, d == c) for d in range(len(
-            self.classes))]).ravel() for c in range(len(self.classes)))
+        return tuple(_read_only(reduce(np.multiply.outer, [self._chances(d, d == c) for d in range(
+            len(self.classes))]).ravel()) for c in range(len(self.classes)))
 
     @cached_property
-    def index(self) -> list[np.ndarray]:
+    def index(self) -> tuple[np.ndarray, ...]:
         """Every cell's flat index, per block: a column's cells in mixed radix
         over its grid, after the cells of the columns before it."""
         out, start = [], 0
@@ -142,9 +148,10 @@ class ProfileSpace:
             # own types lie along a class of one's axis, or a larger class's columns
             own = c + 1 if self.classes[c] == 1 else 0
             # row-major, so that every block's gathers come out row-major too
-            out.append(np.ascontiguousarray(cells.swapaxes(0, own).reshape(self._types[c], -1)))
+            out.append(_read_only(np.ascontiguousarray(
+                cells.swapaxes(0, own).reshape(self._types[c], -1))))
             start += cells.size
-        return out
+        return tuple(out)
 
     def split(self, table: np.ndarray) -> list[np.ndarray]:
         """One ``(own type x context)`` matrix per block: a view of the table
@@ -197,13 +204,14 @@ class ProfileSpace:
 
     @property
     def profile(self) -> np.ndarray:
-        """The full type profile each cell lies in."""
-        return self._at % len(self._column_sizes)
+        """The full type profile each cell lies in; derived on each call, since
+        keeping it would hold one more index per cell of an orbit table."""
+        return _read_only(self._at % len(self._column_sizes))
 
     @cached_property
     def multiplicity(self) -> np.ndarray:
         """How many bidders' shares at its profile each cell stands for (c_k + 1)."""
-        return self.cells(self._column_sizes.astype(np.float64))
+        return _read_only(self.cells(self._column_sizes.astype(np.float64)))
 
     def cells(self, out: np.ndarray) -> np.ndarray:
         """The table from the engine's (P, G) output for ``groups``: each
@@ -235,10 +243,21 @@ class ProfileSpace:
 
 
 class DenseSpace(ProfileSpace):
-    """Every profile of any instance: n classes of one bidder."""
+    """Every profile of any instance: n classes of one bidder.  Every dense
+    space of one instance reads and fills one layout, kept on the instance
+    (as ``AuctionInstance.joint_pmf`` is), so the layout is built once."""
+
+    # the instance is kept out of the shared layout: a layout that referred to
+    # it would make a cycle, which only the garbage collector frees, often
+    # long after the instance is dropped
+    __slots__ = ("instance",)
 
     def __init__(self, instance: AuctionInstance):
-        super().__init__(instance, (1,) * instance.n)
+        self.__dict__ = instance.__dict__.setdefault("dense_layout", {})
+        if self.__dict__:
+            self.instance = instance
+        else:
+            super().__init__(instance, (1,) * instance.n)
 
 
 class OrbitSpace(ProfileSpace):

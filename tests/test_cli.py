@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexauction import cli, oracle
 from convexauction.cli import (
@@ -18,6 +20,67 @@ from convexauction.cli import (
     save_mechanism,
 )
 from convexauction import heuristic_brm, make_categorical, make_uniform, symmetric_instance
+from convexauction.core import (
+    AuctionInstance,
+    ExPostAllocation,
+    InterimAllocation,
+    InterimPaymentRule,
+    RobustPaymentRule,
+)
+from convexauction.mechanisms import Mechanism, Tables
+from convexauction.spaces import DenseSpace
+
+# values a table's text must keep bit for bit: a signed zero, the smallest
+# subnormal, a float whose repr switches to exponent form, one that does not
+# round-trip through fewer than 17 digits, and 1e16, beyond every allocation
+SPECIAL = (-0.0, 0.0, 5e-324, 1e-5, 0.1 + 0.2, 1.0, 1e16)
+
+
+def _json_dumps_text(instance, mech) -> bytes:
+    """The mechanism file as one ``json.dumps`` of the whole document writes it."""
+    import json
+
+    tables = Tables.of(instance, mech)
+    rows = lambda t: None if t is None else [row.ravel().tolist() for row in t]  # noqa: E731
+    bidders = [{"values": instance.values(i).tolist(), "pmf": instance.pmf(i).tolist()}
+               for i in range(instance.n)]
+    doc = {
+        "format": "convexauction-mechanism/1",
+        "instance": {"bidders": bidders},
+        "provenance": tables.provenance,
+        "perceived": tables.perceived,
+        "allocation": rows(tables.x),
+        "robust_payments": rows(tables.p),
+        "interim_allocation": rows(tables.xhat),
+        "interim_payments": rows(tables.h),
+    }
+    return (json.dumps(doc) + "\n").encode()
+
+
+@st.composite
+def drawn_mechanisms(draw):
+    """(instance, mechanism) of 1-3 bidders with 1-3 types, ex-post only,
+    interim only or both, whose tables draw from a few values, ``SPECIAL``
+    among them, so that most entries repeat."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    instance = AuctionInstance(tuple(make_uniform(k) for k in shape))
+    extra = draw(st.lists(st.floats(0.0, 1e16, allow_subnormal=True), max_size=4))
+    pool = np.array(SPECIAL + tuple(extra))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table(size, at_most=np.inf):
+        return rng.choice(pool[pool <= at_most], size)
+
+    cells = (len(shape), *shape)
+    kind = draw(st.sampled_from(["ex_post", "interim", "mixed"]))
+    x = None if kind == "interim" else ExPostAllocation(table(cells, 1.0))
+    p = RobustPaymentRule(table(cells)) if kind == "ex_post" else None
+    xhat, h = ((None, None) if kind == "ex_post" else
+               (InterimAllocation(tuple(table(k) for k in shape)),
+                InterimPaymentRule(tuple(table(k) for k in shape))))
+    mech = Mechanism(x, p, xhat, h, provenance=draw(st.text(max_size=8)),
+                     perceived=draw(st.sampled_from(["quadratic", "linear"])))
+    return instance, mech
 
 
 class TestParseDistribution:
@@ -468,6 +531,91 @@ class TestMechanismFiles:
         for a, b in zip(m1.interim_payments.tables, m2.interim_payments.tables):
             assert np.array_equal(a, b)
         assert (m1.provenance, m1.perceived) == (m2.provenance, m2.perceived)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(drawn_mechanisms())
+    def test_file_is_the_json_dumps_of_the_document(self, drawn):
+        """Each distinct float is formatted once, yet the bytes are those of
+        ``json.dumps``, and loading gives back every entry bit for bit."""
+        import tempfile
+
+        instance, mech = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/m.json"
+            save_mechanism(path, instance, mech)
+            with open(path, "rb") as fh:
+                assert fh.read() == _json_dumps_text(instance, mech)
+            _, loaded = load_mechanism(path)
+        for a, b in ((mech.allocation, loaded.allocation),
+                     (mech.robust_payments, loaded.robust_payments)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a.table.view(np.int64), b.table.view(np.int64))
+        for a, b in ((mech.interim_allocation, loaded.interim_allocation),
+                     (mech.interim_payments, loaded.interim_payments)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                for u, v in zip(a.tables, b.tables):
+                    assert np.array_equal(u.view(np.int64), v.view(np.int64))
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_method_writes_the_json_dumps_of_its_file(self, tmp_path, method):
+        instance = symmetric_instance(*make_categorical(3, 10, 0.8), 3)
+        tables, _ = METHODS[method](DenseSpace(instance), cli.GreedyConfig(), cli.OracleConfig())
+        mech = tables.mechanism()
+        save_mechanism(str(tmp_path / "m.json"), instance, mech)
+        assert (tmp_path / "m.json").read_bytes() == _json_dumps_text(instance, mech)
+
+    def test_text_true_outside_a_table_still_loads(self, tmp_path):
+        """The boolean walk runs when the text holds a ``true`` literal, and a
+        string holding one is not a boolean."""
+        inst = symmetric_instance(*make_categorical(3, 10, 0.8), 2)
+        mech, _ = heuristic_brm(inst, "closed_form")
+        path = tmp_path / "m.json"
+        save_mechanism(str(path), inst, Mechanism(
+            mech.allocation, interim_allocation=mech.interim_allocation,
+            interim_payments=mech.interim_payments, provenance="true or false"))
+        _, loaded = load_mechanism(str(path))
+        assert loaded.provenance == "true or false"
+        assert np.array_equal(loaded.allocation.table, mech.allocation.table)
+
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_boolean_in_a_table_is_refused_with_its_field(self, tmp_path, literal):
+        inst = symmetric_instance(*make_categorical(3, 10, 0.8), 2)
+        mech, _ = heuristic_brm(inst, "closed_form")
+        path = tmp_path / "m.json"
+        save_mechanism(str(path), inst, mech)
+        text = path.read_text()
+        head, sep, rest = text.partition('"interim_payments": [[')
+        path.write_text(head + sep + literal + rest[rest.index(","):])
+        with pytest.raises(ValueError) as err:
+            load_mechanism(str(path))
+        assert str(err.value) == (f"mechanism file {path}: 'interim_payments' needs one "
+                                  "entry per type, [2, 2] per bidder, each a number")
+
+    def test_one_loaded_instance_builds_its_dense_layout_once(self, tmp_path, monkeypatch):
+        """``load_mechanism``, ``verify``, ``bound_report`` and
+        ``discretization_gap`` share the instance's one dense layout."""
+        from convexauction import discretization, mechanisms, spaces
+
+        inst = symmetric_instance(*make_uniform(3), 3)
+        mech, _ = mechanisms.heuristic_lb_rrm(inst, "closed_form")
+        path = str(tmp_path / "m.json")
+        save_mechanism(path, inst, mech)
+        built, real = [], spaces.ProfileSpace.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            real(self, *args)
+
+        monkeypatch.setattr(spaces.ProfileSpace, "__init__", counted)
+        loaded, mech = load_mechanism(path)
+        index = DenseSpace(loaded).index
+        assert oracle.verify(loaded, mech)["ic"].passed
+        assert mechanisms.bound_report(loaded, mech).ok
+        discretization.discretization_gap(loaded, mech.allocation, 0.05)
+        assert len(built) == 1 and built[0].instance is loaded
+        assert Tables.of(loaded, mech).space.index is index
 
 
 class TestCommands:

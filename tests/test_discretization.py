@@ -135,6 +135,14 @@ class TestDiscretizationGap:
         with pytest.raises(ValueError):
             discretization_gap(categorical_pair, ExPostAllocation(table), 0.1)
 
+    def test_checks_the_allocation_once(self, categorical_pair, monkeypatch):
+        mech, _ = heuristic_lb_rrm(categorical_pair, "closed_form")
+        seen, real = [], ExPostAllocation.is_monotone
+        monkeypatch.setattr(ExPostAllocation, "is_monotone",
+                            lambda alloc: seen.append(alloc) or real(alloc))
+        discretization_gap(categorical_pair, mech.allocation, 0.05)
+        assert [a for a in seen if a is mech.allocation] == [mech.allocation]
+
     def test_rejects_table_of_another_shape(self, categorical_pair):
         table = ExPostAllocation(np.full((3, 2, 2, 2), 0.2))
         with pytest.raises(ValueError, match="does not match instance dimensions"):

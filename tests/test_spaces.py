@@ -438,6 +438,49 @@ def test_ex_ante_rows_at_a_thousand_bidders_never_build_the_orbit_layout():
     assert not layout & set(vars(space))
 
 
+@pytest.mark.parametrize("space_of", [DenseSpace, OrbitSpace,
+                                      lambda instance: ProfileSpace(instance, (1, 2))],
+                         ids=["dense", "orbit", "classes"])
+def test_layout_arrays_are_read_only(space_of):
+    """Every table of a space reads one layout, so none may write it."""
+    space = space_of(symmetric_instance(*make_uniform(3), 3))
+    for name, arrays in (("index", space.index), ("weights", space.weights),
+                         ("profile", [space.profile]), ("multiplicity", [space.multiplicity])):
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = 1
+            assert not a.flags.writeable, name
+
+
+def test_dense_spaces_of_one_instance_share_one_layout():
+    instance = symmetric_instance(*make_uniform(3), 2)
+    space = DenseSpace(instance)
+    again = DenseSpace(instance)
+    assert again.instance is instance and again.index is space.index
+    assert again.multiplicity is space.multiplicity and again.weights is space.weights
+    twin = symmetric_instance(*make_uniform(3), 2)
+    assert DenseSpace(twin).instance is twin and DenseSpace(twin).index is not space.index
+
+
+def test_dense_layout_is_freed_with_its_instance():
+    """The layout kept on an instance does not refer back to it, so dropping
+    the instance frees both at once, without a garbage collection."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        instance = symmetric_instance(*make_uniform(3), 3)
+        space = DenseSpace(instance)
+        heuristic_lb_rrm_tables(space)
+        check(heuristic_lb_rrm_tables(DenseSpace(instance))[0])
+        gone = weakref.ref(instance), weakref.ref(space.index[0])
+        del instance, space
+        assert [ref() for ref in gone] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_orbit_verifier_fails_xp_on_a_scaled_table():
     space = OrbitSpace(symmetric_instance(*make_uniform(5), 4))
     tables, _ = heuristic_lb_rrm_tables(space)

@@ -12,13 +12,17 @@ Both are composed from one set of sparse linear blocks (``_Blocks``: supply,
 monotonicity, payment chains, the interim collapse and the objective weights,
 which also give the XA row), built on the cells of a profile space
 (``spaces``), and solved by a primal-dual interior-point method;
-``export_program`` prints rows of the same blocks on the dense space.  Each
-Newton step updates the allocation and the constraints' multipliers
-together, raises the barrier parameter t from the current duality gap,
-evaluates the slacks and payments once and assembles its matrix from the
-pairs of nonzeros that share a constraint or payment row (one ``bincount``);
-the Bayesian monotonicity and payment rows, dense over the contexts, are
-paired on the interim rule and applied through the collapse.  The solver
+``export_program`` prints rows of the same blocks on the dense space.  The
+solver starts from a fixed strictly monotone table moved toward the
+closed-form phi+ heuristic as far as stays strictly inside.  Each Newton
+step updates the allocation and the constraints' multipliers together,
+raises the barrier parameter t from the current duality gap (ten times
+further after a full step), evaluates each of its terms once, reading the
+slacks and payments from the line search's accepted trial, and assembles its
+matrix from the pairs of nonzeros that share a constraint or payment row
+(one ``bincount``); the Bayesian monotonicity and payment rows, dense over
+the contexts, are paired on the interim rule and applied through the
+collapse.  The verifier checks IC a slice of contexts at a time.  The solver
 returns the better of its last iterate and that iterate rounded to the grid
 (``discretization.round_table``, when it stays feasible).  It reports
 ``grid_slack`` as a certified gap: an upper bound on the optimum, from
@@ -36,10 +40,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import payments as pay
+from .alloc import GreedyConfig
 from .core import (DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, grid_steps,
                    own_type_matrix)
 from .discretization import round_table
-from .mechanisms import Mechanism, Tables, _dense, _interim, _price
+from .mechanisms import (Mechanism, Tables, _allocate, _dense, _interim, _price,
+                         _virtual)
 from .spaces import DenseSpace, ProfileSpace
 from .virtual import virtual_values
 
@@ -75,6 +81,7 @@ class OracleConfig:
 # what each constraint set reads (XA reads x̂ if there is no x), and each input's name
 CONSTRAINTS = {"ic": ("x", "q"), "ir": ("x", "q"), "bic": ("xhat", "qhat"),
                "bir": ("xhat", "qhat"), "xp": ("x",), "xa": ("x",)}
+_IC_ENTRIES = 2**17  # per slice of a block's deviation tensor; 1 MB
 _NEEDS = {"x": "an ex-post allocation", "q": "payments on every profile",
           "xhat": "an interim or ex-post allocation", "qhat": "payments"}
 
@@ -148,11 +155,14 @@ def check(tables: Tables, which=None) -> dict[str, ConstraintCheck]:
                 if name.endswith("ir"):
                     parts.append(-util.min())
                 else:
-                    # deviation utility of reporting w while holding type v
-                    dev = block.values[:, None, None] * a[None, :, :]
-                    dev -= b[None, :, :]
-                    dev -= util[:, None, :]
-                    parts.append(dev.max())
+                    # deviation utility of reporting w while holding type v, on
+                    # at most _IC_ENTRIES (type, report, context) entries at a time
+                    width = max(1, _IC_ENTRIES // len(block.values) ** 2)
+                    for c in range(0, a.shape[1], width):
+                        dev = block.values[:, None, None] * a[None, :, c : c + width]
+                        dev -= b[None, :, c : c + width]
+                        dev -= util[:, None, c : c + width]
+                        parts.append(dev.max())
         worst = float(np.max(parts + [0.0]))
         # a violation that could not be evaluated is a failure, reported as is
         results[name] = ConstraintCheck(math.isfinite(worst) and worst <= DEFAULT_TOL, worst)
@@ -312,15 +322,23 @@ class _Program:
     G: np.ndarray
     h: np.ndarray
     m: int
+    first: list[int]  # the first row of each of the ``_PIECES`` of G
     w: np.ndarray
     linear: bool
     gram: _Gram
     hat_gram: _Gram | None
     lift: np.ndarray | None
 
+    def z(self, x: np.ndarray) -> np.ndarray:
+        """h - G x: the slacks s (first ``m`` entries), then the payments q."""
+        return self.h - self.G @ x
+
     def revenue(self, x: np.ndarray) -> float:
         q = -(self.G[self.m :] @ x)
         return float(self.w @ (q if self.linear else np.sqrt(np.maximum(q, 0.0))))
+
+
+_PIECES = ("x >= 0", "supply", "monotonicity", "payment")
 
 
 def _program(blk: _Blocks, mode: str) -> _Program:
@@ -344,31 +362,40 @@ def _program(blk: _Blocks, mode: str) -> _Program:
     own = rows[2:3] if linear else rows[2:]
     gram = _gram(rows[:2] + ([] if hat else own), size)
     hat_gram = _gram(own, blk.hat_size) if hat else None
-    return _Program(G, h, first[3], blk.weights(hat)[priced], linear, gram, hat_gram, lift)
+    return _Program(G, h, first[3], first[:4], blk.weights(hat)[priced], linear, gram, hat_gram,
+                    lift)
+
+
+def _reach(level: np.ndarray, fall: np.ndarray) -> float:
+    """The longest step along which level - step * fall stays positive."""
+    hit = fall > 0
+    return float((level[hit] / fall[hit]).min(initial=math.inf))
 
 
 def _box(r: np.ndarray, x: np.ndarray) -> float:
     """max of r.(y - x) over y in [0, 1]^N."""
-    return float(np.maximum(r * (1 - x), -r * x).sum())
+    return float(np.maximum(r, 0.0).sum() - r @ x)
 
 
-def _system(prog: _Program, x: np.ndarray, lam: np.ndarray, t: float):
-    """The primal-dual Newton system at x and multipliers lam > 0.
+def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: float,
+            factor: float):
+    """The primal-dual Newton system at x, with z = h - G x (the slacks s and
+    payments q) and multipliers lam > 0.
 
-    Returns z = h - G x (the slacks s and payments q), the revenue R, the
-    residual map r(mu) = -G^T [mu; g] (g = w / (2 sqrt q), or w if linear),
-    the step's t, and H dx = rhs (Boyd & Vandenberghe, sec. 11.7):
+    Returns the revenue R, the residual map r(mu) = -G^T [mu; g] (g = w / (2
+    sqrt q), or w if linear), lam's part of the bound, lam.s + box(r(lam))
+    (``_barrier``), the step's t, 1 / (t s), and H dx = rhs (Boyd &
+    Vandenberghe, sec. 11.7):
 
         H = A^T diag(lam / s) A + Q^T diag(g / (2 q)) Q,  rhs = r(1 / (t s))
 
     with A = G[:m] and Q = -G[m:] (no Q term when linear), assembled from the
     program's pair lists, row curvature times pair coefficient.  The step's t
-    is 10 m / max(lam.s, box), a tenth of the larger part of the bound at lam
-    (``_barrier``), or the previous t if larger: lam.s alone can reach zero
-    while the residual part stays, and a falling t lets full steps cycle.
+    is factor * m / max(lam.s, box), or the previous t if larger: lam.s alone
+    can reach zero while the residual part stays, and a falling t lets full
+    steps cycle.
     """
     m, w = prog.m, prog.w
-    z = prog.h - prog.G @ x
     s, q = z[:m], z[m:]
     if prog.linear:
         value, g, curv = float(w @ q), w, lam / s
@@ -380,11 +407,13 @@ def _system(prog: _Program, x: np.ndarray, lam: np.ndarray, t: float):
     def r(mu: np.ndarray) -> np.ndarray:
         return -(np.concatenate((mu, g)) @ prog.G)
 
-    t = max(t, 10 * m / max(float(lam @ s), _box(r(lam), x)))
+    dual, box = float(lam @ s), _box(r(lam), x)
+    t = max(t, factor * m / max(dual, box))
+    inv = 1 / (t * s)
     H = prog.gram(curv)
     if prog.lift is not None:
         H += prog.lift.T @ (prog.hat_gram(curv) @ prog.lift)
-    return z, value, r, t, H, r(1 / (t * s))
+    return value, r, dual + box, t, inv, H, r(inv)
 
 
 def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -394,23 +423,34 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
 
     The multipliers lam of the slack rows are iterated with x, starting at
     1 / (t s) with t = m / R(x), and t is raised at every step it can be
-    (``_system``), so no step waits for a point to be centred.  Each step
-    takes 0.99 of the longest step that keeps lam and every slack and priced
-    payment positive.
+    (``_system``): to 10 m over the larger part of the bound at lam, and to
+    100 m over it on the step after a full step, so no step waits for a
+    point to be centred and the endgame, where full steps are taken, closes
+    the gap ten times faster.  Each step takes 0.99 of the longest step that
+    keeps lam and every slack and priced payment positive, and the next step
+    reads z = h - G x from that trial.  A start that is not strictly inside
+    is refused.
 
     For any multipliers mu >= 0 with residual r(mu) (``_system``),
     concavity gives R(y) <= R(x) + mu.s + r(mu).(y - x) for every feasible
     y, and feasible tables lie in [0, 1]^N.  The bound is the smaller of
     this at mu = lam and at the Newton estimate max(lam + dlam, 0).
     """
-    G, h, m = prog.G, prog.h, prog.m
+    G, m = prog.G, prog.m
     # the entries of z that must stay positive: slacks, and payments under a sqrt
-    kept = m if prog.linear else len(h)
+    kept = m if prog.linear else len(prog.h)
+    z = prog.z(x)
+    bad = np.flatnonzero(~(z[:kept] > 0))
+    if bad.size:
+        piece = np.searchsorted(prog.first, bad, side="right") - 1
+        rows = [f"{_PIECES[p]} row {r - prog.first[p]}" for r, p in zip(bad, piece)]
+        raise OracleRefusal(f"start is not strictly inside: {len(bad)} rows not positive ("
+                            + ", ".join(rows[:5]) + (", ..." if len(rows) > 5 else "") + ")")
     diagonal = slice(None, None, len(x) + 1)
-    t = m / max(prog.revenue(x), _GAP_TOL)
-    lam = 1 / (t * (h[:m] - G[:m] @ x))
+    t, factor = m / max(prog.revenue(x), _GAP_TOL), 10
+    lam = 1 / (t * z[:m])
     for step in range(1, _MAX_NEWTON + 1):
-        z, value, r, t, H, rhs = _system(prog, x, lam, t)
+        value, r, at_lam, t, inv, H, rhs = _system(prog, x, z, lam, t, factor)
         s = z[:m]
         # Scaled to a unit diagonal, plus a ridge: where a linear program's
         # optimal face is not a point, H is singular in floating point near
@@ -427,20 +467,24 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
         except np.linalg.LinAlgError as exc:
             raise OracleRefusal(f"interior-point Newton system is singular: {exc}") from exc
         rate = G @ dx  # how fast each entry of z falls along dx
-        dlam = lam * rate[:m] / s - lam + 1 / (t * s)
-        bound = value + min(float(mu @ s) + _box(r(mu), x)
-                            for mu in (lam, np.maximum(lam + dlam, 0.0)))
+        dlam = lam * rate[:m] / s - lam + inv
+        mu = np.maximum(lam + dlam, 0.0)
+        bound = value + min(at_lam, float(mu @ s) + _box(r(mu), x))
         if bound - value <= _GAP_TOL * max(1.0, bound):
             return x, bound, step
         # 0.99 of the longest step that keeps lam, every slack and every
         # priced payment positive
-        level, fall = np.concatenate((z[:kept], lam)), np.concatenate((rate[:kept], -dlam))
-        hit = fall > 0
-        alpha = min(1.0, 0.99 * float((level[hit] / fall[hit]).min(initial=math.inf)))
+        alpha = min(1.0, 0.99 * _reach(np.concatenate((z[:kept], lam)),
+                                       np.concatenate((rate[:kept], -dlam))))
         # backtrack only where rounding left an entry of z non-positive
-        while (h[:kept] - G[:kept] @ (x + alpha * dx)).min() <= 0:
+        while True:
+            trial = x + alpha * dx
+            z = prog.z(trial)
+            if z[:kept].min() > 0:
+                break
             alpha *= 0.5
-        x, lam = x + alpha * dx, lam + alpha * dlam
+        x, lam = trial, lam + alpha * dlam
+        factor = 100 if alpha == 1 else 10
     raise OracleRefusal(
         f"interior-point method did not certify a gap of {_GAP_TOL:g} within "
         f"{_MAX_NEWTON} Newton steps"
@@ -468,10 +512,16 @@ def _solve(
     start, n = np.empty(blk.size), space.instance.n
     for cells in space.index:
         start[cells] = (np.arange(len(cells)) + 1)[:, None] / ((len(cells) + 1) * n)
-    x, bound, steps = _barrier(prog, start)
+    # moved toward the closed-form phi+ heuristic: half way, or half the
+    # longest step that keeps every slack row and priced payment positive if
+    # that is shorter (on irregular instances the heuristic is not monotone)
+    phi_plus, _, _ = _virtual(space)
+    toward = _allocate(space, phi_plus, "closed_form", GreedyConfig()).ravel() - start
+    beta = min(0.5, 0.5 * _reach(prog.z(start), prog.G @ toward))
+    x, bound, steps = _barrier(prog, start + beta * toward)
     # rounding keeps x >= 0, supply and ex-post monotonicity, not brm's interim one
     rounded = round_table(space, x.reshape(space.shape), config.grid).ravel()
-    feasible = [c for c in (x, rounded) if np.all((prog.h - prog.G @ c)[: prog.m] >= -1e-12)]
+    feasible = [c for c in (x, rounded) if np.all(prog.z(c)[: prog.m] >= -1e-12)]
     best = max(feasible, key=prog.revenue)
     return best.reshape(space.shape), prog.revenue(best), bound, steps
 

@@ -37,7 +37,7 @@ from convexauction import oracle
 from convexauction.alloc import GreedyConfig
 from convexauction.cli import METHODS
 from convexauction.discretization import round_table
-from convexauction.mechanisms import heuristic_brm_tables, heuristic_lb_rrm_tables
+from convexauction.mechanisms import heuristic_brm_tables, heuristic_lb_rrm_tables, surplus_tables
 from convexauction.spaces import DenseSpace, OrbitSpace
 from conftest import single_type_instance
 
@@ -164,6 +164,37 @@ def test_tables_of_another_instance_are_rejected():
     paid = Mechanism(None, interim_payments=bayesian.interim_payments)
     with pytest.raises(ValueError, match="interim payments does not match instance"):
         verify(_instance(2, 2), paid, ("bic",))
+
+
+@pytest.mark.parametrize("entries", [1, 9, 50])
+def test_ic_in_context_slices_matches_the_whole_tensor(monkeypatch, entries):
+    """IC over slices of a few contexts gives the whole tensor's worst
+    violation bit for bit, on a robust rule and on one that fails IC (the
+    Bayesian rule's interim payments charged at every context)."""
+    space = OrbitSpace(symmetric_instance(*make_uniform(3), 4))
+    robust, _ = heuristic_lb_rrm_tables(space)
+    bayesian, _ = heuristic_brm_tables(space)
+    whole = [oracle.check(t, ("ic", "ir")) for t in (robust, replace(bayesian, xhat=None))]
+    assert not whole[1]["ic"].passed
+    monkeypatch.setattr(oracle, "_IC_ENTRIES", entries)
+    sliced = [oracle.check(t, ("ic", "ir")) for t in (robust, replace(bayesian, xhat=None))]
+    assert sliced == whole
+
+
+def test_ic_check_peak_memory_per_cell():
+    """uniform:5 at n = 50 on orbits: 1,464,125 cells on 292,825 contexts.
+    IC evaluated on each block's whole (K, K, C) deviation tensor peaks at
+    about 90 bytes per cell; over context slices, about 50."""
+    space = OrbitSpace(symmetric_instance(*make_uniform(5), 50))
+    tables, _ = surplus_tables(space)
+    tracemalloc.start()
+    try:
+        checks = oracle.check(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks.values())
+    assert peak <= 64 * math.prod(space.shape)
 
 
 class TestExactRrm:
@@ -401,13 +432,14 @@ class TestNewtonSystem:
         linear) and rhs = grad R - A^T (1 / (t s)), with A, b and Q read from
         G and h, agree with the pair-list assembly at random strictly feasible
         (x, lam), and the residual map gives grad R at 0; t is
-        10 m / max(lam.s, box), or the previous t if that is larger."""
+        factor m / max(lam.s, box), or the previous t if that is larger, and
+        lam's part of the bound is lam.s + box."""
         blk = oracle._Blocks(NEWTON_SPACES[label]())
         prog = oracle._program(blk, mode)
         m, w = prog.m, prog.w
         A, b, Q = prog.G[:m], prog.h[:m], -prog.G[m:]
         rng = np.random.default_rng(7)
-        for scale, previous in ((1.0, 1.0), (1e-3, 1e9)):
+        for scale, previous, factor in ((1.0, 1.0, 10), (1e-3, 1e9, 10), (1.0, 1.0, 100)):
             x = _interior_point(blk, rng)
             lam = scale * rng.uniform(0.5, 2.0, m)
             s, q = b - A @ x, Q @ x
@@ -419,15 +451,34 @@ class TestNewtonSystem:
                 grad = Q.T @ (w / (2 * np.sqrt(q)))
                 H += (Q.T * (w / (4 * q * np.sqrt(q)))) @ Q
             r = grad - A.T @ lam
-            t = max(previous, 10 * m / max(lam @ s, np.maximum(r * (1 - x), -r * x).sum()))
+            box = np.maximum(r * (1 - x), -r * x).sum()
+            t = max(previous, factor * m / max(lam @ s, box))
             rhs = grad - A.T @ (1 / (t * s))
-            z2, _, residual, t2, H2, rhs2 = oracle._system(prog, x, lam, previous)
+            z2 = prog.z(x)
             assert np.abs(z2[:m] - s).max() <= 1e-12 * np.abs(s).max()
+            _, residual, at_lam, t2, inv, H2, rhs2 = oracle._system(prog, x, z2, lam, previous,
+                                                                     factor)
             assert t2 == pytest.approx(t, rel=1e-12)
+            assert at_lam == pytest.approx(lam @ s + box, rel=1e-12)
+            assert np.abs(inv - 1 / (t * s)).max() <= 1e-12 * np.abs(inv).max()
             assert np.abs(H2 - H).max() <= 1e-12 * np.abs(H).max()
             assert np.abs(rhs2 - rhs).max() <= 1e-12 * np.abs(rhs).max()
             grad2 = residual(np.zeros(m))
             assert np.abs(grad2 - grad).max() <= 1e-12 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
+    def test_start_not_strictly_inside_is_refused(self, mode):
+        """A start on or outside the feasible set's boundary is refused on
+        entry, naming its rows, where the line search would halve its step
+        without end."""
+        blk = oracle._Blocks(NEWTON_SPACES["categorical n=3"]())
+        prog = oracle._program(blk, mode)
+        zero = r"not strictly inside: \d+ rows not positive \(x >= 0 row 0, x >= 0 row 1, "
+        with pytest.raises(OracleRefusal, match=zero):
+            oracle._barrier(prog, np.zeros(blk.size))
+        # every profile's total share is 1.5, and no own type gets more than the one below
+        with pytest.raises(OracleRefusal, match=r"not positive \(supply row 0, supply row 1, "):
+            oracle._barrier(prog, np.full(blk.size, 0.5))
 
     @pytest.mark.parametrize("mode", ["rrm", "rrm_linear"])
     @pytest.mark.parametrize("label", NEWTON_SPACES)
@@ -516,6 +567,15 @@ def test_large_orbit_programs_certify_and_agree(n, mode):
     assert _certified(report)
     value, gap = ORBIT_OPTIMA[n, mode]
     assert abs(report.revenue - value) <= report.grid_slack + gap
+
+
+def test_orbit_linear_program_certifies_within_30_newton_steps():
+    """The linear program's endgame on orbits: categorical:3,10,0.8 at
+    n = 100 took 42 steps from the fixed start with a tenfold t update."""
+    space = OrbitSpace(symmetric_instance(*make_categorical(3, 10, 0.8), 100))
+    _, report = oracle.exact_tables(space, OracleConfig(max_profile_vars=400), "rrm_linear")
+    assert _certified(report)
+    assert report.newton_steps <= 30
 
 
 class TestExportProgram:

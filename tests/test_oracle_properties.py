@@ -1,4 +1,4 @@
-"""Property tests for the certified exact oracles on random regular instances."""
+"""Property tests for the certified exact oracles on random instances."""
 
 import math
 
@@ -19,27 +19,44 @@ from convexauction import (
     verify,
     virtual_values,
 )
+from convexauction.oracle import check, exact_tables
+from convexauction.spaces import DenseSpace
 
 PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 CONFIG = OracleConfig(grid=1e-3)
+
+
+def _bidder(draw, k, rare_middle=False):
+    steps = draw(st.lists(st.floats(0.1, 2.0), min_size=k, max_size=k))
+    values = np.cumsum(steps)
+    if draw(st.booleans()):
+        values = values - values[0]  # a lowest type worth 0 never pays
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    if rare_middle:  # a rare middle type makes a bidder irregular
+        raw[1:-1] = draw(st.floats(0.005, 0.1))
+    return TypeSpace(values), DiscreteDistribution(raw / raw.sum())
 
 
 @st.composite
 def regular_instances(draw):
     """n <= 3 bidders with K <= 3 types each, at most 64 allocation variables."""
     n = draw(st.integers(1, 3))
-    bidders = []
-    for _ in range(n):
-        k = draw(st.integers(1, 3))
-        steps = draw(st.lists(st.floats(0.1, 2.0), min_size=k, max_size=k))
-        values = np.cumsum(steps)
-        if draw(st.booleans()):
-            values = values - values[0]  # a lowest type worth 0 never pays
-        raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
-        bidders.append((TypeSpace(values), DiscreteDistribution(raw / raw.sum())))
-    instance = AuctionInstance(tuple(bidders))
+    instance = AuctionInstance(tuple(_bidder(draw, draw(st.integers(1, 3))) for _ in range(n)))
     assume(n * math.prod(instance.shape) <= 64)
     assume(all(is_regular(virtual_values(instance))))
+    return instance
+
+
+@st.composite
+def irregular_instances(draw):
+    """As ``regular_instances``, with a first bidder of three types whose
+    middle one is rare enough to make it irregular."""
+    n = draw(st.integers(1, 3))
+    first = _bidder(draw, 3, rare_middle=True)
+    others = tuple(_bidder(draw, draw(st.integers(1, 3))) for _ in range(n - 1))
+    instance = AuctionInstance((first,) + others)
+    assume(n * math.prod(instance.shape) <= 64)
+    assume(not is_regular(virtual_values(instance))[0])
     return instance
 
 
@@ -69,3 +86,21 @@ def test_exact_brm_is_feasible_and_dominates_heuristic_and_rrm(instance):
     assert report.revenue >= heur.revenue - slack
     _, rrm = exact_rrm(instance, CONFIG)
     assert rrm.revenue <= report.revenue + slack
+
+
+@PROPERTY_SETTINGS
+@given(irregular_instances())
+def test_exact_solvers_certify_and_verify_on_irregular_instances(instance):
+    """The solver starts toward the closed-form heuristic, which is not
+    monotone here, only as far as stays strictly inside: every mode still
+    certifies its gap within 30 Newton steps and verifies."""
+    space, reports = DenseSpace(instance), {}
+    for mode, sets in (("rrm", ("ic", "ir", "xp")), ("rrm_linear", ("ic", "ir", "xp")),
+                       ("brm", ("bic", "bir", "xp"))):
+        tables, report = exact_tables(space, CONFIG, mode)
+        bound = report.revenue + report.grid_slack
+        assert 0 <= report.grid_slack <= 1e-9 * max(1.0, bound) + 1e-12 * bound, mode
+        assert report.newton_steps <= 30, mode
+        assert all(c.passed for c in check(tables, sets).values()), mode
+        reports[mode] = report
+    assert reports["rrm"].revenue <= reports["brm"].revenue + reports["brm"].grid_slack

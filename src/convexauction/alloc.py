@@ -52,7 +52,6 @@ class ExAnteSolution:
 
     interim: InterimAllocation
     normalizer: float
-    truncated: bool
 
 
 def pointwise_max(c) -> np.ndarray:
@@ -210,8 +209,8 @@ def ex_ante_closed_form(
     normalizer = float(sum(expectations))
     if normalizer <= 0:
         interim = tuple(np.zeros(instance.shape[i]) for i in range(instance.n))
-        return ExAnteSolution(InterimAllocation(interim), 0.0, truncate)
+        return ExAnteSolution(InterimAllocation(interim), 0.0)
     interim = [table.phi_plus[i] / normalizer for i in range(instance.n)]
     if truncate:
         interim = [np.minimum(t, 1.0) for t in interim]
-    return ExAnteSolution(InterimAllocation(tuple(interim)), normalizer, truncate)
+    return ExAnteSolution(InterimAllocation(tuple(interim)), normalizer)

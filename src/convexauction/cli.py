@@ -11,7 +11,8 @@ one message from either.  ``GreedyConfig`` and ``OracleConfig`` hold the default
 
 One registry, ``METHODS``, serves ``experiment`` and ``solve``: each entry
 maps (profile space, GreedyConfig, OracleConfig) to (Tables, report), and the
-report's kind and objective value are what both commands print.
+report's kind and objective value, as ``_reported`` labels them, are what
+both commands print.
 ``experiment`` holds one space at a time: each bidder count's symmetric
 instance as one class of n (``OrbitSpace``: K * C(n+K-2, K-1) cells of own
 type and count of the other bidders' types; see ``spaces``);
@@ -68,12 +69,6 @@ def _engine(pipeline, engine):
     return lambda space, greedy, oracle: pipeline(space, engine, greedy)
 
 
-def _as_revenue(tables, report):
-    """Report a run's realized robust revenue as its objective."""
-    return tables, replace(report, objective_value=report.revenue,
-                           kind=ObjectiveKind.REVENUE_ROBUST)
-
-
 _heur_lb_greedy = _engine(mech_mod.heuristic_lb_rrm_tables, "greedy")
 _heur_lb_cf = _engine(mech_mod.heuristic_lb_rrm_tables, "closed_form")
 _heur_brm_cf = _engine(mech_mod.heuristic_brm_tables, "closed_form")
@@ -88,7 +83,7 @@ METHODS = {
     "heur_lb_cf": _heur_lb_cf,
     "heur_rrm_greedy": _heur_lb_greedy,
     "heur_rrm_cf": _heur_lb_cf,
-    "heur_rrm_rev": lambda space, greedy, oracle: _as_revenue(*_heur_lb_cf(space, greedy, oracle)),
+    "heur_rrm_rev": _heur_lb_cf,  # reported as its realized revenue (``_reported``)
     "heur_brm_greedy": _engine(mech_mod.heuristic_brm_tables, "greedy"),
     "heur_brm_cf": _heur_brm_cf,
     "heur_brm_rev": _heur_brm_cf,
@@ -96,9 +91,14 @@ METHODS = {
     "ex_ante_trunc": lambda space, greedy, oracle: mech_mod.ex_ante_tables(space, True),
 }
 
-# rows that relabel another method's run with ``_as_revenue``; ``experiment``
-# runs each distinct pipeline once per n
-_REVENUE_OF = {"heur_rrm_rev": _heur_lb_cf}
+
+def _reported(method, report):
+    """The report ``method`` prints: ``heur_rrm_rev`` reads its run's realized
+    robust revenue as the objective."""
+    if method != "heur_rrm_rev":
+        return report
+    return replace(report, objective_value=report.revenue, kind=ObjectiveKind.REVENUE_ROBUST)
+
 
 CSV_COLUMNS = (
     "method", "distribution", "n_bidders", "objective_kind",
@@ -177,11 +177,11 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     greedy, oracle = GreedyConfig(epsilon=cfg.epsilon), OracleConfig(grid=cfg.oracle_grid)
     space, dist = parse_distribution(cfg.distribution)
     ns = range(cfg.n_min, cfg.n_max + 1)
-    pipeline = {m: _REVENUE_OF.get(m, METHODS[m]) for m in cfg.methods}
     results = {}  # (pipeline, n) -> (report, seconds, verified) or None
     for n in ns:
         orbit = OrbitSpace(symmetric_instance(space, dist, n))
-        for method, run in pipeline.items():
+        for method in cfg.methods:
+            run = METHODS[method]
             if (run, n) not in results:
                 results[run, n] = _run_method(method, run, orbit, greedy, oracle)
         del orbit
@@ -190,12 +190,11 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     writer = csv.writer(fh)
     writer.writerow(CSV_COLUMNS)
     for method, n in itertools.product(cfg.methods, ns):
-        outcome = results[pipeline[method], n]
+        outcome = results[METHODS[method], n]
         if outcome is None:
             continue
         report, runtime, verified = outcome
-        if method in _REVENUE_OF:
-            _, report = _as_revenue(None, report)
+        report = _reported(method, report)
         runtime_ms = f"{runtime * 1000:.3f}" if cfg.timing else ""
         writer.writerow(
             [method, cfg.distribution, n, report.kind.value, repr(report.objective_value),
@@ -320,6 +319,7 @@ def _cmd_solve(args) -> int:
     greedy = GreedyConfig(epsilon=_float("epsilon", args.epsilon))
     oracle = OracleConfig(grid=_float("oracle_grid", args.oracle_grid))
     tables, report = METHODS[args.method](DenseSpace(instance), greedy, oracle)
+    report = _reported(args.method, report)
     print(f"method={args.method} kind={report.kind.value}")
     print(f"objective={report.objective_value!r}")
     if report.revenue is not None:

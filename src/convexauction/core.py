@@ -279,10 +279,6 @@ class InterimAllocation:
                 raise ValueError("interim allocation entries must be >= 0")
         object.__setattr__(self, "tables", tabs)
 
-    @property
-    def n(self) -> int:
-        return len(self.tables)
-
     def is_monotone(self) -> bool:
         return all(np.all(np.diff(t) >= -DEFAULT_TOL) for t in self.tables)
 
@@ -299,10 +295,6 @@ class RobustPaymentRule:
             raise ValueError("payments must be non-negative")
         object.__setattr__(self, "table", arr)
 
-    @property
-    def n(self) -> int:
-        return int(self.table.shape[0])
-
 
 @dataclass(frozen=True, eq=False)
 class InterimPaymentRule:
@@ -316,10 +308,6 @@ class InterimPaymentRule:
             if np.any(t < -DEFAULT_TOL):
                 raise ValueError("payments must be non-negative")
         object.__setattr__(self, "tables", tabs)
-
-    @property
-    def n(self) -> int:
-        return len(self.tables)
 
 
 class ObjectiveKind(str, Enum):

@@ -78,6 +78,8 @@ class Tables:
 
     ``x`` and ``p`` are ex-post allocation and payment tables shaped like the
     space's tables; ``xhat`` and ``h`` hold one interim vector per block.
+    With an ``x``, the interim rule is its collapse: checks and bounds read a
+    stored ``xhat`` only when there is no ``x``.
     """
 
     space: ProfileSpace
@@ -343,8 +345,10 @@ class BoundReport:
 def bound_tables(tables: Tables) -> BoundReport:
     """``bound_report`` on any profile space; tables without an ex-post
     allocation or payments, or with linear perceived payments, raise
-    ValueError.  A block stands for ``block.count`` bidders, so each
-    per-bidder entry repeats its block's value that many times.
+    ValueError.  The interim rule is the collapse of the ex-post allocation;
+    a stored ``xhat`` is not read.  A block stands for ``block.count``
+    bidders, so each per-bidder entry repeats its block's value that many
+    times.
     """
     if tables.x is None:
         raise ValueError("bound report needs an ex-post allocation")
@@ -357,7 +361,7 @@ def bound_tables(tables: Tables) -> BoundReport:
     phi_plus, virtual, _ = _virtual(space)
     phi = [virtual.phi[b.bidder] for b in space.blocks]
     values = [b.values for b in space.blocks]
-    xhat = tables.xhat if tables.xhat is not None else space.collapse(xs)
+    xhat = space.collapse(xs)
     paid = space.collapse(space.split(tables.p)) if tables.p is not None else tables.h
     surplus = space.collapse([f[:, None] * x for f, x in zip(phi, xs)])
     per_bidder_rev, per_bidder_sqrt = (), ()

@@ -35,6 +35,7 @@ cap, or that the solver fails to certify, are refused with an explanation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,9 +79,10 @@ class OracleConfig:
 # Constraint verifier
 # ---------------------------------------------------------------------------
 
-# what each constraint set reads (XA reads x̂ if there is no x), and each input's name
+# what each constraint set reads (x̂ is the collapse of x, or the stored rule
+# when there is no x), and each input's name
 CONSTRAINTS = {"ic": ("x", "q"), "ir": ("x", "q"), "bic": ("xhat", "qhat"),
-               "bir": ("xhat", "qhat"), "xp": ("x",), "xa": ("x",)}
+               "bir": ("xhat", "qhat"), "xp": ("x",), "xa": ("xhat",)}
 _IC_ENTRIES = 2**17  # per slice of a block's deviation tensor; 1 MB
 _NEEDS = {"x": "an ex-post allocation", "q": "payments on every profile",
           "xhat": "an interim or ex-post allocation", "qhat": "payments"}
@@ -110,9 +112,11 @@ def check(tables: Tables, which=None) -> dict[str, ConstraintCheck]:
 
     The inputs are derived once: the ex-post pair, blocks of ``x`` with ``p``
     or with ``h`` broadcast along the contexts, and, only if an asked set
-    reads it, the interim pair, from ``xhat`` and ``h`` or the ex-post pair's
-    collapse.  IC/IR and BIC/BIR run one loop over (own type x context)
-    matrices; an interim rule is a block with one context.
+    reads it, the interim pair.  Its allocation x̂ is the collapse of ``x``
+    whenever there is one, so a stored ``xhat`` is read only without it; its
+    payments are ``h``, else the collapse of the ex-post payments.  IC/IR and
+    BIC/BIR run one loop over (own type x context) matrices; an interim rule
+    is a block with one context.
     """
     if which is None:
         which = (("ic", "ir", "xp") if tables.p is not None
@@ -130,14 +134,12 @@ def check(tables: Tables, which=None) -> dict[str, ConstraintCheck]:
         q = [p**power for p in space.split(tables.p)]
     elif h is not None and x is not None:
         q = [np.broadcast_to(v[:, None], a.shape) for v, a in zip(h, x)]
-    reads = {w: ("xhat",) if w == "xa" and x is None else CONSTRAINTS[w] for w in which}
-    if any("xhat" in r for r in reads.values()):
-        xhat = tables.xhat if tables.xhat is not None or x is None else space.collapse(x)
+    if any("xhat" in CONSTRAINTS[w] for w in which):
+        xhat = tables.xhat if x is None else space.collapse(x)
         qhat = h if h is not None or q is None else space.collapse(q)
-        xhat, qhat = (None if v is None else [a[:, None] for a in v] for v in (xhat, qhat))
     inputs = {"x": x, "q": q, "xhat": xhat, "qhat": qhat}
-    for name, needs in reads.items():
-        lacking = [_NEEDS[k] for k in needs if inputs[k] is None]
+    for name in which:
+        lacking = [_NEEDS[k] for k in CONSTRAINTS[name] if inputs[k] is None]
         if lacking:
             raise ValueError(f"{name} check needs " + " and ".join(lacking))
 
@@ -148,9 +150,10 @@ def check(tables: Tables, which=None) -> dict[str, ConstraintCheck]:
         if name == "xp":
             parts.append(space.supply(tables.x))
         elif name == "xa":
-            parts.append(space.mean(tables.xhat if x is None else space.collapse(x)) - 1.0)
+            parts.append(space.mean(xhat) - 1.0)
         else:
-            for block, a, b in zip(space.blocks, *(inputs[k] for k in reads[name])):
+            for block, a, b in zip(space.blocks, *(inputs[k] for k in CONSTRAINTS[name])):
+                a, b = (v.reshape(len(v), -1) for v in (a, b))  # an interim vector: one context
                 util = block.values[:, None] * a - b
                 if name.endswith("ir"):
                     parts.append(-util.min())
@@ -275,24 +278,11 @@ class _Blocks:
         return self.space.join(mats).ravel()
 
 
-@dataclass(frozen=True)
-class _Gram:
-    """M.T @ diag(c) @ M for a sparse M, from the pairs of nonzeros that
-    share a row: entry (i, j) is the sum over rows r of c[r] m[r, i] m[r, j]."""
-
-    row: np.ndarray
-    flat: np.ndarray  # i * width + j
-    coef: np.ndarray  # m[row, i] * m[row, j]
-    width: int
-
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        out = np.bincount(self.flat, self.coef * c[self.row], self.width * self.width)
-        return out.reshape(self.width, self.width)
-
-
-def _gram(parts: list[tuple[_Sparse, int]], width: int) -> _Gram:
-    """The pairs of sparse matrices stacked in row order, each given with the
-    index of its first row in the stack."""
+def _gram(parts: list[tuple[_Sparse, int]], width: int) -> Callable[[np.ndarray], np.ndarray]:
+    """c -> M.T @ diag(c) @ M for the sparse matrices M stacked in row order,
+    each given with the index of its first row in the stack, from the pairs
+    of nonzeros that share a row: entry (i, j) is the sum over rows r of
+    c[r] m[r, i] m[r, j]."""
     rows, cols, vals = (np.concatenate(a) for a in zip(*((m.rows + first, m.cols, m.vals)
                                                          for m, first in parts)))
     count = np.bincount(rows)
@@ -302,7 +292,8 @@ def _gram(parts: list[tuple[_Sparse, int]], width: int) -> _Gram:
     k = np.arange(len(row)) - np.repeat(np.cumsum(per) - per, per)
     a = start[row] + k // count[row]
     b = start[row] + k % count[row]
-    return _Gram(row, cols[a] * width + cols[b], vals[a] * vals[b], width)
+    flat, coef = cols[a] * width + cols[b], vals[a] * vals[b]
+    return lambda c: np.bincount(flat, coef * c[row], width * width).reshape(width, width)
 
 
 @dataclass(frozen=True)
@@ -313,7 +304,7 @@ class _Program:
     then the payments q, so with g = dR/dq the residual grad R - A^T mu of
     slack multipliers mu is the one product -G^T [mu; g] (``_system``).
 
-    The Newton matrix is assembled from pairs of nonzeros (``_Gram``):
+    The Newton matrix is assembled from pairs of nonzeros (``_gram``):
     ``gram`` pairs the rows sparse on x, and in the Bayesian program, whose
     monotonicity and payment rows act on x̂ = C x and are dense on x,
     ``hat_gram`` pairs those rows on x̂, applied through C = ``lift``.
@@ -325,8 +316,8 @@ class _Program:
     first: list[int]  # the first row of each of the ``_PIECES`` of G
     w: np.ndarray
     linear: bool
-    gram: _Gram
-    hat_gram: _Gram | None
+    gram: Callable[[np.ndarray], np.ndarray]
+    hat_gram: Callable[[np.ndarray], np.ndarray] | None
     lift: np.ndarray | None
 
     def z(self, x: np.ndarray) -> np.ndarray:

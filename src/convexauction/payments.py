@@ -14,7 +14,7 @@ the square/square-root pair by C_i and its inverse) is out of scope here.
 The formula is written once, in ``chain``, over one bidder's block of a
 profile space (own types as rows, contexts as columns; see ``spaces``).
 Pipelines and exact oracles price through ``mechanisms`` on any space; the
-functions below apply it to dense tables.  Radicands in [-1e-9, 0) are
+functions below apply it to dense tables.  Radicands in [-DEFAULT_TOL, 0) are
 clamped to zero; anything more negative means the input allocation was not
 monotone and is a hard error.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     AuctionInstance,
     ExPostAllocation,
     InterimAllocation,
@@ -31,8 +32,6 @@ from .core import (
     RobustPaymentRule,
 )
 from .spaces import DenseSpace
-
-_CLAMP = 1e-9
 
 
 def chain(x: np.ndarray, values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -52,9 +51,9 @@ def clamp(q: np.ndarray, monotone: bool) -> np.ndarray:
     """Perceived payments clamped at zero.
 
     A monotone allocation has q >= 0 up to rounding, so there a radicand
-    below -1e-9 means malformed input and is an error.
+    below -DEFAULT_TOL means malformed input and is an error.
     """
-    if monotone and np.any(q < -_CLAMP):
+    if monotone and np.any(q < -DEFAULT_TOL):
         raise ValueError(
             "negative perceived payment: allocation is non-monotone or malformed"
         )

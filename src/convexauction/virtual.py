@@ -35,10 +35,6 @@ class VirtualValueTable:
             self, "phi_plus", tuple(_frozen_array(p) for p in self.phi_plus)
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.phi)
-
 
 def virtual_values(instance: AuctionInstance) -> VirtualValueTable:
     """Virtual value table for every bidder and type index.
@@ -64,10 +60,6 @@ def is_regular(table: VirtualValueTable) -> tuple[bool, ...]:
     return tuple(bool(np.all(np.diff(p) >= 0)) for p in table.phi)
 
 
-def virtual_values_matrix(
-    instance: AuctionInstance, table: VirtualValueTable | None = None
-) -> np.ndarray:
+def virtual_values_matrix(instance: AuctionInstance) -> np.ndarray:
     """phi_i(v_i) at every profile, shape ``(n, *instance.shape)``."""
-    if table is None:
-        table = virtual_values(instance)
-    return own_type_matrix(instance, table.phi)
+    return own_type_matrix(instance, virtual_values(instance).phi)

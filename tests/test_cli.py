@@ -29,6 +29,7 @@ from convexauction.core import (
 )
 from convexauction.mechanisms import Mechanism, Tables
 from convexauction.spaces import DenseSpace
+from conftest import raised_heuristic_brm
 
 # values a table's text must keep bit for bit: a signed zero, the smallest
 # subnormal, a float whose repr switches to exponent form, one that does not
@@ -369,6 +370,7 @@ class TestExperiment:
         ("epsilonn=0.3", "'epsilonn'"),
         ("no_timing=ture", "'ture'"),
         ("no_timing=", "''"),
+        ("epsilon 0.3", "bad config line 'epsilon 0.3'"),
     ])
     def test_config_file_typos_exit_two(self, tmp_path, capsys, line, named):
         out = tmp_path / "typo.csv"
@@ -667,6 +669,13 @@ class TestCommands:
         else:
             assert steps == []
 
+    def test_solve_prints_a_pipeline_warning(self, capsys):
+        assert main(["solve", "--dist", "uniform:5", "--n", "3", "--method",
+                     "pseudo_surplus_greedy", "--epsilon", "0.2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("warning: allocation is not monotone; payments clamped, "
+                             "IC/IR not guaranteed")
+
     def test_check_exit_one_on_violation(self, tmp_path, capsys):
         import json
 
@@ -698,6 +707,15 @@ class TestCommands:
         capsys.readouterr()
         assert main(["check", str(mech_path), "--constraints", "ic"]) == 1
         assert "ic: FAIL (worst violation nan)" in capsys.readouterr().out
+
+    def test_check_exit_one_on_a_raised_interim_rule(self, tmp_path, capsys):
+        """Stored x̂ and h raised together: x̂ is read off the allocation, so BIR fails."""
+        instance, raised = raised_heuristic_brm()
+        mech_path = tmp_path / "raised.json"
+        save_mechanism(str(mech_path), instance, raised)
+        assert main(["check", str(mech_path)]) == 1
+        out = capsys.readouterr().out
+        assert "bic: pass" in out and "bir: FAIL (worst violation 0.9" in out
 
     def test_check_rejects_nan_mechanism_file(self, tmp_path, capsys):
         import json
@@ -751,6 +769,26 @@ class TestCommands:
                         ["discretize", str(mech_path), "--delta", "0.05"]):
             assert main(command) == 2
             assert f"no {field!r} field" in capsys.readouterr().err
+
+    def test_foreign_format_exits_two(self, tmp_path, capsys):
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "heur_rrm_cf")
+        doc["format"] = "some-other-format/1"
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(mech_path)]) == 2
+        assert "not a mechanism file" in capsys.readouterr().err
+
+    def test_interim_rule_missing_a_bidder_exits_two(self, tmp_path, capsys):
+        import json
+
+        mech_path, doc = self._solved_file(tmp_path, "heur_brm_cf")
+        doc["interim_allocation"] = doc["interim_allocation"][:-1]
+        mech_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(mech_path)]) == 2
+        assert "'interim_allocation' needs one entry per type" in capsys.readouterr().err
 
     def test_missing_bidder_field_exits_two(self, tmp_path, capsys):
         import json

@@ -10,11 +10,14 @@ from convexauction import (
     ExPostAllocation,
     InterimAllocation,
     InterimPaymentRule,
+    MechanismReport,
+    ObjectiveKind,
     RobustPaymentRule,
     TypeSpace,
     make_binomial,
     make_categorical,
     make_uniform,
+    symmetric_instance,
 )
 
 
@@ -140,3 +143,28 @@ class TestAllocationTables:
 def test_constructors_reject_non_finite(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
+
+
+def _mismatched_bidder():
+    return ((TypeSpace(np.array([0.0, 1.0])), DiscreteDistribution(np.array([1.0]))),)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DiscreteDistribution(np.array([])), "pmf needs at least one entry"),
+    (lambda: AuctionInstance(()), "instance needs at least one bidder"),
+    (lambda: AuctionInstance(_mismatched_bidder()), "type space and pmf lengths differ"),
+    (lambda: symmetric_instance(*make_uniform(2), 0), "need at least one bidder"),
+    (lambda: make_binomial(0, 0.5), "trials must be >= 1"),
+    (lambda: ExPostAllocation(np.zeros((2, 3))), r"shape \(n, K_0"),
+    (lambda: InterimAllocation((np.zeros((2, 2)),)), "one vector per bidder"),
+    (lambda: InterimAllocation((np.array([0.0, -0.5]),)), "entries must be >= 0"),
+    (lambda: RobustPaymentRule(np.array([[0.0, -0.5]])), "payments must be non-negative"),
+    (lambda: InterimPaymentRule((np.array([-0.5]),)), "payments must be non-negative"),
+    (lambda: MechanismReport(-1.0, ObjectiveKind.SURPLUS), "finite and non-negative"),
+    (lambda: MechanismReport(math.nan, ObjectiveKind.SURPLUS), "finite and non-negative"),
+], ids=["empty-pmf", "no-bidders", "lengths-differ", "zero-symmetric", "zero-trials",
+        "expost-shape", "interim-2d", "interim-negative", "robust-negative", "interim-pay-negative",
+        "report-negative", "report-nan"])
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

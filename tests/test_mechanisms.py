@@ -9,8 +9,10 @@ from convexauction import (
     DiscreteDistribution,
     GreedyConfig,
     InterimPaymentRule,
+    Mechanism,
     ObjectiveKind,
     OracleConfig,
+    RobustPaymentRule,
     TypeSpace,
     bound_report,
     ex_ante_relaxation,
@@ -25,6 +27,7 @@ from convexauction import (
     virtual_surplus_maximizer,
 )
 from convexauction.mechanisms import (
+    Tables,
     bound_tables,
     ex_ante_tables,
     heuristic_lb_rrm_tables,
@@ -32,7 +35,7 @@ from convexauction.mechanisms import (
 )
 from convexauction.oracle import check, exact_tables
 from convexauction.spaces import OrbitSpace
-from conftest import corpus_instances, single_type_instance
+from conftest import corpus_instances, raised_heuristic_brm, single_type_instance
 
 
 def two_value_uniform(lo: float, hi: float, n: int) -> AuctionInstance:
@@ -298,6 +301,24 @@ class TestBoundReport:
         rep = bound_report(inst, replace(mech, interim_payments=doubled))
         assert "revenue exceeds Bayesian pseudo-surplus" in rep.failures
 
+    def test_doubled_robust_payments_exceed_robust_pseudo_surplus(self):
+        inst = symmetric_instance(*make_uniform(3), 2)
+        mech, _ = heuristic_lb_rrm(inst)
+        assert bound_report(inst, mech).ok
+        doubled = RobustPaymentRule(2 * mech.robust_payments.table)
+        rep = bound_report(inst, replace(mech, robust_payments=doubled))
+        assert "revenue exceeds robust pseudo-surplus" in rep.failures
+
+    def test_bayesian_pseudo_surplus_is_of_the_collapsed_allocation(self):
+        """A raised stored x̂ does not raise the Bayesian pseudo-surplus: the
+        bound reads the collapse of the ex-post allocation."""
+        inst, raised = raised_heuristic_brm()
+        rep = bound_report(inst, raised)
+        assert math.isclose(rep.revenue, 4.536894667915999)
+        assert "revenue exceeds Bayesian pseudo-surplus" in rep.failures
+        honest = bound_report(inst, heuristic_brm(inst)[0])
+        assert rep.bayesian_pseudo_surplus == honest.bayesian_pseudo_surplus
+
     def test_rejects_linear_mechanism(self):
         inst = single_type_instance(1.0, 2)
         mech, _ = surplus_maximizer(inst)
@@ -332,3 +353,18 @@ class TestVerificationByConstruction:
             mech, _ = heuristic_brm(inst, "closed_form")
             checks = verify(inst, mech, ("bic", "bir", "xp"))
             assert all(c.passed for c in checks.values()), (label, checks)
+
+
+class TestMalformedInput:
+    def test_unknown_perceived_convention(self):
+        with pytest.raises(ValueError, match="perceived must be 'quadratic' or 'linear'"):
+            Mechanism(None, perceived="cubic")
+
+    def test_only_dense_tables_make_a_mechanism(self):
+        tables, _ = heuristic_lb_rrm_tables(OrbitSpace(symmetric_instance(*make_uniform(3), 3)))
+        with pytest.raises(ValueError, match="only dense tables make a Mechanism"):
+            Tables(tables.space, tables.x, tables.p).mechanism()
+
+    def test_unknown_pipeline_engine(self):
+        with pytest.raises(ValueError, match="method must be 'greedy' or 'closed_form'"):
+            heuristic_lb_rrm(symmetric_instance(*make_uniform(3), 2), "pointwise")

@@ -39,7 +39,7 @@ from convexauction.cli import METHODS
 from convexauction.discretization import round_table
 from convexauction.mechanisms import heuristic_brm_tables, heuristic_lb_rrm_tables, surplus_tables
 from convexauction.spaces import DenseSpace, OrbitSpace
-from conftest import single_type_instance
+from conftest import raised_heuristic_brm, single_type_instance
 
 
 def two_value_uniform(lo, hi, n=2):
@@ -106,6 +106,32 @@ class TestVerify:
         mech = Mechanism(ExPostAllocation(np.zeros((2, 2, 2))))
         with pytest.raises(ValueError):
             verify(two_bidder_0_100, mech, ("nope",))
+
+
+class TestOneInterimRule:
+    """x̂ is the collapse of the ex-post allocation whenever there is one."""
+
+    def test_raised_interim_rule_fails_bir(self):
+        instance, raised = raised_heuristic_brm()
+        checks = verify(instance, raised)
+        assert list(checks) == ["bic", "bir", "xp"]
+        assert not checks["bir"].passed
+        assert math.isclose(checks["bir"].worst_violation, 0.9)
+
+    def test_stored_interim_rule_is_not_read_beside_an_allocation(self):
+        instance = symmetric_instance(*make_categorical(3, 10, 0.8), 3)
+        mech, _ = heuristic_brm(instance)
+        halved = InterimAllocation(tuple(t / 2 for t in mech.interim_allocation.tables))
+        unstored = verify(instance, replace(mech, interim_allocation=None), ("bic", "xa"))
+        assert verify(instance, replace(mech, interim_allocation=halved), ("bic", "xa")) == unstored
+        assert all(c.passed for c in unstored.values())
+
+    def test_producers_store_the_collapse_bit_for_bit(self):
+        space = OrbitSpace(symmetric_instance(*make_uniform(3), 4))
+        for tables in (heuristic_brm_tables(space)[0], heuristic_brm_tables(space, "greedy")[0],
+                       oracle.exact_tables(space, OracleConfig(), "brm")[0]):
+            for stored, collapsed in zip(tables.xhat, space.collapse(space.split(tables.x))):
+                assert np.array_equal(stored, collapsed)
 
 
 TABLES = ("x", "p", "xhat", "h")
@@ -290,6 +316,12 @@ class TestExactRrm:
             OracleConfig(grid=0.3)
         with pytest.raises(ValueError):
             OracleConfig(grid=0.007)
+
+    def test_size_cap_and_perceived_validation(self):
+        with pytest.raises(ValueError, match="max_profile_vars must be positive"):
+            OracleConfig(max_profile_vars=0)
+        with pytest.raises(ValueError, match="perceived must be 'quadratic' or 'linear'"):
+            exact_rrm(two_value_uniform(0, 1), perceived="cubic")
 
     def test_single_bidder_three_types_analytic_optimum(self):
         # types {0, 1/2, 1}, uniform pmf: q_2 = x_2/2 - x_1/2 and

@@ -527,3 +527,13 @@ def test_greedy_methods_at_twenty_bidders_verify_at_default_epsilon(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows] == methods
     assert all(r["verified"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("instance, classes, message", [
+    (symmetric_instance(*make_uniform(3), 3), (2, 2), "classes must split the bidders"),
+    (symmetric_instance(*make_uniform(3), 3), (3, 0), "classes must split the bidders"),
+    (AuctionInstance((make_uniform(3), make_uniform(2))), (2,), "identically distributed"),
+], ids=["too-many", "empty-class", "mixed-class"])
+def test_profile_space_rejects_classes_that_are_not_runs(instance, classes, message):
+    with pytest.raises(ValueError, match=message):
+        ProfileSpace(instance, classes)

@@ -51,6 +51,7 @@ from . import mechanisms as mech_mod
 from . import oracle as oracle_mod
 from .alloc import GreedyConfig
 from .core import (
+    DEFAULT_TOL,
     AuctionInstance,
     DiscreteDistribution,
     ObjectiveKind,
@@ -338,6 +339,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     instance, mech = load_mechanism(args.mechanism)
+    stored, space = mech.interim_allocation, DenseSpace(instance)
+    if mech.allocation is not None and stored is not None:
+        collapse = space.collapse(space.split(mech.allocation.table))
+        off = max(float(np.abs(a - b).max()) for a, b in zip(collapse, stored.tables))
+        if off > DEFAULT_TOL:
+            print(f"notice: the stored interim_allocation is up to {off!r} off the allocation's "
+                  "collapse; the checks read the collapse", file=sys.stderr)
     which = tuple(c.strip() for c in args.constraints.split(",")) if args.constraints else None
     results = oracle_mod.verify(instance, mech, which)
     for name, check in results.items():

@@ -120,9 +120,6 @@ class AuctionInstance:
             if space.size != dist.pmf.size:
                 raise ValueError("type space and pmf lengths differ")
         object.__setattr__(self, "bidders", bidders)
-        total = math.prod(float(d.pmf.sum()) for _, d in bidders)
-        if abs(total - 1.0) > DEFAULT_TOL:
-            raise ValueError("joint pmf does not sum to 1")
 
     @property
     def n(self) -> int:
@@ -216,16 +213,17 @@ def make_uniform(points: int) -> tuple[TypeSpace, DiscreteDistribution]:
 
 
 def make_binomial(trials: int, p: float) -> tuple[TypeSpace, DiscreteDistribution]:
-    """Types {0, ..., trials} with pmf C(trials, k) p^k (1-p)^(trials-k)."""
+    """Types {0, ..., trials} with pmf C(trials, k) p^k (1-p)^(trials-k); from
+    1,030 trials on, C(trials, k) overflows a float and a ValueError says so."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 < p < 1:
         raise ValueError("p must lie strictly in (0, 1)")
-    ks = np.arange(trials + 1)
-    pmf = np.array(
-        [math.comb(trials, int(k)) * p**int(k) * (1 - p) ** (trials - int(k)) for k in ks]
-    )
-    return TypeSpace(ks.astype(np.float64)), DiscreteDistribution(pmf)
+    try:
+        pmf = [math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)]
+    except OverflowError:
+        raise ValueError(f"{trials} trials: C({trials}, k) is too large for a float") from None
+    return TypeSpace(np.arange(trials + 1.0)), DiscreteDistribution(pmf)
 
 
 # ---------------------------------------------------------------------------

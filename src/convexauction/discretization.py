@@ -88,14 +88,13 @@ def discretization_gap(
 ) -> DiscretizationReport:
     """Round and measure the induced perceived-payment and revenue gaps.
 
-    Raises when a per-entry perceived-payment gap exceeds the explicit bound
-    delta * (2 z_l - z_1); that would signal a rounding bug, not an input
-    problem.
+    ``perceived_payment`` checks the input's shape, then monotonicity, once
+    each; feasibility is checked next (each a ValueError).  A per-entry payment
+    gap above delta * (2 z_l - z_1) raises RuntimeError: a rounding bug, not bad input.
     """
-    if not alloc_star.is_monotone() or not alloc_star.is_feasible():
+    q_star = pay.perceived_payment(alloc_star, instance)
+    if not alloc_star.is_feasible():
         raise ValueError("discretization gap needs a monotone, feasible allocation")
-    instance.check_table("allocation table", alloc_star.table)
-    q_star = pay.dense_chain(alloc_star.table, instance)
     rounded, report = _round(DenseSpace(instance), alloc_star, delta)
     q_round = pay.perceived_payment(rounded, instance)
     gap = np.abs(q_star - q_round)

@@ -11,8 +11,8 @@ Each pipeline, and the bound evaluator ``bound_tables``, is written once
 over a profile space of bidder classes (``spaces``) on its ``Tables``.  The
 public functions run it on the dense space, n classes of one bidder, with
 ``(n, K_0, ..., K_{n-1})`` tables; ``experiment`` on one class of n, with
-K * C(n+K-2, K-1) cells in place of n * K^n.  The engines solve each full
-type profile once, at most ``_ROWS`` profiles at a time.
+K * C(n+K-2, K-1) cells in place of n * K^n.  ``_allocate`` runs the engine a
+pipeline chose (``_engine``) on each full type profile once, ``_ROWS`` at a time.
 The exact oracles price their solved tables through the same payment step.
 
 Reports carry both the optimized objective and the realized revenue; the two
@@ -25,6 +25,7 @@ place where any resulting IC/IR failures show up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -120,21 +121,21 @@ class Tables:
 _ROWS = 2**15  # engine rows per slice: the greedy engine holds ~20 arrays of its input's size
 
 
-def _allocate(
-    space: ProfileSpace, scores: list[np.ndarray], engine: str, config: GreedyConfig
-) -> np.ndarray:
-    """Run one allocation engine on every full type profile, once each, in
-    slices of at most ``_ROWS`` profiles; every row is independent."""
-    if engine == "pointwise":
-        run = pointwise_max_batch
-    elif engine == "greedy":
-        run = lambda rows, sizes: eqp_solver_batch(rows, config, sizes)  # noqa: E731
-    elif engine == "closed_form":
-        run = lambda rows, sizes: closed_form_alloc_batch(rows, 0.5, sizes)  # noqa: E731
-    else:
-        raise ValueError(f"unknown allocation engine {engine!r}")
+def _engine(method: str, config: GreedyConfig = GreedyConfig()):
+    """The batch engine ``method`` names, called as ``engine(rows, sizes=...)``; looked
+    up in this module's globals each time, where ``perfbench/tracing.py`` wraps it."""
+    if method == "greedy":
+        return partial(eqp_solver_batch, config=config)
+    if method == "closed_form":
+        return closed_form_alloc_batch
+    raise ValueError("method must be 'greedy' or 'closed_form'")
+
+
+def _allocate(space: ProfileSpace, scores: list[np.ndarray], engine) -> np.ndarray:
+    """Run one batch allocation engine on every full type profile, once each,
+    in slices of at most ``_ROWS`` profiles; every row is independent."""
     groups, sizes = space.groups(scores)
-    parts = [run(groups[start : start + _ROWS], sizes[start : start + _ROWS])
+    parts = [engine(groups[start : start + _ROWS], sizes=sizes[start : start + _ROWS])
              for start in range(0, len(groups), _ROWS)]
     return space.cells(parts[0] if len(parts) == 1 else np.concatenate(parts))
 
@@ -164,19 +165,13 @@ def _virtual(space: ProfileSpace, plus: bool = True):
     return scores, table, warnings
 
 
-def _check_method(method: str) -> None:
-    if method not in ("greedy", "closed_form"):
-        raise ValueError("method must be 'greedy' or 'closed_form'")
-
-
-def _robust(space, scores, engine, config, perceived, kind, provenance,
-            warnings=(), value=None):
+def _robust(space, scores, engine, perceived, kind, provenance, warnings=(), value=None):
     """Allocate on ``scores`` at every cell and attach chain payments.
 
     The objective is E[sum_i value(score_i x_i)], or the revenue when
     ``value`` is None.
     """
-    x = _allocate(space, scores, engine, config)
+    x = _allocate(space, scores, engine)
     objective = None if value is None else space.expect(
         [value(s[:, None] * m) for s, m in zip(scores, space.split(x))]
     )
@@ -205,16 +200,15 @@ def _interim(space, xhat, warnings, kind, provenance, x=None):
 
 def surplus_tables(space: ProfileSpace) -> tuple[Tables, MechanismReport]:
     """``surplus_maximizer`` on a profile space."""
-    return _robust(space, [b.values for b in space.blocks], "pointwise", GreedyConfig(),
-                   "linear", ObjectiveKind.SURPLUS, "surplus_maximizer", value=np.asarray)
+    return _robust(space, [b.values for b in space.blocks], pointwise_max_batch, "linear",
+                   ObjectiveKind.SURPLUS, "surplus_maximizer", value=np.asarray)
 
 
 def pseudo_surplus_tables(
     space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
 ) -> tuple[Tables, MechanismReport]:
     """``pseudo_surplus_maximizer`` on a profile space."""
-    _check_method(method)
-    return _robust(space, [b.values for b in space.blocks], method, config, "quadratic",
+    return _robust(space, [b.values for b in space.blocks], _engine(method, config), "quadratic",
                    ObjectiveKind.PSEUDO_SURPLUS, f"pseudo_surplus_maximizer[{method}]",
                    value=np.sqrt)
 
@@ -222,7 +216,7 @@ def pseudo_surplus_tables(
 def virtual_surplus_tables(space: ProfileSpace) -> tuple[Tables, MechanismReport]:
     """``virtual_surplus_maximizer`` on a profile space."""
     phi, _, warnings = _virtual(space, plus=False)
-    return _robust(space, phi, "pointwise", GreedyConfig(), "linear",
+    return _robust(space, phi, pointwise_max_batch, "linear",
                    ObjectiveKind.REVENUE_ROBUST, "virtual_surplus_maximizer", warnings)
 
 
@@ -230,9 +224,8 @@ def heuristic_lb_rrm_tables(
     space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
 ) -> tuple[Tables, MechanismReport]:
     """``heuristic_lb_rrm`` on a profile space."""
-    _check_method(method)
     phi_plus, _, warnings = _virtual(space)
-    return _robust(space, phi_plus, method, config, "quadratic",
+    return _robust(space, phi_plus, _engine(method, config), "quadratic",
                    ObjectiveKind.HEURISTIC_LOWER_BOUND, f"heuristic_lb_rrm[{method}]",
                    warnings, value=np.sqrt)
 
@@ -241,9 +234,8 @@ def heuristic_brm_tables(
     space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
 ) -> tuple[Tables, MechanismReport]:
     """``heuristic_brm`` on a profile space."""
-    _check_method(method)
     phi_plus, _, warnings = _virtual(space)
-    x = _allocate(space, phi_plus, method, config)
+    x = _allocate(space, phi_plus, _engine(method, config))
     return _interim(space, space.collapse(space.split(x)), warnings,
                     ObjectiveKind.REVENUE_BAYESIAN, f"heuristic_brm[{method}]", x)
 

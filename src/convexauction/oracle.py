@@ -41,11 +41,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import payments as pay
-from .alloc import GreedyConfig
 from .core import (DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, grid_steps,
                    own_type_matrix)
 from .discretization import round_table
-from .mechanisms import (Mechanism, Tables, _allocate, _dense, _interim, _price,
+from .mechanisms import (Mechanism, Tables, _allocate, _dense, _engine, _interim, _price,
                          _virtual)
 from .spaces import DenseSpace, ProfileSpace
 from .virtual import virtual_values
@@ -507,7 +506,7 @@ def _solve(
     # longest step that keeps every slack row and priced payment positive if
     # that is shorter (on irregular instances the heuristic is not monotone)
     phi_plus, _, _ = _virtual(space)
-    toward = _allocate(space, phi_plus, "closed_form", GreedyConfig()).ravel() - start
+    toward = _allocate(space, phi_plus, _engine("closed_form")).ravel() - start
     beta = min(0.5, 0.5 * _reach(prog.z(start), prog.G @ toward))
     x, bound, steps = _barrier(prog, start + beta * toward)
     # rounding keeps x >= 0, supply and ex-post monotonicity, not brm's interim one

@@ -14,9 +14,9 @@ the square/square-root pair by C_i and its inverse) is out of scope here.
 The formula is written once, in ``chain``, over one bidder's block of a
 profile space (own types as rows, contexts as columns; see ``spaces``).
 Pipelines and exact oracles price through ``mechanisms`` on any space; the
-functions below apply it to dense tables.  Radicands in [-DEFAULT_TOL, 0) are
-clamped to zero; anything more negative means the input allocation was not
-monotone and is a hard error.
+functions below apply it to dense tables, each checking its input first.
+Radicands in [-DEFAULT_TOL, 0) are clamped to zero; anything more negative
+means the input allocation was not monotone and is a hard error.
 """
 
 from __future__ import annotations
@@ -71,14 +71,9 @@ def perceived_payment(
     instance.check_table("allocation table", alloc.table)
     if not alloc.is_monotone():
         raise ValueError("perceived payments require a monotone allocation")
-    return dense_chain(alloc.table, instance)
-
-
-def dense_chain(table: np.ndarray, instance: AuctionInstance) -> np.ndarray:
-    """``chain`` along every bidder's own types of a dense table, unchecked."""
     space = DenseSpace(instance)
     return space.join([chain(x, b.values, b.gaps)
-                       for x, b in zip(space.split(table), space.blocks)])
+                       for x, b in zip(space.split(alloc.table), space.blocks)])
 
 
 def robust_payment(

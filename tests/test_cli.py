@@ -709,13 +709,49 @@ class TestCommands:
         assert "ic: FAIL (worst violation nan)" in capsys.readouterr().out
 
     def test_check_exit_one_on_a_raised_interim_rule(self, tmp_path, capsys):
-        """Stored x̂ and h raised together: x̂ is read off the allocation, so BIR fails."""
+        """Stored x̂ and h raised together: x̂ is read off the allocation, so BIR
+        fails, and a notice names the stored x̂ the checks did not read."""
         instance, raised = raised_heuristic_brm()
         mech_path = tmp_path / "raised.json"
         save_mechanism(str(mech_path), instance, raised)
         assert main(["check", str(mech_path)]) == 1
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "bic: pass" in out and "bir: FAIL (worst violation 0.9" in out
+        assert err.startswith("notice: the stored interim_allocation is up to 0.3")
+
+    def test_check_notes_a_stored_interim_rule_it_does_not_read(self, tmp_path, capsys):
+        """A stored x̂ off the allocation's collapse is named on stderr, with
+        the largest difference; the verdicts are those of the honest file."""
+        from dataclasses import replace
+
+        instance = symmetric_instance(*make_categorical(3, 10, 0.8), 3)
+        mech, _ = heuristic_brm(instance)
+        halved = InterimAllocation(tuple(t / 2 for t in mech.interim_allocation.tables))
+        honest_path, halved_path = tmp_path / "honest.json", tmp_path / "halved.json"
+        save_mechanism(str(honest_path), instance, mech)
+        save_mechanism(str(halved_path), instance, replace(mech, interim_allocation=halved))
+        capsys.readouterr()
+        assert main(["check", str(honest_path)]) == 0
+        honest = capsys.readouterr()
+        assert main(["check", str(halved_path)]) == 0
+        noted = capsys.readouterr()
+        assert honest.err == "" and noted.out == honest.out
+        largest = max(float(t.max()) for t in halved.tables)
+        assert noted.err == (f"notice: the stored interim_allocation is up to {largest!r} off the "
+                             "allocation's collapse; the checks read the collapse\n")
+
+    @pytest.mark.parametrize("method", ["heur_brm_cf", "exact_brm", "heur_rrm_cf", "ex_ante"])
+    def test_check_prints_no_notice_on_a_solved_file(self, tmp_path, capsys, method):
+        mech_path, _ = self._solved_file(tmp_path, method)
+        capsys.readouterr()
+        assert main(["check", str(mech_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_solve_refuses_a_binomial_whose_coefficients_overflow(self, capsys):
+        code = main(["solve", "--dist", "binomial:1030,0.5", "--n", "1", "--method", "ex_ante"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: bad distribution spec 'binomial:1030,0.5': 1030 trials")
 
     def test_check_rejects_nan_mechanism_file(self, tmp_path, capsys):
         import json

@@ -19,6 +19,9 @@ from convexauction import (
     make_uniform,
     symmetric_instance,
 )
+from convexauction.core import DEFAULT_TOL
+from convexauction.mechanisms import ex_ante_tables
+from convexauction.spaces import OrbitSpace
 
 
 class TestConstructors:
@@ -69,6 +72,13 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_binomial(4, p)
 
+    def test_binomial_refuses_coefficients_beyond_a_float(self):
+        """C(1030, 515) is above the largest float: a ValueError naming the
+        trial count, not an OverflowError."""
+        assert make_binomial(1029, 0.5)[0].size == 1030
+        with pytest.raises(ValueError, match="1030 trials"):
+            make_binomial(1030, 0.5)
+
 
 class TestTypeSpace:
     def test_rejects_duplicates_and_negatives(self):
@@ -90,6 +100,26 @@ class TestTypeSpace:
             DiscreteDistribution(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([1.0, 0.0]))
+
+
+class TestOnePmfCheck:
+    """Each pmf is checked once, per bidder; the instance adds no check of the
+    product of the sums, which drifts past any tolerance as n grows."""
+
+    PMF = [0.3, 0.3, 0.4 - 9e-13]
+
+    def test_many_valid_bidders_make_an_instance(self):
+        bidder = (TypeSpace(np.array([1.0, 2.0, 3.0])), DiscreteDistribution(np.array(self.PMF)))
+        # the product of the 1,200 sums is 1 - 1.08e-9, beyond DEFAULT_TOL
+        assert abs(math.prod([float(bidder[1].pmf.sum())] * 1200) - 1) > DEFAULT_TOL
+        instance = symmetric_instance(*bidder, 1200)
+        tables, report = ex_ante_tables(OrbitSpace(instance))
+        assert len(tables.xhat) == 1 and tables.xhat[0].shape == (3,)
+        assert np.isfinite(report.revenue) and report.revenue > 0
+
+    def test_a_pmf_off_by_more_than_its_tolerance_is_refused(self):
+        with pytest.raises(ValueError, match="pmf must sum to 1"):
+            DiscreteDistribution(np.array([0.3, 0.3, 0.4 - 2e-12]))
 
 
 class TestProfiles:

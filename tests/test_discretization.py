@@ -130,10 +130,19 @@ class TestDiscretizationGap:
         assert max(ratios) <= 1.0
 
     def test_rejects_non_monotone_input(self, categorical_pair):
+        """Feasible but not monotone: refused by the payment step's own check."""
         table = np.zeros((2, 2, 2))
         table[0, 0, 0] = 0.9
-        with pytest.raises(ValueError):
-            discretization_gap(categorical_pair, ExPostAllocation(table), 0.1)
+        alloc = ExPostAllocation(table)
+        assert alloc.is_feasible() and not alloc.is_monotone()
+        with pytest.raises(ValueError, match="perceived payments require a monotone allocation"):
+            discretization_gap(categorical_pair, alloc, 0.1)
+
+    def test_rejects_infeasible_input(self, categorical_pair):
+        alloc = ExPostAllocation(np.full((2, 2, 2), 0.6))
+        assert alloc.is_monotone() and not alloc.is_feasible()
+        with pytest.raises(ValueError, match="monotone, feasible allocation"):
+            discretization_gap(categorical_pair, alloc, 0.1)
 
     def test_checks_the_allocation_once(self, categorical_pair, monkeypatch):
         mech, _ = heuristic_lb_rrm(categorical_pair, "closed_form")

@@ -368,3 +368,27 @@ class TestMalformedInput:
     def test_unknown_pipeline_engine(self):
         with pytest.raises(ValueError, match="method must be 'greedy' or 'closed_form'"):
             heuristic_lb_rrm(symmetric_instance(*make_uniform(3), 2), "pointwise")
+
+
+def test_engines_are_read_from_the_module_at_each_call(monkeypatch):
+    """A wrapper put at ``mechanisms.<engine>`` sees every call, each with the
+    profiles as its first argument, the exact solver's start included: the
+    benchmark's tracer counts engine calls and rows there."""
+    from convexauction import mechanisms
+
+    calls = []
+
+    def spy(name):
+        real = getattr(mechanisms, name)
+        return lambda rows, **kw: calls.append((name, len(rows))) or real(rows, **kw)
+
+    for name in ("pointwise_max_batch", "eqp_solver_batch", "closed_form_alloc_batch"):
+        monkeypatch.setattr(mechanisms, name, spy(name))
+    instance = symmetric_instance(*make_uniform(3), 2)
+    surplus_maximizer(instance)
+    virtual_surplus_maximizer(instance)
+    pseudo_surplus_maximizer(instance, "greedy", GreedyConfig(epsilon=0.01))
+    heuristic_brm(instance)
+    exact_rrm(instance)
+    engines = ["pointwise_max_batch"] * 2 + ["eqp_solver_batch"] + ["closed_form_alloc_batch"] * 2
+    assert calls == [(name, 9) for name in engines]

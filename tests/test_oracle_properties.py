@@ -16,11 +16,13 @@ from convexauction import (
     heuristic_brm,
     heuristic_lb_rrm,
     is_regular,
+    symmetric_instance,
     verify,
     virtual_values,
 )
+from convexauction.mechanisms import heuristic_brm_tables, heuristic_lb_rrm_tables
 from convexauction.oracle import check, exact_tables
-from convexauction.spaces import DenseSpace
+from convexauction.spaces import DenseSpace, OrbitSpace
 
 PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 CONFIG = OracleConfig(grid=1e-3)
@@ -57,6 +59,17 @@ def irregular_instances(draw):
     instance = AuctionInstance((first,) + others)
     assume(n * math.prod(instance.shape) <= 64)
     assume(not is_regular(virtual_values(instance))[0])
+    return instance
+
+
+@st.composite
+def orbit_instances(draw):
+    """n = 2..12 copies of one regular bidder with K = 2..4 types, whose orbit
+    table, K * C(n+K-2, K-1) cells, fits the oracle's 64-variable cap."""
+    k = draw(st.integers(2, 4))
+    fits = [n for n in range(2, 13) if k * math.comb(n + k - 2, k - 1) <= CONFIG.max_profile_vars]
+    instance = symmetric_instance(*_bidder(draw, k), draw(st.sampled_from(fits)))
+    assume(is_regular(virtual_values(instance))[0])
     return instance
 
 
@@ -104,3 +117,20 @@ def test_exact_solvers_certify_and_verify_on_irregular_instances(instance):
         assert all(c.passed for c in check(tables, sets).values()), mode
         reports[mode] = report
     assert reports["rrm"].revenue <= reports["brm"].revenue + reports["brm"].grid_slack
+
+
+@PROPERTY_SETTINGS
+@given(orbit_instances())
+def test_orbit_revenues_are_ordered_within_certified_gaps(instance):
+    """On the orbit space: heuristic RRM <= exact RRM <= exact BRM, and
+    heuristic BRM <= exact BRM, each within the exact side's certified gap;
+    both exact tables pass their default checks."""
+    space = OrbitSpace(instance)
+    (rrm_tables, rrm), (brm_tables, brm) = (exact_tables(space, CONFIG, m) for m in ("rrm", "brm"))
+    for tables in (rrm_tables, brm_tables):
+        assert all(c.passed for c in check(tables).values()), tables.provenance
+    _, heur_rrm = heuristic_lb_rrm_tables(space, "closed_form")
+    _, heur_brm = heuristic_brm_tables(space, "closed_form")
+    assert heur_rrm.revenue <= rrm.revenue + _certified(rrm)
+    assert rrm.revenue <= brm.revenue + _certified(brm)
+    assert heur_brm.revenue <= brm.revenue + _certified(brm)

@@ -10,26 +10,28 @@ analogue pin them to the allocation.
 
 Both are composed from one set of sparse linear blocks (``_Blocks``: supply,
 monotonicity, payment chains, the interim collapse and the objective weights,
-which also give the XA row), built on the cells of a profile space
-(``spaces``), and solved by a primal-dual interior-point method;
-``export_program`` prints rows of the same blocks on the dense space.  The
-solver starts from a fixed strictly monotone table moved toward the
-closed-form phi+ heuristic as far as stays strictly inside.  Each Newton
-step updates the allocation and the constraints' multipliers together,
-raises the barrier parameter t from the current duality gap (ten times
-further after a full step), evaluates each of its terms once, reading the
-slacks and payments from the line search's accepted trial, and assembles its
-matrix from the pairs of nonzeros that share a constraint or payment row
-(one ``bincount``); the Bayesian monotonicity and payment rows, dense over
-the contexts, are paired on the interim rule and applied through the
-collapse.  The verifier checks IC a slice of contexts at a time.  The solver
+which also give the XA row), read in order off one layout of a profile
+space's cells (``spaces``) per solve, and solved by a primal-dual
+interior-point method; ``export_program`` prints rows of the same blocks on
+the dense space.  The solver starts from a fixed strictly monotone table
+moved toward the closed-form phi+ heuristic as far as stays strictly inside.
+Each Newton step updates the allocation and the constraints' multipliers
+together, raises the barrier parameter t from the current duality gap (ten
+times further after a full step), evaluates each of its terms once, reading
+the slacks and payments from the line search's accepted trial, and
+assembles its matrix from the pairs of nonzeros that share a constraint or
+payment row (one ``bincount``); the Bayesian monotonicity and payment rows,
+dense over the contexts, are paired on the interim rule and applied through
+the collapse.  A step whose multipliers' bound already certifies builds no
+matrix.  The verifier checks IC a slice of contexts at a time.  The solver
 returns the better of its last iterate and that iterate rounded to the grid
 (``discretization.round_table``, when it stays feasible).  It reports
 ``grid_slack`` as a certified gap: an upper bound on the optimum, from
 Lagrangian duality at the last iterate, minus the revenue of the returned
 table, priced by the pipelines' payment step (``mechanisms``); and
 ``newton_steps``, the Newton steps it took.  Instances above the variable
-cap, or that the solver fails to certify, are refused with an explanation.
+cap, that the solver fails to certify, or whose Newton direction is not
+finite are refused with an explanation.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,10 +182,10 @@ _GAP_TOL = 1e-9  # stop once the certified gap is below this times max(1, bound)
 _FP_MARGIN = 1e-12  # relative floating-point margin added to every reported gap
 _RIDGE = 1e-13  # keeps the unit-diagonal Newton system non-singular
 _MAX_NEWTON = 400
+_MIN_STEP = 1e-12  # the shortest step the line search halves to
 
 
-@dataclass(frozen=True)
-class _Sparse:
+class _Sparse(NamedTuple):
     """A matrix by its nonzero entries, sorted by row and then by column."""
 
     rows: np.ndarray
@@ -196,99 +199,98 @@ class _Sparse:
         return out
 
 
-def _sparse(rows, cols, vals, shape) -> _Sparse:
-    """A matrix from lists of entry arrays, in any order."""
-    rows, cols, vals = (np.concatenate([np.ravel(a) for a in part]) for part in (rows, cols, vals))
-    order = np.lexsort((cols, rows))
-    return _Sparse(rows[order], cols[order], vals[order], shape)
-
-
 class _Blocks:
     """The linear pieces of the revenue programs on one profile space.
 
     Ex-post pieces act on the allocation table x, flattened in the space's
     own order (``space.shape``); interim pieces (``hat=True``) act on the
     interim rule x̂, flattened block by block.  Each piece is a small matrix
-    per block on its own types, applied along every context (the space's
-    ``index``), and supply adds each cell, times its ``multiplicity``, to its
-    ``profile``'s row.  The solver multiplies by dense copies of the
-    pieces and builds its Newton systems from their pairs of nonzeros
-    (``_gram``); the exporter prints their nonzero entries.  So every
-    constraint has one definition, and exports stay proportional to their
-    text.
+    per block on its own types, applied along every context, and supply adds
+    each cell, times its ``multiplicity``, to its ``profile``'s row.  All
+    are read in (row, column) order off one layout of the space's ``index``.
+    The solver scatters them into G and pairs their nonzeros (``_gram``); the
+    exporter prints them: each constraint defined once, exports sized by their text.
     """
 
     def __init__(self, space: ProfileSpace):
-        self.space = space
-        self.size = math.prod(space.shape)
-        # the flat index of every x̂ entry, per block
-        ends = np.cumsum([len(b.values) for b in space.blocks])
-        self.hats = [np.arange(e - len(b.values), e)[:, None] for b, e in zip(space.blocks, ends)]
-        self.hat_size = int(ends[-1])
+        self.space, index = space, space.index
+        self.size = size = math.prod(space.shape)
+        self.own = np.concatenate([np.arange(len(c)) for c in index])  # of each x̂ entry
+        self.hat_size = len(self.own)
+        # the layout of x (of x̂): each entry's x̂ entry and position in (x̂
+        # entry, context) order, the entry at each position, and each x̂ entry's contexts
+        span = np.repeat([c.shape[1] for c in index], [len(c) for c in index])
+        cells = np.concatenate([c.ravel() for c in index])
+        pos = cells.argsort()
+        one = np.arange(self.hat_size)
+        self.x = (one.repeat(span)[pos], pos, cells, span)
+        self.hat = (one, one, one, np.ones_like(one))
+        # each cell's context probability
+        self.chance = np.concatenate([w[None].repeat(len(c), 0).ravel()
+                                      for w, c in zip(space.weights, index)])[pos]
 
-    def _own(self, matrix, hat: bool, shift: int = 0) -> _Sparse:
-        """``matrix(block)`` along every block's own types, on x̂ or on x with
-        the context held fixed; its row r at a context is anchored at (has the
-        row index of) that context's entry r + ``shift``."""
-        rows, cols, vals = [], [], []
-        for block, index in zip(self.space.blocks, self.hats if hat else self.space.index):
-            m = matrix(block)
-            r, c = np.nonzero(m)
-            rows.append(index[r + shift])
-            cols.append(index[c])
-            vals.append(np.broadcast_to(m[r, c][:, None], index[c].shape))
-        width = self.hat_size if hat else self.size
-        return _sparse(rows, cols, vals, (width, width))
+    def _along(self, rows, cols, vals, hat: bool) -> tuple[_Sparse, np.ndarray]:
+        """The x̂ matrix of nonzeros (rows, cols, vals), row-major and each
+        row's within its block, along every context of x (or of x̂): the piece
+        without its empty rows, and the entry each of its rows is anchored at."""
+        of, pos, cells, span = self.hat if hat else self.x
+        count = np.bincount(rows, minlength=self.hat_size)[of]
+        anchors = count.nonzero()[0]
+        of, count = of[anchors], count[anchors]
+        # the row anchored at e holds x̂ row of[e]'s nonzeros in turn, and x̂
+        # entry j in e's context sits span[j] (j - of[e]) positions on from e
+        nz = np.arange(count.sum()) + (rows.searchsorted(of) - count.cumsum() + count).repeat(count)
+        at = pos[anchors].repeat(count) + (cols[nz] - rows[nz]) * span[rows[nz]]
+        return (_Sparse(np.arange(len(of)).repeat(count), cells[at], vals[nz], (len(of), len(pos))),
+                anchors)
 
     def supply(self) -> _Sparse:
         """The bidders' total share at each profile; supply is sum <= 1."""
-        profile = self.space.profile
-        return _sparse([profile], [np.arange(self.size)], [self.space.multiplicity],
+        profile = self.space.profile.ravel()
+        order = profile.argsort(kind="stable")
+        return _Sparse(profile[order], order, self.space.multiplicity.ravel()[order],
                        (int(profile.max()) + 1, self.size))
 
     def mono(self, hat: bool) -> _Sparse:
         """x at own type k - 1 minus x at own type k, for every k >= 1 (<= 0);
         rows in the order of their upper entries."""
-        m = self._own(lambda b: -np.diff(np.eye(len(b.values)), axis=0), hat, shift=1)
-        upper, rows = np.unique(m.rows, return_inverse=True)
-        return _Sparse(rows, m.cols, m.vals, (len(upper), m.shape[1]))
+        rows = self.own.nonzero()[0].repeat(2)
+        odd = np.arange(len(rows)) % 2  # each row: 1 at x̂ entry k - 1, then -1 at k
+        return self._along(rows, rows - 1 + odd, 1.0 - 2.0 * odd, hat)[0]
 
-    def chain(self, hat: bool) -> _Sparse:
-        """Perceived payments along each own-type chain: ``payments.chain``,
-        the payment characterization, applied to the identity."""
-        return self._own(lambda b: pay.chain(np.eye(len(b.values)), b.values, b.gaps), hat)
+    def chain(self, hat: bool) -> tuple[_Sparse, np.ndarray]:
+        """Perceived payments along each own-type chain (``payments.chain``, the
+        payment characterization, on each block's identity) without zero rows (a
+        lowest type worth 0), and the entries its rows price."""
+        coef, chains = np.zeros((self.hat_size, self.hat_size)), {}
+        for b, at in zip(self.space.blocks, (self.own == 0).nonzero()[0]):
+            k = len(b.values)
+            if id(b.values) not in chains:  # bidders of one type space share their chain
+                chains[id(b.values)] = pay.chain(np.eye(k), b.values, b.gaps)
+            coef[at : at + k, at : at + k] = chains[id(b.values)]
+        rows, cols = coef.nonzero()
+        return self._along(rows, cols, coef[rows, cols], hat)
 
     def collapse(self) -> _Sparse:
         """x̂ = C x: each block's share averaged over its contexts."""
-        cells = self.space.index
-        return _sparse(
-            [np.broadcast_to(h, c.shape) for h, c in zip(self.hats, cells)], cells,
-            [np.broadcast_to(w, c.shape) for w, c in zip(self.space.weights, cells)],
-            (self.hat_size, self.size))
+        of, _, cells, _ = self.x
+        return _Sparse(of[cells], cells, self.chance[cells], (self.hat_size, self.size))
 
     def weights(self, hat: bool) -> np.ndarray:
-        """The objective's weight per entry: count * f(k) on x̂, which is also
-        the XA row (expected total share <= 1), and times the context's
-        probability on x."""
-        blocks = self.space.blocks
-        if hat:
-            return np.concatenate([b.count * b.pmf for b in blocks])
-        mats = [(b.count * b.pmf)[:, None] * w for b, w in zip(blocks, self.space.weights)]
-        return self.space.join(mats).ravel()
+        """The objective's weight per entry: count * f(k) on x̂ (also the XA
+        row, expected total share <= 1), times the context's probability on x."""
+        per_type = np.concatenate([b.count * b.pmf for b in self.space.blocks])
+        return per_type if hat else per_type[self.x[0]] * self.chance
 
 
-def _gram(parts: list[tuple[_Sparse, int]], width: int) -> Callable[[np.ndarray], np.ndarray]:
-    """c -> M.T @ diag(c) @ M for the sparse matrices M stacked in row order,
-    each given with the index of its first row in the stack, from the pairs
-    of nonzeros that share a row: entry (i, j) is the sum over rows r of
-    c[r] m[r, i] m[r, j]."""
-    rows, cols, vals = (np.concatenate(a) for a in zip(*((m.rows + first, m.cols, m.vals)
-                                                         for m, first in parts)))
+def _gram(rows, cols, vals, width: int) -> Callable[[np.ndarray], np.ndarray]:
+    """c -> M.T @ diag(c) @ M for M of nonzeros (rows, cols, vals) sorted by row, from
+    the pairs of nonzeros that share a row: entry (i, j) sums c[r] m[r, i] m[r, j]."""
     count = np.bincount(rows)
-    start, per = np.cumsum(count) - count, count * count
+    start, per = count.cumsum() - count, count * count
     # pair k of row r is its entries k // count[r] and k % count[r]
-    row = np.repeat(np.arange(len(count)), per)
-    k = np.arange(len(row)) - np.repeat(np.cumsum(per) - per, per)
+    row = np.arange(len(count)).repeat(per)
+    k = np.arange(len(row)) - (per.cumsum() - per).repeat(per)
     a = start[row] + k // count[row]
     b = start[row] + k % count[row]
     flat, coef = cols[a] * width + cols[b], vals[a] * vals[b]
@@ -332,26 +334,26 @@ _PIECES = ("x >= 0", "supply", "monotonicity", "payment")
 
 
 def _program(blk: _Blocks, mode: str) -> _Program:
-    """The robust (``rrm``, ``rrm_linear``) or Bayesian (``brm``) revenue
-    program."""
+    """The robust (``rrm``, ``rrm_linear``) or Bayesian (``brm``) revenue program."""
     hat, size, linear = mode == "brm", blk.size, mode == "rrm_linear"
-    chain, mono, supply = blk.chain(hat), blk.mono(hat), blk.supply()
-    # a zero row (lowest type worth 0) pays nothing and has no sqrt gradient
-    priced, index = np.unique(chain.rows, return_inverse=True)
-    chain = _Sparse(index, chain.cols, -chain.vals, (len(priced), chain.shape[1]))
-    eye = _Sparse(np.arange(size), np.arange(size), -np.ones(size), (size, size))
+    (chain, priced), one = blk.chain(hat), np.arange(size)
     # the pieces of G in row order: x >= 0, supply and monotonicity (the
     # slacks), then the payments negated; in brm the last two act on x̂ = C x
-    pieces = [eye, supply, mono, chain]
+    pieces = [_Sparse(one, one, -np.ones(size), (size, size)), blk.supply(), blk.mono(hat),
+              _Sparse(chain.rows, chain.cols, -chain.vals, chain.shape)]
     first = np.cumsum([0] + [p.shape[0] for p in pieces]).tolist()
+    rows, cols, vals = (np.concatenate(a) for a in zip(*((p.rows + f, p.cols, p.vals)
+                                                         for p, f in zip(pieces, first))))
+    on_x = 2 * size if hat else len(rows)  # entries on x; x >= 0 and supply hold one per cell
+    G = _Sparse(rows[:on_x], cols[:on_x], vals[:on_x], (first[-1], size)).dense()
     lift = blk.collapse().dense() if hat else None
-    G = np.vstack([p.dense() if k < 2 or lift is None else p.dense() @ lift
-                   for k, p in enumerate(pieces)])
+    if hat:
+        G[first[2] :] = _Sparse(rows[on_x:] - first[2], cols[on_x:], vals[on_x:],
+                                (first[-1] - first[2], blk.hat_size)).dense() @ lift
+    hat_gram = _gram(*(a[on_x:] for a in (rows, cols, vals)), blk.hat_size) if hat else None
     h = np.repeat([0.0, 1.0, 0.0, 0.0], np.diff(first))
-    rows = list(zip(pieces, first))
-    own = rows[2:3] if linear else rows[2:]
-    gram = _gram(rows[:2] + ([] if hat else own), size)
-    hat_gram = _gram(own, blk.hat_size) if hat else None
+    gram = _gram(*(a[: on_x - len(chain.rows) if linear else on_x]
+                   for a in (rows, cols, vals)), size)
     return _Program(G, h, first[3], first[:4], blk.weights(hat)[priced], linear, gram, hat_gram,
                     lift)
 
@@ -367,6 +369,11 @@ def _box(r: np.ndarray, x: np.ndarray) -> float:
     return float(np.maximum(r, 0.0).sum() - r @ x)
 
 
+def _closes(value: float, bound: float) -> bool:
+    """Whether an upper bound on the optimum certifies the gap to a value."""
+    return bound - value <= _GAP_TOL * max(1.0, bound)
+
+
 def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: float,
             factor: float):
     """The primal-dual Newton system at x, with z = h - G x (the slacks s and
@@ -375,7 +382,8 @@ def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: fl
     Returns the revenue R, the residual map r(mu) = -G^T [mu; g] (g = w / (2
     sqrt q), or w if linear), lam's part of the bound, lam.s + box(r(lam))
     (``_barrier``), the step's t, 1 / (t s), and H dx = rhs (Boyd &
-    Vandenberghe, sec. 11.7):
+    Vandenberghe, sec. 11.7), or None for the last three where lam's part
+    already certifies and no step is taken:
 
         H = A^T diag(lam / s) A + Q^T diag(g / (2 q)) Q,  rhs = r(1 / (t s))
 
@@ -399,6 +407,8 @@ def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: fl
 
     dual, box = float(lam @ s), _box(r(lam), x)
     t = max(t, factor * m / max(dual, box))
+    if _closes(value, value + dual + box):
+        return value, r, dual + box, t, None, None, None
     inv = 1 / (t * s)
     H = prog.gram(curv)
     if prog.lift is not None:
@@ -418,13 +428,15 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
     point to be centred and the endgame, where full steps are taken, closes
     the gap ten times faster.  Each step takes 0.99 of the longest step that
     keeps lam and every slack and priced payment positive, and the next step
-    reads z = h - G x from that trial.  A start that is not strictly inside
-    is refused.
+    reads z = h - G x from that trial.  A start that is not strictly inside,
+    a direction that is not finite and a step halved below ``_MIN_STEP`` are
+    refused.
 
     For any multipliers mu >= 0 with residual r(mu) (``_system``),
     concavity gives R(y) <= R(x) + mu.s + r(mu).(y - x) for every feasible
-    y, and feasible tables lie in [0, 1]^N.  The bound is the smaller of
-    this at mu = lam and at the Newton estimate max(lam + dlam, 0).
+    y, and feasible tables lie in [0, 1]^N.  The bound is this at mu = lam
+    if that certifies (no Newton system is built), else the smaller of it
+    and this at the Newton estimate max(lam + dlam, 0).
     """
     G, m = prog.G, prog.m
     # the entries of z that must stay positive: slacks, and payments under a sqrt
@@ -441,6 +453,8 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
     lam = 1 / (t * z[:m])
     for step in range(1, _MAX_NEWTON + 1):
         value, r, at_lam, t, inv, H, rhs = _system(prog, x, z, lam, t, factor)
+        if H is None:
+            return x, value + at_lam, step
         s = z[:m]
         # Scaled to a unit diagonal, plus a ridge: where a linear program's
         # optimal face is not a point, H is singular in floating point near
@@ -460,19 +474,25 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
         dlam = lam * rate[:m] / s - lam + inv
         mu = np.maximum(lam + dlam, 0.0)
         bound = value + min(at_lam, float(mu @ s) + _box(r(mu), x))
-        if bound - value <= _GAP_TOL * max(1.0, bound):
+        if _closes(value, bound):
             return x, bound, step
         # 0.99 of the longest step that keeps lam, every slack and every
         # priced payment positive
         alpha = min(1.0, 0.99 * _reach(np.concatenate((z[:kept], lam)),
                                        np.concatenate((rate[:kept], -dlam))))
-        # backtrack only where rounding left an entry of z non-positive
+        # backtrack only where rounding left an entry of z non-positive; a
+        # direction that is not finite never leaves one positive
         while True:
             trial = x + alpha * dx
             z = prog.z(trial)
             if z[:kept].min() > 0:
                 break
+            if not np.isfinite(dx).all():
+                raise OracleRefusal("interior-point Newton direction is not finite")
             alpha *= 0.5
+            if alpha < _MIN_STEP:
+                raise OracleRefusal(f"interior-point line search found no step of at least "
+                                    f"{_MIN_STEP:g} that stays strictly inside")
         x, lam = trial, lam + alpha * dlam
         factor = 100 if alpha == 1 else 10
     raise OracleRefusal(
@@ -688,5 +708,6 @@ def export_program(instance: AuctionInstance, which: str) -> str:
     if paid:
         # the payment characterization: perceived payment = chain . x (or x̂)
         lhs = [f"qhat{label}" if paid == "phat" else f"{paid}{label}^2" for label in labels]
-        lines += defining("pay", lhs, blk.chain(hat), priced)
+        m, at = blk.chain(hat)  # a row for every priced entry, "0" where the chain's is zero
+        lines += defining("pay", lhs, m._replace(rows=at[m.rows], shape=(len(lhs),) * 2), priced)
     return "\n".join(lines) + "\n"

@@ -43,7 +43,7 @@ def chain(x: np.ndarray, values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     view = (-1,) + (1,) * (x.ndim - 1)
     weighted = gaps.reshape(view) * x
     # exclusive prefix sum of (z_{j+1} - z_j) x(z_j) along the own-type axis
-    prefix = np.cumsum(weighted, axis=0) - weighted
+    prefix = weighted.cumsum(axis=0) - weighted
     return values.reshape(view) * x - prefix
 
 

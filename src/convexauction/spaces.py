@@ -38,6 +38,9 @@ from .core import AuctionInstance
 from .virtual import VirtualValueTable, is_regular, virtual_values
 
 
+_SUPPLY_CELLS = 2**16  # per slice of the supply check; 1 MB of shares
+
+
 class Block(NamedTuple):
     """One class's cells: own types as rows, contexts as columns."""
 
@@ -211,7 +214,7 @@ class ProfileSpace:
     @cached_property
     def multiplicity(self) -> np.ndarray:
         """How many bidders' shares at its profile each cell stands for (c_k + 1)."""
-        return _read_only(self.cells(self._column_sizes.astype(np.float64)))
+        return _read_only(self.cells(self._column_sizes).astype(np.float64))
 
     def cells(self, out: np.ndarray) -> np.ndarray:
         """The table from the engine's (P, G) output for ``groups``: each
@@ -225,9 +228,15 @@ class ProfileSpace:
         return table, is_regular(table)
 
     def supply(self, table: np.ndarray) -> float:
-        """Worst excess of the bidders' total share over 1 at any profile."""
-        shares = (self.multiplicity * table).ravel()
-        return float(np.bincount(self.profile.ravel(), shares).max()) - 1.0
+        """Worst excess of the bidders' total share over 1 at any profile,
+        summed a slice of cells at a time, in order, as one ``bincount`` is."""
+        at, mult, table = self._at.ravel(), self.multiplicity.ravel(), table.ravel()
+        total = np.zeros(len(self._column_sizes))
+        for s in range(0, len(at), _SUPPLY_CELLS):
+            cells = slice(s, s + _SUPPLY_CELLS)
+            # each cell's profile, as ``profile`` reads it, gets its shares
+            np.add.at(total, at[cells] % len(total), mult[cells] * table[cells])
+        return float(total.max()) - 1.0
 
     def collapse(self, mats) -> tuple[np.ndarray, ...]:
         """Expectation over contexts: one own-type vector per block."""

@@ -1,7 +1,11 @@
 import csv
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,22 @@ class TestExperiment:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["heur_lb_cf"]
+
+    def test_exact_solve_over_the_step_limit_is_skipped_with_notice(
+            self, tmp_path, capsys, monkeypatch):
+        """An exact solve refused at the Newton step limit is a notice and a
+        skipped row, as an oversized one is; the other rows stay."""
+        monkeypatch.setattr(oracle, "_MAX_NEWTON", 3)
+        out = tmp_path / "limit.csv"
+        run_experiment(ExperimentConfig(
+            distribution="categorical:3,10,0.8", n_min=2, n_max=2,
+            methods=("exact_rrm", "exact_brm", "heur_lb_cf"), output_path=str(out), timing=False))
+        err = capsys.readouterr().err
+        for method in ("exact_rrm", "exact_brm"):
+            assert (f"notice: skipping {method} for n=2: interior-point method did not certify "
+                    "a gap of 1e-09 within 3 Newton steps") in err
+        with open(out) as fh:
+            assert [r["method"] for r in csv.DictReader(fh)] == ["heur_lb_cf"]
 
     def test_exact_rows_solve_on_orbits(self, tmp_path):
         """categorical:3,10,0.8 at n = 5..8: 2n orbit cells, n * 2^n dense."""
@@ -618,6 +638,21 @@ class TestMechanismFiles:
         discretization.discretization_gap(loaded, mech.allocation, 0.05)
         assert len(built) == 1 and built[0].instance is loaded
         assert Tables.of(loaded, mech).space.index is index
+
+
+@pytest.mark.parametrize("dist, method", [("categorical:0,1e200,0.5", "exact_rrm"),
+                                           ("categorical:1e-300,2e-300,0.5", "exact_brm")])
+def test_non_finite_newton_direction_is_refused(dist, method):
+    """Values that overflow the Newton system give a direction that is not
+    finite; the line search once halved its step along it without end.  Run
+    in a child process, whose overflow warnings are not errors."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "convexauction", "solve", "--dist", dist,
+                           "--n", "2", "--method", method],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.endswith("error: interior-point Newton direction is not finite\n")
 
 
 class TestCommands:

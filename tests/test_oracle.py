@@ -38,7 +38,8 @@ from convexauction.alloc import GreedyConfig
 from convexauction.cli import METHODS
 from convexauction.discretization import round_table
 from convexauction.mechanisms import heuristic_brm_tables, heuristic_lb_rrm_tables, surplus_tables
-from convexauction.spaces import DenseSpace, OrbitSpace
+from convexauction import spaces
+from convexauction.spaces import DenseSpace, OrbitSpace, ProfileSpace
 from conftest import raised_heuristic_brm, single_type_instance
 
 
@@ -221,6 +222,39 @@ def test_ic_check_peak_memory_per_cell():
         tracemalloc.stop()
     assert all(c.passed for c in checks.values())
     assert peak <= 64 * math.prod(space.shape)
+
+
+def test_xp_check_peak_memory_per_cell():
+    """XP on the same table.  Summed over the whole table at once, with its
+    profile index, the supply totals peak at about 42 bytes per cell; over
+    slices of cells, about 18, of which 8 are the squared payments every
+    check derives and 8 the multiplicity the space keeps."""
+    space = OrbitSpace(symmetric_instance(*make_uniform(5), 50))
+    tables, _ = surplus_tables(space)
+    tracemalloc.start()
+    try:
+        checks = oracle.check(tables, ("xp",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks["xp"].passed
+    assert peak <= 20 * math.prod(space.shape)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**16])
+def test_supply_in_slices_matches_one_bincount(monkeypatch, cells):
+    """The sliced supply total adds each profile's shares in cell order, as
+    one bincount over the whole table does: the same worst excess, bit for
+    bit, on a dense, an orbit and a two-class space."""
+    rng = np.random.default_rng(4)
+    for space in (DenseSpace(symmetric_instance(*make_uniform(3), 3)),
+                  OrbitSpace(symmetric_instance(*make_uniform(5), 6)),
+                  ProfileSpace(AuctionInstance((make_uniform(3),) * 2 + (make_uniform(2),) * 3),
+                               (2, 3))):
+        table = rng.random(space.shape)
+        whole = np.bincount(space.profile.ravel(), (space.multiplicity * table).ravel())
+        monkeypatch.setattr(spaces, "_SUPPLY_CELLS", cells)
+        assert space.supply(table) == float(whole.max()) - 1.0
 
 
 class TestExactRrm:
@@ -448,8 +482,8 @@ class TestNewtonSystem:
         prog = oracle._program(blk, mode)
         hat = mode == "brm"
         lift = blk.collapse().dense() if hat else np.eye(blk.size)
-        supply, mono, chain = blk.supply().dense(), blk.mono(hat).dense(), blk.chain(hat).dense()
-        chain = chain[chain.any(axis=1)]
+        supply, mono, chain = blk.supply().dense(), blk.mono(hat).dense(), blk.chain(hat)[0].dense()
+        assert chain.any(axis=1).all()
         G = np.vstack([-np.eye(blk.size), supply, mono @ lift, -(chain @ lift)])
         h = np.concatenate([np.zeros(blk.size), np.ones(len(supply)), np.zeros(len(mono)),
                             np.zeros(len(chain))])
@@ -511,6 +545,48 @@ class TestNewtonSystem:
         # every profile's total share is 1.5, and no own type gets more than the one below
         with pytest.raises(OracleRefusal, match=r"not positive \(supply row 0, supply row 1, "):
             oracle._barrier(prog, np.full(blk.size, 0.5))
+
+    @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
+    def test_step_limit_is_refused(self, monkeypatch, mode):
+        """A solve that has not certified its gap within ``_MAX_NEWTON``
+        steps is refused, naming the gap and the limit."""
+        monkeypatch.setattr(oracle, "_MAX_NEWTON", 3)
+        space = NEWTON_SPACES["categorical n=3"]()
+        with pytest.raises(OracleRefusal, match=r"did not certify a gap of 1e-09 within 3 Newton "
+                                                r"steps$"):
+            oracle.exact_tables(space, OracleConfig(), mode)
+
+    def test_step_halved_below_the_floor_is_refused(self, monkeypatch):
+        """A line search that would halve its step below ``_MIN_STEP`` is
+        refused rather than halving on: here every step is a full Newton
+        step, which leaves the feasible set, and one halving is too many."""
+        monkeypatch.setattr(oracle, "_reach", lambda level, fall: math.inf)
+        monkeypatch.setattr(oracle, "_MIN_STEP", 0.75)
+        with pytest.raises(OracleRefusal, match=r"line search found no step of at least 0\.75 "
+                                                r"that stays strictly inside"):
+            oracle.exact_tables(NEWTON_SPACES["categorical n=3"](), OracleConfig(), "rrm")
+
+    @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
+    @pytest.mark.parametrize("label", NEWTON_SPACES)
+    def test_certified_at_lam_skips_the_last_system(self, monkeypatch, label, mode):
+        """Only the last step may skip its Newton system, and only where
+        lam's part of the bound certifies; the report stays certified.  The
+        skip fires at the end of every rrm and brm solve here."""
+        skipped, real = [], oracle._system
+
+        def spy(prog, x, z, lam, t, factor):
+            out = real(prog, x, z, lam, t, factor)
+            value, at_lam, H = out[0], out[2], out[5]
+            skipped.append(H is None)
+            assert (H is None) == oracle._closes(value, value + at_lam)
+            return out
+
+        monkeypatch.setattr(oracle, "_system", spy)
+        _, report = oracle.exact_tables(NEWTON_SPACES[label](), OracleConfig(max_profile_vars=400),
+                                        mode)
+        assert len(skipped) == report.newton_steps and not any(skipped[:-1])
+        assert skipped[-1] or mode == "rrm_linear"
+        assert _certified(report)
 
     @pytest.mark.parametrize("mode", ["rrm", "rrm_linear"])
     @pytest.mark.parametrize("label", NEWTON_SPACES)

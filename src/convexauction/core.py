@@ -172,17 +172,6 @@ def symmetric_instance(
     return AuctionInstance(tuple((space, dist) for _ in range(n)))
 
 
-def own_type_matrix(instance: AuctionInstance, per_bidder) -> np.ndarray:
-    """``per_bidder[i][v_i]`` at every profile, shape ``(n, *instance.shape)``."""
-    n, shape = instance.n, instance.shape
-    out = np.empty((n, *shape))
-    for i in range(n):
-        view = [1] * n
-        view[i] = shape[i]
-        out[i] = np.asarray(per_bidder[i]).reshape(view)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Distribution constructors used in the experiments
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Rounding an optimal allocation to integer multiples of a step delta moves
 each entry by a residual of magnitude at most delta.  That shifts any single
 perceived payment by at most delta * (2 z_l - z_1) and the total expected
-revenue by O(sqrt(delta)); ``discretization_gap`` measures both empirically.
+revenue by O(sqrt(delta)); ``discretization_tables`` measures both on any
+profile space, and ``discretization_gap`` is its dense view.
 
 The nearest grid point per entry can break feasibility and monotonicity, so
 ``round_table`` rounds the cells of any profile space in two passes: floor
@@ -12,19 +13,18 @@ then for each block's own types, top first, bump each cell (all at distinct
 profiles) up one step where its ceiling is strictly closer, the chain stays
 monotone, and its profile's total plus the cell's multiplicity stays within
 1/delta steps (the space's ``profile`` and ``multiplicity``).
-``round_allocation``, ``discretization_gap`` and the exact oracle all round
-with it; every entry stays within delta.
+``round_allocation``, ``discretization_tables`` and the exact oracle all
+round with it; every entry stays within delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import payments as pay
-from .core import (AuctionInstance, ExPostAllocation, RobustPaymentRule, _frozen_array,
-                   grid_steps, make_uniform, own_type_matrix)
+from .core import AuctionInstance, ExPostAllocation, _frozen_array, grid_steps, make_uniform
 from .spaces import DenseSpace, ProfileSpace
 
 _BUDGET_TOL = 1e-12
@@ -68,44 +68,45 @@ def round_table(space: ProfileSpace, x: np.ndarray, delta: float) -> np.ndarray:
     return (ks * delta).reshape(space.shape)
 
 
-def _round(space: DenseSpace, alloc: ExPostAllocation, delta: float):
-    rounded = ExPostAllocation(round_table(space, alloc.table, delta))
-    residuals = alloc.table - rounded.table
-    return rounded, DiscretizationReport(delta, residuals, float(np.abs(residuals).max()))
-
-
 def round_allocation(
     alloc: ExPostAllocation, delta: float
 ) -> tuple[ExPostAllocation, DiscretizationReport]:
     """Round every entry to the grid, preserving feasibility and monotonicity."""
     # rounding reads only the layout, so any instance of the table's shape does
     layout = AuctionInstance(tuple(make_uniform(k) for k in alloc.table.shape[1:]))
-    return _round(DenseSpace(layout), alloc, delta)
+    rounded = ExPostAllocation(round_table(DenseSpace(layout), alloc.table, delta))
+    residuals = alloc.table - rounded.table
+    return rounded, DiscretizationReport(delta, residuals, float(np.abs(residuals).max()))
+
+
+def discretization_tables(space: ProfileSpace, x: np.ndarray, delta: float) -> DiscretizationReport:
+    """``discretization_gap`` on any profile space, for a monotone, feasible
+    table ``x`` of its layout: rounded by ``round_table`` and both priced by
+    ``payments.chain``.  A payment gap above delta * (2 z_l - z_1) at any
+    entry raises RuntimeError: a rounding bug, not bad input."""
+    rounded = round_table(space, x, delta)
+    q_star, q_round = ([pay.chain(m, b.values, b.gaps) for m, b in zip(space.split(t), space.blocks)]
+                       for t in (x, rounded))
+    gaps = [np.abs(star - r) for star, r in zip(q_star, q_round)]
+    if any((g - delta * (2 * b.values - b.values[0])[:, None]).max() > 1e-9
+           for g, b in zip(gaps, space.blocks)):
+        raise RuntimeError("perceived-payment gap exceeds the delta*(2z_l - z_1) bound")
+    rev_star, rev_round = (space.expect([np.sqrt(pay.clamp(q, True)) for q in qs])
+                           for qs in (q_star, q_round))
+    residuals = x - rounded
+    return DiscretizationReport(delta, residuals, float(np.abs(residuals).max()),
+                                max(float(g.max()) for g in gaps), abs(rev_star - rev_round))
 
 
 def discretization_gap(
     instance: AuctionInstance, alloc_star: ExPostAllocation, delta: float
 ) -> DiscretizationReport:
-    """Round and measure the induced perceived-payment and revenue gaps.
-
-    ``perceived_payment`` checks the input's shape, then monotonicity, once
-    each; feasibility is checked next (each a ValueError).  A per-entry payment
-    gap above delta * (2 z_l - z_1) raises RuntimeError: a rounding bug, not bad input.
-    """
-    q_star = pay.perceived_payment(alloc_star, instance)
+    """Round and measure the induced perceived-payment and revenue gaps:
+    ``discretization_tables`` on the dense space, once the input's shape,
+    monotonicity and feasibility are checked, in turn (each a ValueError)."""
+    instance.check_table("allocation table", alloc_star.table)
+    if not alloc_star.is_monotone():
+        raise ValueError("perceived payments require a monotone allocation")
     if not alloc_star.is_feasible():
         raise ValueError("discretization gap needs a monotone, feasible allocation")
-    rounded, report = _round(DenseSpace(instance), alloc_star, delta)
-    q_round = pay.perceived_payment(rounded, instance)
-    gap = np.abs(q_star - q_round)
-    zs = [instance.values(i) for i in range(instance.n)]
-    bound = own_type_matrix(instance, [delta * (2 * z - z[0]) for z in zs])
-    if (gap - bound).max() > 1e-9:
-        raise RuntimeError("perceived-payment gap exceeds the delta*(2z_l - z_1) bound")
-
-    rev_star, rev_round = (
-        pay.expected_revenue(RobustPaymentRule(np.sqrt(pay.clamp(q, True))), instance)
-        for q in (q_star, q_round)
-    )
-    return replace(report, perceived_payment_gap=float(gap.max()),
-                   revenue_gap=abs(rev_star - rev_round))
+    return discretization_tables(DenseSpace(instance), alloc_star.table, delta)

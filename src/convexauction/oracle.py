@@ -44,8 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import payments as pay
-from .core import (DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, grid_steps,
-                   own_type_matrix)
+from .core import DEFAULT_TOL, AuctionInstance, MechanismReport, ObjectiveKind, grid_steps
 from .discretization import round_table
 from .mechanisms import (Mechanism, Tables, _allocate, _dense, _engine, _interim, _price,
                          _virtual)
@@ -112,13 +111,13 @@ def verify(instance: AuctionInstance, mech: Mechanism, which=None) -> dict[str, 
 def check(tables: Tables, which=None) -> dict[str, ConstraintCheck]:
     """``verify`` on any profile space.
 
-    The inputs are derived once: the ex-post pair, blocks of ``x`` with ``p``
-    or with ``h`` broadcast along the contexts, and, only if an asked set
-    reads it, the interim pair.  Its allocation x̂ is the collapse of ``x``
-    whenever there is one, so a stored ``xhat`` is read only without it; its
-    payments are ``h``, else the collapse of the ex-post payments.  IC/IR and
-    BIC/BIR run one loop over (own type x context) matrices; an interim rule
-    is a block with one context.
+    Each input is derived once, and only if an asked set reads it: the
+    ex-post pair, blocks of ``x`` with ``p`` or with ``h`` broadcast along the
+    contexts, and the interim pair.  Its allocation x̂ is the collapse of
+    ``x`` whenever there is one, so a stored ``xhat`` is read only without it;
+    its payments are ``h``, else the collapse of the ex-post payments.  IC/IR
+    and BIC/BIR run one loop over (own type x context) matrices; an interim
+    rule is a block with one context.
     """
     if which is None:
         which = (("ic", "ir", "xp") if tables.p is not None
@@ -129,14 +128,16 @@ def check(tables: Tables, which=None) -> dict[str, ConstraintCheck]:
             raise ValueError(f"unknown constraint {w!r}")
 
     space, power = tables.space, 2 if tables.perceived == "quadratic" else 1
+    reads = {k for w in which for k in CONSTRAINTS[w]}
     x = None if tables.x is None else space.split(tables.x)
     h = None if tables.h is None else [v**power for v in tables.h]
     q = xhat = qhat = None
-    if tables.p is not None:
-        q = [p**power for p in space.split(tables.p)]
-    elif h is not None and x is not None:
-        q = [np.broadcast_to(v[:, None], a.shape) for v, a in zip(h, x)]
-    if any("xhat" in CONSTRAINTS[w] for w in which):
+    if "q" in reads or ("qhat" in reads and h is None):
+        if tables.p is not None:
+            q = [p**power for p in space.split(tables.p)]
+        elif h is not None and x is not None:
+            q = [np.broadcast_to(v[:, None], a.shape) for v, a in zip(h, x)]
+    if "xhat" in reads:
         xhat = tables.xhat if x is None else space.collapse(x)
         qhat = h if h is not None or q is None else space.collapse(q)
     inputs = {"x": x, "q": q, "xhat": xhat, "qhat": qhat}
@@ -555,7 +556,8 @@ def exact_tables(
         perceived = "linear" if mode == "rrm_linear" else "quadratic"
         tables, report = _price(space, x, perceived, kind, name)
     if abs(report.revenue - objective) > 1e-6:
-        raise RuntimeError("solver objective and recomputed revenue disagree")
+        raise OracleRefusal(f"solver objective {objective!r} and recomputed revenue "
+                            f"{report.revenue!r} disagree")
     gap = bound - report.revenue + _FP_MARGIN * bound
     if not gap >= 0:
         raise RuntimeError("returned table beats the solver's upper bound")
@@ -649,7 +651,7 @@ def export_program(instance: AuctionInstance, which: str) -> str:
             coefs = [instance.values(i) for i in range(instance.n)]
         else:
             coefs = virtual_values(instance).phi_plus
-        per_entry = np.concatenate(coefs) if hat else own_type_matrix(instance, coefs).ravel()
+        per_entry = np.concatenate(coefs)[(blk.hat if hat else blk.x)[0]]  # as ``weights``
         if which.endswith("trunc"):
             terms = [f"sqrt({c!r})*sqrt({v})" for c, v in zip(per_entry.tolist(), priced)]
         else:

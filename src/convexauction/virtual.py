@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AuctionInstance, _frozen_array, own_type_matrix
+from .core import AuctionInstance, _frozen_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,4 +62,5 @@ def is_regular(table: VirtualValueTable) -> tuple[bool, ...]:
 
 def virtual_values_matrix(instance: AuctionInstance) -> np.ndarray:
     """phi_i(v_i) at every profile, shape ``(n, *instance.shape)``."""
-    return own_type_matrix(instance, virtual_values(instance).phi)
+    from .spaces import DenseSpace  # spaces imports this module
+    return DenseSpace(instance).join([phi[:, None] for phi in virtual_values(instance).phi])

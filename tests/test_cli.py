@@ -640,19 +640,52 @@ class TestMechanismFiles:
         assert Tables.of(loaded, mech).space.index is index
 
 
+def _child(*args: str) -> subprocess.CompletedProcess:
+    """``convexauction *args`` in a child process, whose overflow warnings
+    are not errors."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "convexauction", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("dist, method", [("categorical:0,1e200,0.5", "exact_rrm"),
                                            ("categorical:1e-300,2e-300,0.5", "exact_brm")])
 def test_non_finite_newton_direction_is_refused(dist, method):
     """Values that overflow the Newton system give a direction that is not
-    finite; the line search once halved its step along it without end.  Run
-    in a child process, whose overflow warnings are not errors."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "convexauction", "solve", "--dist", dist,
-                           "--n", "2", "--method", method],
-                          env=env, capture_output=True, text=True, timeout=60)
+    finite; the line search once halved its step along it without end."""
+    done = _child("solve", "--dist", dist, "--n", "2", "--method", method)
     assert done.returncode == 2
     assert done.stderr.endswith("error: interior-point Newton direction is not finite\n")
+
+
+_HUGE = "categorical:3e100,10e100,0.8"  # revenue near 1e50, where 1e-6 is below one ulp
+
+
+def test_solver_and_revenue_disagreeing_is_refused():
+    """The solver's objective and the recomputed revenue differing by more
+    than 1e-6 is a refusal naming both, one ``error:`` line and exit 2."""
+    done = _child("solve", "--dist", _HUGE, "--n", "2", "--method", "exact_rrm")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: solver objective ")
+    assert done.stderr.endswith(" disagree\n") and done.stderr.count("\n") == 1
+
+
+def test_experiment_skips_a_refused_exact_row_and_writes_the_others(tmp_path):
+    """A refused exact solve skips its row with a notice; the other rows are
+    written.  Every method has a row or a notice, and one at least is refused."""
+    out = tmp_path / "huge.csv"
+    methods = ("heur_lb_cf", "exact_rrm", "exact_brm")
+    done = _child("experiment", "--dist", _HUGE, "--bidders", "2..2",
+                  "--methods", ",".join(methods), "--no-timing", "--output", str(out))
+    assert done.returncode == 0, done.stderr
+    notices = done.stderr.splitlines()
+    assert notices and all(line.startswith("notice: skipping exact_") and line.endswith(" disagree")
+                           for line in notices)
+    with open(out, newline="") as fh:
+        written = [row["method"] for row in csv.DictReader(fh)]
+    skipped = [line.split()[2] for line in notices]
+    assert "heur_lb_cf" in written and sorted(written + skipped) == sorted(methods)
 
 
 class TestCommands:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,16 +7,19 @@ import pytest
 from convexauction import (
     DiscreteDistribution,
     ExPostAllocation,
+    RobustPaymentRule,
     TypeSpace,
     discretization_gap,
     heuristic_lb_rrm,
+    pseudo_surplus_maximizer,
     round_allocation,
     symmetric_instance,
 )
-from convexauction.discretization import round_table
+from convexauction import payments as pay
+from convexauction.discretization import discretization_tables, round_table
 from convexauction.mechanisms import heuristic_lb_rrm_tables, pseudo_surplus_tables
 from convexauction.spaces import OrbitSpace
-from conftest import random_instance, random_monotone_allocation
+from conftest import corpus_instances, random_instance, random_monotone_allocation
 
 
 def _dense_axis_rounding(table: np.ndarray, delta: float) -> np.ndarray:
@@ -34,6 +38,36 @@ def _dense_axis_rounding(table: np.ndarray, delta: float) -> np.ndarray:
             k[ell] += bump
             total[ell] += bump
     return ks * delta
+
+
+def _dense_gap(instance, alloc, delta):
+    """Reference: the gaps on the dense table's axes, as ``discretization_gap``
+    once took them: each bidder's bound broadcast along its own-type axis,
+    ``perceived_payment`` of the table and of its rounding, and
+    ``expected_revenue`` of the two robust payment rules."""
+    rounded, report = round_allocation(alloc, delta)
+    q_star, q_round = (pay.perceived_payment(a, instance) for a in (alloc, rounded))
+    gap = np.abs(q_star - q_round)
+    n, shape = instance.n, instance.shape
+    bound = np.empty((n, *shape))
+    for i in range(n):
+        z, view = instance.values(i), [1] * n
+        view[i] = shape[i]
+        bound[i] = (delta * (2 * z - z[0])).reshape(view)
+    assert (gap - bound).max() <= 1e-9
+    rev_star, rev_round = (
+        pay.expected_revenue(RobustPaymentRule(np.sqrt(pay.clamp(q, True))), instance)
+        for q in (q_star, q_round)
+    )
+    return replace(report, perceived_payment_gap=float(gap.max()),
+                   revenue_gap=abs(rev_star - rev_round))
+
+
+def _assert_same_report(got, want):
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+    assert got.residuals.shape == want.residuals.shape
+    assert (got.delta, got.max_abs_residual, got.perceived_payment_gap, got.revenue_gap) == (
+        want.delta, want.max_abs_residual, want.perceived_payment_gap, want.revenue_gap)
 
 
 class TestRoundAllocation:
@@ -152,7 +186,52 @@ class TestDiscretizationGap:
         discretization_gap(categorical_pair, mech.allocation, 0.05)
         assert [a for a in seen if a is mech.allocation] == [mech.allocation]
 
+    def test_matches_the_dense_arithmetic_on_random_tables(self):
+        """``discretization_tables`` on the dense space against the reference,
+        bit for bit, on random monotone feasible tables."""
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            inst = random_instance(rng, max_n=4)
+            alloc = ExPostAllocation(random_monotone_allocation(rng, inst))
+            for delta in (0.5, 0.1, 0.05):
+                _assert_same_report(discretization_gap(inst, alloc, delta),
+                                    _dense_gap(inst, alloc, delta))
+
+    def test_matches_the_dense_arithmetic_on_pipeline_tables(self):
+        for _, inst in corpus_instances(max_n=3):
+            for run in (heuristic_lb_rrm, pseudo_surplus_maximizer):
+                mech, _ = run(inst)
+                for delta in (0.5, 0.1, 0.05):
+                    _assert_same_report(discretization_gap(inst, mech.allocation, delta),
+                                        _dense_gap(inst, mech.allocation, delta))
+
     def test_rejects_table_of_another_shape(self, categorical_pair):
         table = ExPostAllocation(np.full((3, 2, 2, 2), 0.2))
         with pytest.raises(ValueError, match="does not match instance dimensions"):
             discretization_gap(categorical_pair, table, 0.1)
+
+
+def test_orbit_gaps_stay_within_their_bounds():
+    """On type-count orbits of random symmetric regular instances up to
+    n = 8, K = 4: residuals within delta, the payment gap within the largest
+    delta * (2 z_k - z_0), and a finite revenue gap."""
+    rng = np.random.default_rng(31)
+    spaces = []
+    while len(spaces) < 25:
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        values = np.cumsum(rng.uniform(0.1, 1.0, k)) - rng.choice([0.1, 0.0])
+        pmf = rng.uniform(0.1, 1.0, k)
+        space = OrbitSpace(symmetric_instance(
+            TypeSpace(values), DiscreteDistribution(pmf / pmf.sum()), n))
+        if all(space.virtual[1]):
+            spaces.append(space)
+    for space in spaces:
+        z = space.blocks[0].values
+        for run in (heuristic_lb_rrm_tables, pseudo_surplus_tables):
+            tables, _ = run(space)
+            for delta in (0.5, 0.1, 0.05):
+                report = discretization_tables(space, tables.x, delta)
+                assert report.residuals.shape == space.shape
+                assert report.max_abs_residual <= delta + 1e-12
+                assert report.perceived_payment_gap <= delta * (2 * z[-1] - z[0]) + 1e-9
+                assert math.isfinite(report.revenue_gap)

@@ -1,5 +1,6 @@
 """Allocation engines: pointwise winner selection, equi-marginal greedy,
-closed-form proportional shares, and the ex-ante closed form.
+closed-form proportional shares, and the ex-ante closed form, which
+returns the interim rule (an ``InterimAllocation``) proportional to phi^+.
 
 All engines treat a score of zero as "not competing": only strictly positive
 scores can receive supply, and when no score is positive the allocation is
@@ -44,14 +45,6 @@ class GreedyConfig:
     @property
     def steps(self) -> int:
         return grid_steps("epsilon", self.epsilon)
-
-
-@dataclass(frozen=True, eq=False)
-class ExAnteSolution:
-    """Interim allocation proportional to phi^+, plus its normalizer."""
-
-    interim: InterimAllocation
-    normalizer: float
 
 
 def pointwise_max(c) -> np.ndarray:
@@ -196,21 +189,18 @@ def closed_form_alloc_batch(scores: np.ndarray, alpha: float = 0.5, sizes=1) -> 
 
 def ex_ante_closed_form(
     instance: AuctionInstance, table: VirtualValueTable, truncate: bool
-) -> ExAnteSolution:
+) -> InterimAllocation:
     """Interim allocation proportional to phi^+, normalized by sum_i E[phi_i^+].
 
     The untruncated solution saturates the ex-ante supply constraint exactly;
     entries may exceed 1.  With ``truncate`` they are capped at 1 afterwards,
-    with no re-normalization (re-normalizing would change the bound).
+    with no re-normalization (re-normalizing would change the bound).  When
+    no phi_i^+ is positive the allocation is all zeros.
     """
-    expectations = [
-        float(instance.pmf(i) @ table.phi_plus[i]) for i in range(instance.n)
-    ]
-    normalizer = float(sum(expectations))
+    normalizer = float(sum(instance.pmf(i) @ table.phi_plus[i] for i in range(instance.n)))
     if normalizer <= 0:
-        interim = tuple(np.zeros(instance.shape[i]) for i in range(instance.n))
-        return ExAnteSolution(InterimAllocation(interim), 0.0)
+        return InterimAllocation(tuple(np.zeros(k) for k in instance.shape))
     interim = [table.phi_plus[i] / normalizer for i in range(instance.n)]
     if truncate:
         interim = [np.minimum(t, 1.0) for t in interim]
-    return ExAnteSolution(InterimAllocation(tuple(interim)), normalizer)
+    return InterimAllocation(tuple(interim))

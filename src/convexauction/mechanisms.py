@@ -245,8 +245,8 @@ def ex_ante_tables(
 ) -> tuple[Tables, MechanismReport]:
     """``ex_ante_relaxation`` on a profile space."""
     _, table, warnings = _virtual(space)
-    solution = ex_ante_closed_form(space.instance, table, truncate)
-    xhat = tuple(solution.interim.tables[b.bidder] for b in space.blocks)
+    interim = ex_ante_closed_form(space.instance, table, truncate)
+    xhat = tuple(interim.tables[b.bidder] for b in space.blocks)
     return _interim(space, xhat, warnings, ObjectiveKind.EX_ANTE_RELAXATION,
                     "ex_ante_relaxation" + ("_truncated" if truncate else ""))
 
@@ -318,13 +318,13 @@ def ex_ante_relaxation(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Objective values and bound-ordering checks for one mechanism."""
+    """Objective values and bound-ordering checks for one mechanism; the
+    heuristic lower bound is the objective of ``heuristic_lb_rrm``'s report."""
 
     revenue: float
     robust_pseudo_surplus: float
     bayesian_pseudo_surplus: float
     virtual_sqrt_upper: float
-    heuristic_lb_value: float
     per_bidder_revenue: tuple[float, ...]
     per_bidder_virtual_sqrt: tuple[float, ...]
     failures: tuple[str, ...]
@@ -341,6 +341,11 @@ def bound_tables(tables: Tables) -> BoundReport:
     a stored ``xhat`` is not read.  A block stands for ``block.count``
     bidders, so each per-bidder entry repeats its block's value that many
     times.
+
+    The robust pseudo-surplus never exceeds the Bayesian one, so that
+    ordering is stated here rather than checked: over one block's contexts c,
+    whose weights w_c sum to 1, Jensen gives sum_c w_c sqrt(v x_c) <=
+    sqrt(v sum_c w_c x_c) = sqrt(v x̂) for every table x.
     """
     if tables.x is None:
         raise ValueError("bound report needs an ex-post allocation")
@@ -350,8 +355,7 @@ def bound_tables(tables: Tables) -> BoundReport:
         raise ValueError("bounds are defined for quadratic perceived payments")
     space = tables.space
     xs = space.split(tables.x)
-    phi_plus, virtual, _ = _virtual(space)
-    phi = [virtual.phi[b.bidder] for b in space.blocks]
+    phi, _, _ = _virtual(space, plus=False)
     values = [b.values for b in space.blocks]
     xhat = space.collapse(xs)
     paid = space.collapse(space.split(tables.p)) if tables.p is not None else tables.h
@@ -361,22 +365,12 @@ def bound_tables(tables: Tables) -> BoundReport:
         per_bidder_rev += (float(b.pmf @ h),) * b.count
         per_bidder_sqrt += (float(np.sqrt(max(0.0, b.pmf @ u))),) * b.count
     revenue = float(sum(per_bidder_rev))
-
-    def sqrt_of(scores, mats):
-        return space.expect([np.sqrt(s[:, None] * m) for s, m in zip(scores, mats)])
-
-    robust_ps = sqrt_of(values, xs)
+    robust_ps = space.expect([np.sqrt(v[:, None] * x) for v, x in zip(values, xs)])
     bayes_ps = space.mean([np.sqrt(v * a) for v, a in zip(values, xhat)])
 
-    failures = []
     # IR caps p at sqrt(v x) at each profile; BIR caps h at sqrt(v x̂) only
-    if tables.p is not None:
-        if revenue > robust_ps + DEFAULT_TOL:
-            failures.append("revenue exceeds robust pseudo-surplus")
-    elif revenue > bayes_ps + DEFAULT_TOL:
-        failures.append("revenue exceeds Bayesian pseudo-surplus")
-    if robust_ps > bayes_ps + DEFAULT_TOL:
-        failures.append("robust pseudo-surplus exceeds Bayesian pseudo-surplus")
+    cap, which = (robust_ps, "robust") if tables.p is not None else (bayes_ps, "Bayesian")
+    failures = [f"revenue exceeds {which} pseudo-surplus"] if revenue > cap + DEFAULT_TOL else []
     for i, (rev, upper) in enumerate(zip(per_bidder_rev, per_bidder_sqrt)):
         if rev > upper + DEFAULT_TOL:
             failures.append(
@@ -387,7 +381,6 @@ def bound_tables(tables: Tables) -> BoundReport:
         robust_pseudo_surplus=robust_ps,
         bayesian_pseudo_surplus=bayes_ps,
         virtual_sqrt_upper=float(sum(per_bidder_sqrt)),
-        heuristic_lb_value=sqrt_of(phi_plus, xs),
         per_bidder_revenue=per_bidder_rev,
         per_bidder_virtual_sqrt=per_bidder_sqrt,
         failures=tuple(failures),
@@ -395,7 +388,7 @@ def bound_tables(tables: Tables) -> BoundReport:
 
 
 def bound_report(instance: AuctionInstance, mech: Mechanism) -> BoundReport:
-    """Evaluate the pseudo-surplus, sqrt-of-virtual-surplus, and heuristic bounds.
+    """Evaluate the pseudo-surplus and sqrt-of-virtual-surplus bounds.
 
     ``bound_tables`` of the mechanism's dense tables.  Revenue is bounded by
     the robust pseudo-surplus under ex-post payments and by the Bayesian one

@@ -5,7 +5,11 @@ index k is
 
     phi_k = z_k - (z_{k+1} - z_k) * (1 - F_k) / f_k,
 
-with the sentinel z_{K+1} = z_K, so phi_K = z_K exactly.  A phi within
+with the sentinel z_{K+1} = z_K, so phi_K = z_K exactly.  The mass above k,
+1 - F_k, is taken as written where F_k <= 1/2 and as f_{k+1} + ... + f_K,
+summed from the top, elsewhere: near the top 1 - F_k would cancel to
+rounding noise, and a hazard of noise over a tiny f_k can make a regular
+distribution read irregular (binomial:58,0.5).  A phi within
 1e-12 * max_k z_k of zero is exactly 0 (uniform:5's middle type computes
 +1.1e-16): a score of zero never wins supply, and rounding must not decide
 whether a type competes.  A bidder's distribution is regular when phi is
@@ -47,8 +51,9 @@ def virtual_values(instance: AuctionInstance) -> VirtualValueTable:
         gaps = instance.space(i).gaps
         f = instance.pmf(i)
         cdf = instance.dist(i).cdf
+        tail = np.where(cdf <= 0.5, 1.0 - cdf, np.append(np.cumsum(f[:0:-1])[::-1], 0.0))
         # gaps[-1] == 0 makes the hazard term vanish at the top type exactly.
-        p = z - gaps * (1.0 - cdf) / f
+        p = z - gaps * tail / f
         p[np.abs(p) <= 1e-12 * z[-1]] = 0.0  # z ascends from >= 0, so z[-1] = max|z|
         phi.append(p)
     plus = [np.maximum(p, 0.0) for p in phi]

@@ -249,25 +249,23 @@ class TestExAnte:
         table = virtual_values(categorical_pair)
         sol = ex_ante_closed_form(categorical_pair, table, truncate=False)
         # per bidder E[phi+] = 0.8 * 1.25 + 0.2 * 10 = 3, normalizer = 6
-        assert math.isclose(sol.normalizer, 6.0, abs_tol=1e-12)
-        np.testing.assert_allclose(sol.interim.tables[0], [1.25 / 6, 10 / 6], atol=1e-12)
-        assert sol.interim.is_monotone()
+        np.testing.assert_allclose(sol.tables[0], [1.25 / 6, 10 / 6], atol=1e-12)
+        assert sol.is_monotone()
 
     def test_truncation_caps_at_one(self, categorical_pair):
         table = virtual_values(categorical_pair)
         sol = ex_ante_closed_form(categorical_pair, table, truncate=True)
-        np.testing.assert_allclose(sol.interim.tables[0], [1.25 / 6, 1.0], atol=1e-12)
+        np.testing.assert_allclose(sol.tables[0], [1.25 / 6, 1.0], atol=1e-12)
 
     def test_single_type_self_normalizes(self):
         inst = single_type_instance(1.0, 1)
         sol = ex_ante_closed_form(inst, virtual_values(inst), truncate=False)
-        np.testing.assert_allclose(sol.interim.tables[0], [1.0])
+        np.testing.assert_allclose(sol.tables[0], [1.0])
 
     def test_zero_virtual_values_give_zero_solution(self):
         inst = single_type_instance(0.0, 2)
         sol = ex_ante_closed_form(inst, virtual_values(inst), truncate=False)
-        assert sol.normalizer == 0.0
-        for t in sol.interim.tables:
+        for t in sol.tables:
             np.testing.assert_allclose(t, 0.0)
 
     def test_untruncated_saturates_ex_ante_constraint(self):
@@ -276,7 +274,7 @@ class TestExAnte:
             inst = symmetric_instance(*space_dist, n)
             sol = ex_ante_closed_form(inst, virtual_values(inst), truncate=False)
             total = sum(
-                float(inst.pmf(i) @ sol.interim.tables[i]) for i in range(inst.n)
+                float(inst.pmf(i) @ sol.tables[i]) for i in range(inst.n)
             )
             assert math.isclose(total, 1.0, abs_tol=1e-9)
 

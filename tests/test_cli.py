@@ -710,6 +710,16 @@ class TestCommands:
         assert main(["check", str(mech_path), "--constraints", "xa"]) == 0
         assert capsys.readouterr().out.startswith("xa: pass")
 
+    def test_solve_check_roundtrip_on_a_binomial_heuristic(self, tmp_path, capsys):
+        """binomial:58,0.5 reads regular, so the heuristic's payments are not
+        clamped and its file passes every check."""
+        mech_path = tmp_path / "m.json"
+        assert main(["solve", "--dist", "binomial:58,0.5", "--n", "2",
+                     "--method", "heur_lb_cf", "--output", str(mech_path)]) == 0
+        assert "warning:" not in capsys.readouterr().out
+        assert main(["check", str(mech_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("method, golden", [
         ("exact_rrm", 5 * (1 + math.sqrt(2) / 2)),
         ("exact_brm", 5 * math.sqrt(3)),

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexauction import (
     AuctionInstance,
@@ -30,12 +32,22 @@ from convexauction.mechanisms import (
     Tables,
     bound_tables,
     ex_ante_tables,
+    heuristic_brm_tables,
     heuristic_lb_rrm_tables,
+    pseudo_surplus_tables,
     surplus_tables,
+    virtual_surplus_tables,
 )
 from convexauction.oracle import check, exact_tables
-from convexauction.spaces import OrbitSpace
-from conftest import corpus_instances, raised_heuristic_brm, single_type_instance
+from convexauction.spaces import DenseSpace, OrbitSpace, ProfileSpace
+from conftest import (
+    corpus_instances,
+    random_instance,
+    raised_heuristic_brm,
+    single_type_instance,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
 
 def two_value_uniform(lo: float, hi: float, n: int) -> AuctionInstance:
@@ -334,6 +346,66 @@ class TestBoundReport:
         space = OrbitSpace(symmetric_instance(*make_uniform(3), 3))
         with pytest.raises(ValueError, match=named):
             bound_tables(tables_of(space))
+
+
+def _random_space(rng, kind: str) -> ProfileSpace:
+    """A small random instance on a dense space, an orbit space (one class of
+    1 to 4 bidders) or two classes of 1 or 2 bidders each."""
+    if kind == "dense":
+        return DenseSpace(random_instance(rng))
+    bidder = random_instance(rng, max_n=1).bidders[0]
+    if kind == "orbit":
+        return OrbitSpace(AuctionInstance((bidder,) * int(rng.integers(1, 5))))
+    other = random_instance(rng, max_n=1).bidders[0]
+    classes = tuple(int(c) for c in rng.integers(1, 3, size=2))
+    return ProfileSpace(AuctionInstance((bidder,) * classes[0] + (other,) * classes[1]), classes)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "orbit", "classes"]))
+def test_robust_pseudo_surplus_never_exceeds_the_bayesian_one(seed, kind):
+    """Jensen, per block: the context weights sum to 1, so
+    sum_c w_c sqrt(v x_c) <= sqrt(v x̂) for any table x in [0, 1], monotone,
+    feasible or neither; ``bound_tables`` states this rather than checking it."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, kind)
+    x = rng.uniform(0.0, 1.0, size=space.shape)
+    x[rng.uniform(size=space.shape) < 0.2] = 0.0
+    rep = bound_tables(Tables(space, x, np.zeros(space.shape)))
+    assert rep.robust_pseudo_surplus <= rep.bayesian_pseudo_surplus * (1 + 1e-12)
+
+
+SCALED_PIPELINES = {
+    "surplus": (surplus_tables, 4),
+    "virtual_surplus": (virtual_surplus_tables, 4),
+    "pseudo_surplus_greedy": (lambda s: pseudo_surplus_tables(s, "greedy"), 2),
+    "pseudo_surplus_cf": (pseudo_surplus_tables, 2),
+    "heur_lb_greedy": (lambda s: heuristic_lb_rrm_tables(s, "greedy"), 2),
+    "heur_lb_cf": (heuristic_lb_rrm_tables, 2),
+    "heur_brm_greedy": (lambda s: heuristic_brm_tables(s, "greedy"), 2),
+    "heur_brm_cf": (heuristic_brm_tables, 2),
+    "ex_ante": (ex_ante_tables, 2),
+    "ex_ante_trunc": (lambda s: ex_ante_tables(s, True), 2),
+}
+
+
+@pytest.mark.parametrize("name", SCALED_PIPELINES)
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-20, 20),
+       kind=st.sampled_from(["dense", "orbit"]))
+def test_revenue_scales_with_the_values(name, seed, k, kind):
+    """Values 4^k z earn 2^k times the revenue at z under square-root payments,
+    and 4^k times under the linear ones: scale must not change which bidder
+    wins, which type is irregular or which payment is clamped."""
+    run, base = SCALED_PIPELINES[name]
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, kind)
+    scaled = AuctionInstance(tuple((TypeSpace(4.0**k * s.values), d)
+                                   for s, d in space.instance.bidders))
+    revenue = run(space)[1].revenue
+    expected = base**k * revenue
+    got = run(type(space)(scaled))[1].revenue
+    assert math.isclose(got, expected, rel_tol=1e-12), (got, expected)
 
 
 class TestVerificationByConstruction:

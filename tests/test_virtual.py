@@ -12,6 +12,7 @@ from convexauction import (
     heuristic_brm,
     heuristic_lb_rrm,
     is_regular,
+    make_binomial,
     make_categorical,
     make_uniform,
     symmetric_instance,
@@ -119,6 +120,15 @@ class TestRegularity:
         expected = z - gaps * (1 - cdf) / f
         np.testing.assert_allclose(table.phi[0], expected, atol=1e-12)
         assert is_regular(table) == (bool(np.all(np.diff(expected) >= 0)),)
+
+    @pytest.mark.parametrize("trials", [57, 58, 100, 300, 1000])
+    def test_binomial_half_is_regular(self, trials):
+        """binomial:t,0.5 is regular.  Near the top, 1 - F_k cancels to noise
+        over a tiny f_k (t = 58 and 100 read irregular that way); summed from
+        the top, the mass above k keeps phi rising.  t stays below 1,024, from
+        where dividing by the subnormal pmf of the end types overflows."""
+        inst = AuctionInstance((make_binomial(trials, 0.5),))
+        assert is_regular(virtual_values(inst)) == (True,)
 
     def test_irregular_case_detected(self):
         space = TypeSpace(np.array([1.0, 2.0, 3.0]))

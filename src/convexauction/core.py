@@ -234,17 +234,13 @@ class ExPostAllocation:
             raise ValueError("allocation entries must lie in [0, 1]")
         object.__setattr__(self, "table", arr)
 
-    @property
-    def n(self) -> int:
-        return int(self.table.shape[0])
-
     def is_feasible(self) -> bool:
         """Ex-post feasible: the bidders' shares sum to at most 1 everywhere."""
         return bool(np.all(self.table.sum(axis=0) <= 1 + DEFAULT_TOL))
 
     def is_monotone(self) -> bool:
         """Each bidder's share is non-decreasing in their own type."""
-        return all(np.all(np.diff(self.table[i], axis=i) >= -DEFAULT_TOL) for i in range(self.n))
+        return all(np.all(np.diff(t, axis=i) >= -DEFAULT_TOL) for i, t in enumerate(self.table))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,10 +21,11 @@ times further after a full step), evaluates each of its terms once, reading
 the slacks and payments from the line search's accepted trial, and
 assembles its matrix from the pairs of nonzeros that share a constraint or
 payment row (one ``bincount``); the Bayesian monotonicity and payment rows,
-dense over the contexts, are paired on the interim rule and applied through
-the collapse.  A step whose multipliers' bound already certifies builds no
-matrix.  The verifier checks IC a slice of contexts at a time.  The solver
-returns the better of its last iterate and that iterate rounded to the grid
+which act on the interim rule and so are dense over the contexts, add their
+term as one product of those rows of the constraint matrix.  A step whose
+multipliers' bound already certifies builds no matrix.  The verifier checks
+IC a slice of contexts at a time.  The solver returns the better of its last
+iterate and that iterate rounded to the grid
 (``discretization.round_table``, when it stays feasible).  It reports
 ``grid_slack`` as a certified gap: an upper bound on the optimum, from
 Lagrangian duality at the last iterate, minus the revenue of the returned
@@ -263,12 +264,10 @@ class _Blocks:
         """Perceived payments along each own-type chain (``payments.chain``, the
         payment characterization, on each block's identity) without zero rows (a
         lowest type worth 0), and the entries its rows price."""
-        coef, chains = np.zeros((self.hat_size, self.hat_size)), {}
+        coef = np.zeros((self.hat_size, self.hat_size))
         for b, at in zip(self.space.blocks, (self.own == 0).nonzero()[0]):
             k = len(b.values)
-            if id(b.values) not in chains:  # bidders of one type space share their chain
-                chains[id(b.values)] = pay.chain(np.eye(k), b.values, b.gaps)
-            coef[at : at + k, at : at + k] = chains[id(b.values)]
+            coef[at : at + k, at : at + k] = pay.chain(np.eye(k), b.values, b.gaps)
         rows, cols = coef.nonzero()
         return self._along(rows, cols, coef[rows, cols], hat)
 
@@ -306,10 +305,10 @@ class _Program:
     then the payments q, so with g = dR/dq the residual grad R - A^T mu of
     slack multipliers mu is the one product -G^T [mu; g] (``_system``).
 
-    The Newton matrix is assembled from pairs of nonzeros (``_gram``):
-    ``gram`` pairs the rows sparse on x, and in the Bayesian program, whose
-    monotonicity and payment rows act on x̂ = C x and are dense on x,
-    ``hat_gram`` pairs those rows on x̂, applied through C = ``lift``.
+    ``gram`` assembles the Newton matrix of the first ``paired`` rows of G
+    from pairs of their nonzeros (``_gram``).  The rows after them, the
+    Bayesian program's monotonicity and payment rows, act on x̂ = C x and
+    are dense on x; ``_system`` takes their term from G itself.
     """
 
     G: np.ndarray
@@ -319,8 +318,7 @@ class _Program:
     w: np.ndarray
     linear: bool
     gram: Callable[[np.ndarray], np.ndarray]
-    hat_gram: Callable[[np.ndarray], np.ndarray] | None
-    lift: np.ndarray | None
+    paired: int
 
     def z(self, x: np.ndarray) -> np.ndarray:
         """h - G x: the slacks s (first ``m`` entries), then the payments q."""
@@ -345,18 +343,16 @@ def _program(blk: _Blocks, mode: str) -> _Program:
     first = np.cumsum([0] + [p.shape[0] for p in pieces]).tolist()
     rows, cols, vals = (np.concatenate(a) for a in zip(*((p.rows + f, p.cols, p.vals)
                                                          for p, f in zip(pieces, first))))
-    on_x = 2 * size if hat else len(rows)  # entries on x; x >= 0 and supply hold one per cell
+    on_x = rows.searchsorted(first[2] if hat else first[-1])  # the entries on x
     G = _Sparse(rows[:on_x], cols[:on_x], vals[:on_x], (first[-1], size)).dense()
-    lift = blk.collapse().dense() if hat else None
-    if hat:
-        G[first[2] :] = _Sparse(rows[on_x:] - first[2], cols[on_x:], vals[on_x:],
-                                (first[-1] - first[2], blk.hat_size)).dense() @ lift
-    hat_gram = _gram(*(a[on_x:] for a in (rows, cols, vals)), blk.hat_size) if hat else None
+    if hat:  # C's one nonzero per column: the cell's chance, in its x̂ entry's row
+        on_hat = _Sparse(rows[on_x:] - first[2], cols[on_x:], vals[on_x:],
+                         (first[-1] - first[2], blk.hat_size)).dense()
+        G[first[2] :] = on_hat[:, blk.x[0]] * blk.chance
     h = np.repeat([0.0, 1.0, 0.0, 0.0], np.diff(first))
-    gram = _gram(*(a[: on_x - len(chain.rows) if linear else on_x]
-                   for a in (rows, cols, vals)), size)
-    return _Program(G, h, first[3], first[:4], blk.weights(hat)[priced], linear, gram, hat_gram,
-                    lift)
+    paired = first[2] if hat else first[3 if linear else 4]
+    gram = _gram(*(a[: rows.searchsorted(paired)] for a in (rows, cols, vals)), size)
+    return _Program(G, h, first[3], first[:4], blk.weights(hat)[priced], linear, gram, paired)
 
 
 def _reach(level: np.ndarray, fall: np.ndarray) -> float:
@@ -389,10 +385,11 @@ def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: fl
         H = A^T diag(lam / s) A + Q^T diag(g / (2 q)) Q,  rhs = r(1 / (t s))
 
     with A = G[:m] and Q = -G[m:] (no Q term when linear), assembled from the
-    program's pair lists, row curvature times pair coefficient.  The step's t
-    is factor * m / max(lam.s, box), or the previous t if larger: lam.s alone
-    can reach zero while the residual part stays, and a falling t lets full
-    steps cycle.
+    program's pair lists, row curvature times pair coefficient, for its first
+    ``paired`` rows, and as G_r^T diag(curvature) G_r for the rows G_r after
+    them, dense on x.  The step's t is factor * m / max(lam.s, box), or the
+    previous t if larger: lam.s alone can reach zero while the residual part
+    stays, and a falling t lets full steps cycle.
     """
     m, w = prog.m, prog.w
     s, q = z[:m], z[m:]
@@ -411,9 +408,9 @@ def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: fl
     if _closes(value, value + dual + box):
         return value, r, dual + box, t, None, None, None
     inv = 1 / (t * s)
-    H = prog.gram(curv)
-    if prog.lift is not None:
-        H += prog.lift.T @ (prog.hat_gram(curv) @ prog.lift)
+    H, dense = prog.gram(curv), prog.G[prog.paired : len(curv)]
+    if len(dense):
+        H += dense.T @ (curv[prog.paired :, None] * dense)
     return value, r, dual + box, t, inv, H, r(inv)
 
 
@@ -460,9 +457,9 @@ def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:
         # Scaled to a unit diagonal, plus a ridge: where a linear program's
         # optimal face is not a point, H is singular in floating point near
         # the optimum.  Entries below 1e-100 are flushed to zero: in skewed
-        # orbit programs the collapse term holds entries down to 1e-300, and
-        # LU on subnormal numbers is several times slower.  The bound below
-        # holds whatever step is taken.
+        # orbit programs the Bayesian rows' term holds entries down to
+        # 1e-300, and LU on subnormal numbers is several times slower.  The
+        # bound below holds whatever step is taken.
         d = 1 / np.sqrt(H.diagonal())
         H *= d[:, None] * d
         H[np.abs(H) < 1e-100] = 0.0

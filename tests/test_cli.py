@@ -831,6 +831,25 @@ class TestCommands:
         assert code == 2
         assert err.startswith("error: bad distribution spec 'binomial:1030,0.5': 1030 trials")
 
+    @pytest.mark.parametrize("trials, p", [(1024, 0.5), (590, 0.7), (309, 0.9)])
+    def test_solve_refuses_virtual_values_that_overflow(self, tmp_path, capsys, trials, p):
+        """At the first t whose lowest type's hazard term overflows, ``solve``
+        prints one error line naming the bidder and the type and exits 2, and
+        ``experiment`` writes no CSV; one trial fewer solves with no warning."""
+        assert main(["solve", "--dist", f"binomial:{trials},{p}", "--n", "1",
+                     "--method", "ex_ante"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: bidder 0's virtual value at type 0 overflows: its pmf entry ")
+        csv_path = tmp_path / "e.csv"
+        assert main(["experiment", "--dist", f"binomial:{trials},{p}", "--bidders", "1..1",
+                     "--methods", "heur_lb_cf", "--no-timing", "--output", str(csv_path)]) == 2
+        assert not csv_path.exists() and capsys.readouterr().err.startswith("error: bidder 0")
+        assert main(["solve", "--dist", f"binomial:{trials - 1},{p}", "--n", "1",
+                     "--method", "ex_ante"]) == 0
+        out, err = capsys.readouterr()
+        assert "warning:" not in out + err and err == ""
+
     def test_check_rejects_nan_mechanism_file(self, tmp_path, capsys):
         import json
 

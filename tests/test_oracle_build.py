@@ -4,7 +4,9 @@
 reference below builds each piece block by block, each entry broadcast along
 the contexts and the entries sorted afterwards, as the solver once did.
 Every piece, and the programs composed from them, must agree bit for bit,
-and the exported programs byte for byte.
+and the exported programs byte for byte; the Newton term of the Bayesian
+rows, which the solver takes from G, must agree with the reference's pairs
+on x̂, lifted through the collapse, within rounding.
 """
 
 import hashlib
@@ -168,9 +170,14 @@ def test_layout_pieces_and_programs_match_the_per_block_build(space):
         assert _same(prog.G, G) and _same(prog.h, h) and prog.m == m and _same(prog.w, w), mode
         assert _same(prog.gram(c), gram(c)), mode
         if mode == "brm":
-            assert _same(prog.lift, lift) and _same(prog.hat_gram(c), hat_gram(c))
+            # the Newton term of the rows on x̂, read off G's dense rows; the
+            # reference pairs them on x̂ by absolute row and lifts through C
+            dense = prog.G[prog.paired :]
+            term = dense.T @ (c[prog.paired : len(prog.G), None] * dense)
+            want = lift.T @ hat_gram(c) @ lift
+            assert np.abs(term - want).max() <= 1e-12 * np.abs(want).max()
         else:
-            assert prog.lift is None and prog.hat_gram is None
+            assert prog.paired == (m if mode == "rrm_linear" else len(G))
 
 
 # sha256 of each exported program, as the per-block build printed it

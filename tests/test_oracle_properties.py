@@ -134,3 +134,29 @@ def test_orbit_revenues_are_ordered_within_certified_gaps(instance):
     assert heur_rrm.revenue <= rrm.revenue + _certified(rrm)
     assert rrm.revenue <= brm.revenue + _certified(brm)
     assert heur_brm.revenue <= brm.revenue + _certified(brm)
+
+
+@st.composite
+def spaces(draw):
+    """``regular_instances`` on the dense space, or ``orbit_instances`` on
+    the orbit space."""
+    if draw(st.booleans()):
+        return DenseSpace(draw(regular_instances()))
+    return OrbitSpace(draw(orbit_instances()))
+
+
+@PROPERTY_SETTINGS
+@given(spaces(), st.integers(-40, 40))
+def test_exact_revenue_scales_with_the_values_within_gaps(space, e):
+    """Revenue is homogeneous of degree 1/2 in the values: at c z, with
+    c = 2^e, both modes certify, and R(c z) / sqrt(c) is R(z) within the
+    gaps, the scaled one divided by sqrt(c) too."""
+    c = 2.0**e
+    scaled = type(space)(AuctionInstance(tuple((TypeSpace(c * s.values), d)
+                                               for s, d in space.instance.bidders)))
+    for mode in ("rrm", "brm"):
+        _, base = exact_tables(space, CONFIG, mode)
+        _, moved = exact_tables(scaled, CONFIG, mode)
+        root = math.sqrt(c)
+        assert abs(moved.revenue / root - base.revenue) <= (_certified(moved) / root
+                                                            + _certified(base)), mode

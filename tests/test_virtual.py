@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,9 +127,23 @@ class TestRegularity:
         """binomial:t,0.5 is regular.  Near the top, 1 - F_k cancels to noise
         over a tiny f_k (t = 58 and 100 read irregular that way); summed from
         the top, the mass above k keeps phi rising.  t stays below 1,024, from
-        where dividing by the subnormal pmf of the end types overflows."""
+        where dividing by the subnormal pmf of the lowest type overflows and
+        is refused."""
         inst = AuctionInstance((make_binomial(trials, 0.5),))
         assert is_regular(virtual_values(inst)) == (True,)
+
+    @pytest.mark.parametrize("trials, p", [(1024, 0.5), (590, 0.7), (309, 0.9)])
+    def test_hazard_past_the_float_range_is_refused(self, trials, p):
+        """From these t the lowest type's pmf is so small that gap * tail / f
+        overflows: refused, naming the bidder, the type and its pmf entry; at
+        one trial fewer every phi is finite."""
+        space, dist = make_binomial(trials, p)
+        message = (f"bidder 1's virtual value at type 0 overflows: its pmf entry "
+                   f"{float(dist.pmf[0])!r} is too small")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            virtual_values(AuctionInstance((make_uniform(2), (space, dist))))
+        below = virtual_values(AuctionInstance((make_binomial(trials - 1, p),)))
+        assert np.isfinite(below.phi[0]).all()
 
     def test_irregular_case_detected(self):
         space = TypeSpace(np.array([1.0, 2.0, 3.0]))

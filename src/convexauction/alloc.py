@@ -187,20 +187,24 @@ def closed_form_alloc_batch(scores: np.ndarray, alpha: float = 0.5, sizes=1) -> 
     return out
 
 
-def ex_ante_closed_form(
-    instance: AuctionInstance, table: VirtualValueTable, truncate: bool
-) -> InterimAllocation:
-    """Interim allocation proportional to phi^+, normalized by sum_i E[phi_i^+].
+def ex_ante_shares(phi_plus, normalizer: float, truncate: bool) -> list[np.ndarray]:
+    """Interim shares proportional to each phi^+ vector, over ``normalizer`` = sum_i E[phi_i^+].
 
     The untruncated solution saturates the ex-ante supply constraint exactly;
     entries may exceed 1.  With ``truncate`` they are capped at 1 afterwards,
     with no re-normalization (re-normalizing would change the bound).  When
     no phi_i^+ is positive the allocation is all zeros.
     """
-    normalizer = float(sum(instance.pmf(i) @ table.phi_plus[i] for i in range(instance.n)))
     if normalizer <= 0:
-        return InterimAllocation(tuple(np.zeros(k) for k in instance.shape))
-    interim = [table.phi_plus[i] / normalizer for i in range(instance.n)]
-    if truncate:
-        interim = [np.minimum(t, 1.0) for t in interim]
-    return InterimAllocation(tuple(interim))
+        return [np.zeros(len(v)) for v in phi_plus]
+    interim = [v / normalizer for v in phi_plus]
+    return [np.minimum(t, 1.0) for t in interim] if truncate else interim
+
+
+def ex_ante_closed_form(
+    instance: AuctionInstance, table: VirtualValueTable, truncate: bool
+) -> InterimAllocation:
+    """``ex_ante_shares`` per bidder of ``instance``: the dense view of the rule
+    that ``mechanisms.ex_ante_tables`` applies once per block."""
+    normalizer = float(sum(instance.pmf(i) @ table.phi_plus[i] for i in range(instance.n)))
+    return InterimAllocation(tuple(ex_ante_shares(table.phi_plus, normalizer, truncate)))

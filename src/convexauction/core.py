@@ -113,10 +113,10 @@ class AuctionInstance:
     bidders: tuple[tuple[TypeSpace, DiscreteDistribution], ...]
 
     def __post_init__(self):
-        bidders = tuple(tuple(b) for b in self.bidders)
+        bidders = tuple(map(tuple, self.bidders))
         if not bidders:
             raise ValueError("instance needs at least one bidder")
-        for space, dist in bidders:
+        for space, dist in set(bidders):
             if space.size != dist.pmf.size:
                 raise ValueError("type space and pmf lengths differ")
         object.__setattr__(self, "bidders", bidders)
@@ -169,7 +169,7 @@ def symmetric_instance(
     """n identical bidders sharing one type space and pmf."""
     if n < 1:
         raise ValueError("need at least one bidder")
-    return AuctionInstance(tuple((space, dist) for _ in range(n)))
+    return AuctionInstance(((space, dist),) * n)
 
 
 # ---------------------------------------------------------------------------

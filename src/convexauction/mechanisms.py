@@ -30,13 +30,8 @@ from functools import partial
 import numpy as np
 
 from . import payments as pay
-from .alloc import (
-    GreedyConfig,
-    closed_form_alloc_batch,
-    eqp_solver_batch,
-    ex_ante_closed_form,
-    pointwise_max_batch,
-)
+from .alloc import (GreedyConfig, closed_form_alloc_batch, eqp_solver_batch, ex_ante_shares,
+                    pointwise_max_batch)
 from .core import (
     DEFAULT_TOL,
     AuctionInstance,
@@ -49,6 +44,7 @@ from .core import (
 )
 from .spaces import DenseSpace, ProfileSpace
 # these stay importable here: perfbench/tracing.py wraps them at these names
+from .alloc import ex_ante_closed_form  # noqa: F401
 from .virtual import is_regular, virtual_values, virtual_values_matrix  # noqa: F401
 
 
@@ -156,13 +152,13 @@ def _support(space, alloc, perceived, warnings, what="allocation"):
 
 
 def _virtual(space: ProfileSpace, plus: bool = True):
-    """Virtual values (or their positive part) per block, the instance's
-    virtual value table, and a warning naming any irregular bidders."""
+    """Virtual values (or their positive part) per block, and a warning naming
+    every bidder of each irregular block, as the dense space names them."""
     table, regular = space.virtual
-    bad = [str(i) for i, ok in enumerate(regular) if not ok]
+    bad = [str(i) for b, ok in zip(space.blocks, regular) if not ok
+           for i in range(b.bidder, b.bidder + b.count)]
     warnings = ("irregular distribution for bidder(s) " + ", ".join(bad),) if bad else ()
-    scores = [(table.phi_plus if plus else table.phi)[b.bidder] for b in space.blocks]
-    return scores, table, warnings
+    return table.phi_plus if plus else table.phi, warnings
 
 
 def _robust(space, scores, engine, perceived, kind, provenance, warnings=(), value=None):
@@ -215,7 +211,7 @@ def pseudo_surplus_tables(
 
 def virtual_surplus_tables(space: ProfileSpace) -> tuple[Tables, MechanismReport]:
     """``virtual_surplus_maximizer`` on a profile space."""
-    phi, _, warnings = _virtual(space, plus=False)
+    phi, warnings = _virtual(space, plus=False)
     return _robust(space, phi, pointwise_max_batch, "linear",
                    ObjectiveKind.REVENUE_ROBUST, "virtual_surplus_maximizer", warnings)
 
@@ -224,7 +220,7 @@ def heuristic_lb_rrm_tables(
     space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
 ) -> tuple[Tables, MechanismReport]:
     """``heuristic_lb_rrm`` on a profile space."""
-    phi_plus, _, warnings = _virtual(space)
+    phi_plus, warnings = _virtual(space)
     return _robust(space, phi_plus, _engine(method, config), "quadratic",
                    ObjectiveKind.HEURISTIC_LOWER_BOUND, f"heuristic_lb_rrm[{method}]",
                    warnings, value=np.sqrt)
@@ -234,19 +230,17 @@ def heuristic_brm_tables(
     space: ProfileSpace, method: str = "closed_form", config: GreedyConfig = GreedyConfig()
 ) -> tuple[Tables, MechanismReport]:
     """``heuristic_brm`` on a profile space."""
-    phi_plus, _, warnings = _virtual(space)
+    phi_plus, warnings = _virtual(space)
     x = _allocate(space, phi_plus, _engine(method, config))
     return _interim(space, space.collapse(space.split(x)), warnings,
                     ObjectiveKind.REVENUE_BAYESIAN, f"heuristic_brm[{method}]", x)
 
 
-def ex_ante_tables(
-    space: ProfileSpace, truncate: bool = False
-) -> tuple[Tables, MechanismReport]:
-    """``ex_ante_relaxation`` on a profile space."""
-    _, table, warnings = _virtual(space)
-    interim = ex_ante_closed_form(space.instance, table, truncate)
-    xhat = tuple(interim.tables[b.bidder] for b in space.blocks)
+def ex_ante_tables(space: ProfileSpace, truncate: bool = False) -> tuple[Tables, MechanismReport]:
+    """``ex_ante_relaxation`` on a profile space: ``ex_ante_shares`` per
+    block, normalized by the sum over bidders of E[phi^+] (``space.mean``)."""
+    phi_plus, warnings = _virtual(space)
+    xhat = ex_ante_shares(phi_plus, space.mean(phi_plus), truncate)
     return _interim(space, xhat, warnings, ObjectiveKind.EX_ANTE_RELAXATION,
                     "ex_ante_relaxation" + ("_truncated" if truncate else ""))
 
@@ -355,7 +349,7 @@ def bound_tables(tables: Tables) -> BoundReport:
         raise ValueError("bounds are defined for quadratic perceived payments")
     space = tables.space
     xs = space.split(tables.x)
-    phi, _, _ = _virtual(space, plus=False)
+    phi, _ = _virtual(space, plus=False)
     values = [b.values for b in space.blocks]
     xhat = space.collapse(xs)
     paid = space.collapse(space.split(tables.p)) if tables.p is not None else tables.h

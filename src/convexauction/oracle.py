@@ -523,7 +523,7 @@ def _solve(
     # moved toward the closed-form phi+ heuristic: half way, or half the
     # longest step that keeps every slack row and priced payment positive if
     # that is shorter (on irregular instances the heuristic is not monotone)
-    phi_plus, _, _ = _virtual(space)
+    phi_plus, _ = _virtual(space)
     toward = _allocate(space, phi_plus, _engine("closed_form")).ravel() - start
     beta = min(0.5, 0.5 * _reach(prog.z(start), prog.G @ toward))
     x, bound, steps = _barrier(prog, start + beta * toward)

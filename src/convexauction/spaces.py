@@ -86,7 +86,8 @@ class ProfileSpace:
         for i, size in zip(firsts, classes):
             space, dist = instance.bidders[i]
             if not all(np.array_equal(s.values, space.values) and np.array_equal(d.pmf, dist.pmf)
-                       for s, d in instance.bidders[i + 1 : i + size]):
+                       # only other objects: symmetric_instance shares one pair
+                       for s, d in set(instance.bidders[i + 1 : i + size]) - {(space, dist)}):
                 raise ValueError("a class needs identically distributed bidders")
         self.instance, self.classes, self._firsts = instance, classes, firsts
         self._types = [instance.space(i).size for i in firsts]
@@ -223,8 +224,9 @@ class ProfileSpace:
 
     @cached_property
     def virtual(self) -> tuple[VirtualValueTable, tuple[bool, ...]]:
-        """The instance's virtual values and each bidder's regularity."""
-        table = virtual_values(self.instance)
+        """phi and phi^+ per block, and its regularity: one K-vector per class,
+        its first bidder's, which is bit for bit each of its bidders' own."""
+        table = virtual_values(self.instance, self._firsts)
         return table, is_regular(table)
 
     def supply(self, table: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from .core import AuctionInstance, _frozen_array
 
 @dataclass(frozen=True, eq=False)
 class VirtualValueTable:
-    """phi and phi^+ = max(phi, 0) per bidder; ragged per bidder."""
+    """phi and phi^+ = max(phi, 0), one vector per bidder (or per class); ragged."""
 
     phi: tuple[np.ndarray, ...]
     phi_plus: tuple[np.ndarray, ...]
@@ -43,14 +43,15 @@ class VirtualValueTable:
         )
 
 
-def virtual_values(instance: AuctionInstance) -> VirtualValueTable:
-    """Virtual value table for every bidder and type index.
+def virtual_values(instance: AuctionInstance, bidders=None) -> VirtualValueTable:
+    """Virtual value table for each of ``bidders`` (every bidder by default),
+    in order; a profile space passes its classes' first bidders.
 
     phi^+ is precomputed alongside phi because several pipelines consume it.
     """
     phi = []
     with np.errstate(over="ignore"):  # a hazard term past the float range is refused below
-        for i in range(instance.n):
+        for i in range(instance.n) if bidders is None else bidders:
             z = instance.values(i)
             gaps = instance.space(i).gaps
             f = instance.pmf(i)
@@ -58,19 +59,18 @@ def virtual_values(instance: AuctionInstance) -> VirtualValueTable:
             tail = np.where(cdf <= 0.5, 1.0 - cdf, np.append(np.cumsum(f[:0:-1])[::-1], 0.0))
             # gaps[-1] == 0 makes the hazard term vanish at the top type exactly.
             p = z - gaps * tail / f
+            if not np.isfinite(p).all():
+                k = int(np.isfinite(p).argmin())
+                raise ValueError(f"bidder {i}'s virtual value at type {k} overflows: its pmf "
+                                 f"entry {float(f[k])!r} is too small")
             p[np.abs(p) <= 1e-12 * z[-1]] = 0.0  # z ascends from >= 0, so z[-1] = max|z|
             phi.append(p)
-    if not np.isfinite(np.concatenate(phi)).all():
-        i = next(i for i, p in enumerate(phi) if not np.isfinite(p).all())
-        k = int(np.isfinite(phi[i]).argmin())
-        raise ValueError(f"bidder {i}'s virtual value at type {k} overflows: its pmf entry "
-                         f"{float(instance.pmf(i)[k])!r} is too small")
     plus = [np.maximum(p, 0.0) for p in phi]
     return VirtualValueTable(tuple(phi), tuple(plus))
 
 
 def is_regular(table: VirtualValueTable) -> tuple[bool, ...]:
-    """True per bidder iff phi is non-decreasing across type indices."""
+    """True per entry of ``table`` iff its phi is non-decreasing across type indices."""
     return tuple(bool(np.all(np.diff(p) >= 0)) for p in table.phi)
 
 

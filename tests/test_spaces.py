@@ -1,9 +1,11 @@
 """Dense, orbit and class profile spaces: same numbers, and an orbit verifier that fails."""
 
+import contextlib
 import csv
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -529,11 +531,78 @@ def test_greedy_methods_at_twenty_bidders_verify_at_default_epsilon(tmp_path):
     assert all(r["verified"] == "true" for r in rows)
 
 
+_SHARED = make_uniform(3)[0]  # one type space, given two pmfs below
+
+
 @pytest.mark.parametrize("instance, classes, message", [
     (symmetric_instance(*make_uniform(3), 3), (2, 2), "classes must split the bidders"),
     (symmetric_instance(*make_uniform(3), 3), (3, 0), "classes must split the bidders"),
     (AuctionInstance((make_uniform(3), make_uniform(2))), (2,), "identically distributed"),
-], ids=["too-many", "empty-class", "mixed-class"])
+    (AuctionInstance((make_uniform(3), make_uniform(3))), (2,), None),
+    (AuctionInstance(((_SHARED, DiscreteDistribution(np.full(3, 1 / 3))),
+                      (_SHARED, DiscreteDistribution(np.array([0.2, 0.3, 0.5]))))),
+     (2,), "identically distributed"),
+], ids=["too-many", "empty-class", "mixed-class", "equal-objects", "shared-space-other-pmf"])
 def test_profile_space_rejects_classes_that_are_not_runs(instance, classes, message):
-    with pytest.raises(ValueError, match=message):
+    """A class is a run of identically distributed bidders: distinct objects
+    holding equal arrays make one, a shared type space with another pmf not."""
+    with pytest.raises(ValueError, match=message) if message else contextlib.nullcontext():
         ProfileSpace(instance, classes)
+
+
+def test_virtual_values_are_held_once_per_class():
+    """A class of 10^5 bidders holds one phi, bit for bit the one-bidder
+    table's, and its ex-ante rows and their check read the block alone,
+    never the layout; each class of a two-class space holds its first
+    bidder's phi."""
+    space = OrbitSpace(symmetric_instance(*make_uniform(5), 10**5))
+    table, regular = space.virtual
+    one = virtual_values(symmetric_instance(*make_uniform(5), 1))
+    assert regular == (True,)
+    for got, want in ((table.phi, one.phi), (table.phi_plus, one.phi_plus)):
+        assert len(got) == 1 and got[0].tobytes() == want[0].tobytes()
+    for truncate in (False, True):
+        tables, _ = ex_ante_tables(space, truncate)
+        assert all(c.passed for c in check(tables).values())
+    assert not {"index", "profiles", "weights"} & set(vars(space))
+    instance = AuctionInstance((make_uniform(5),) * 2 + (make_binomial(4, 0.5),) * 3)
+    per_bidder = virtual_values(instance).phi
+    got = ProfileSpace(instance, (2, 3)).virtual[0].phi
+    assert [p.tobytes() for p in got] == [per_bidder[0].tobytes(), per_bidder[2].tobytes()]
+
+
+def test_orbit_ex_ante_revenue_at_a_hundred_thousand_bidders_is_within_two_ulps():
+    """uniform:5 has phi^+ = (0, 0, 0, 1/2, 1) and E[phi^+] = 3/10, so x̂ =
+    (0, 0, 0, 5, 10) / (3n), its chain payments q = (0, 0, 0, 5/4, 35/12) / n
+    and the revenue n sum_k f_k sqrt(q_k) = sqrt(n) (sqrt(5/4) + sqrt(35/12)) / 5.
+    The normalizer n E[phi^+], a product rather than a sum of n equal terms,
+    keeps it within 2 ulps (the sum read 178.72302309226623, 8.2e-13 off)."""
+    n = 10**5
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Decimal(n).sqrt() * ((Decimal(5) / 4).sqrt() + (Decimal(35) / 12).sqrt()) / 5
+        space = OrbitSpace(symmetric_instance(*make_uniform(5), n))
+        for truncate in (False, True):
+            revenue = ex_ante_tables(space, truncate)[1].revenue
+            assert abs(Decimal(revenue) - exact) <= 2 * Decimal(np.spacing(float(exact))), revenue
+
+
+_RARE_MIDDLE = (TypeSpace(np.array([1.0, 2.0, 3.0])),
+                DiscreteDistribution(np.array([0.475, 0.05, 0.475])))
+
+
+@pytest.mark.parametrize("run", [
+    virtual_surplus_tables, heuristic_lb_rrm_tables, heuristic_brm_tables, ex_ante_tables,
+    lambda space: ex_ante_tables(space, True),
+], ids=["virtual_surplus", "heur_lb", "heur_brm", "ex_ante", "ex_ante_trunc"])
+def test_irregular_warning_names_every_bidder_a_block_stands_for(run):
+    """A rare middle type makes a bidder irregular: three such bidders warn
+    alike on the orbit and the dense space, and a class space names each
+    bidder of its irregular class."""
+    instance = symmetric_instance(*_RARE_MIDDLE, 3)
+    dense = run(DenseSpace(instance))[1].warnings
+    assert "irregular distribution for bidder(s) 0, 1, 2" in dense
+    assert run(OrbitSpace(instance))[1].warnings == dense
+    mixed = AuctionInstance((make_uniform(3),) * 2 + (_RARE_MIDDLE,) * 3)
+    assert "irregular distribution for bidder(s) 2, 3, 4" in run(
+        ProfileSpace(mixed, (2, 3)))[1].warnings

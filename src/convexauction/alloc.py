@@ -169,21 +169,20 @@ def eqp_solver_batch(scores: np.ndarray, config: GreedyConfig = GreedyConfig(),
     return out
 
 
-def closed_form_alloc(c, alpha: float = 0.5) -> np.ndarray:
-    """Optimal shares (c_j^+)^(a/(1-a)) / sum_i (c_i^+)^(a/(1-a)); zeros if no c_i > 0."""
-    return closed_form_alloc_batch(np.asarray(c, dtype=np.float64)[None, :], alpha)[0]
+def closed_form_alloc(c) -> np.ndarray:
+    """Optimal shares c_j^+ / sum_i c_i^+ of sum_i sqrt(c_i^+ x_i) on the
+    simplex; zeros if no c_i > 0."""
+    return closed_form_alloc_batch(np.asarray(c, dtype=np.float64)[None, :])[0]
 
 
-def closed_form_alloc_batch(scores: np.ndarray, alpha: float = 0.5, sizes=1) -> np.ndarray:
+def closed_form_alloc_batch(scores: np.ndarray, *, sizes=1) -> np.ndarray:
     """Row-wise proportional closed form over a (profiles x groups) matrix: the
-    total is sum_j size_j (c_j^+)^(a/(1-a))."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly in (0, 1)")
+    total is sum_j size_j c_j^+."""
     scores = np.asarray(scores, dtype=np.float64)
-    powered = np.maximum(scores, 0.0) ** (alpha / (1.0 - alpha))
-    totals = (sizes * powered).sum(axis=1, keepdims=True)
+    positive = np.maximum(scores, 0.0)
+    totals = (sizes * positive).sum(axis=1, keepdims=True)
     out = np.zeros_like(scores)
-    np.divide(powered, totals, out=out, where=totals > 0)
+    np.divide(positive, totals, out=out, where=totals > 0)
     return out
 
 

@@ -153,10 +153,18 @@ def _support(space, alloc, perceived, warnings, what="allocation"):
 
 def _virtual(space: ProfileSpace, plus: bool = True):
     """Virtual values (or their positive part) per block, and a warning naming
-    every bidder of each irregular block, as the dense space names them."""
+    each run of consecutive irregular bidders as ``a-b`` (a lone bidder as
+    ``a``), alike on every space: its length grows with the classes, not n."""
     table, regular = space.virtual
-    bad = [str(i) for b, ok in zip(space.blocks, regular) if not ok
-           for i in range(b.bidder, b.bidder + b.count)]
+    runs: list[list[int]] = []  # [first, last] irregular bidder of each run
+    for b, ok in zip(space.blocks, regular):
+        if ok:
+            continue
+        if runs and runs[-1][1] == b.bidder - 1:
+            runs[-1][1] = b.bidder + b.count - 1
+        else:
+            runs.append([b.bidder, b.bidder + b.count - 1])
+    bad = [str(a) if a == z else f"{a}-{z}" for a, z in runs]
     warnings = ("irregular distribution for bidder(s) " + ", ".join(bad),) if bad else ()
     return table.phi_plus if plus else table.phi, warnings
 

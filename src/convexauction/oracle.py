@@ -18,11 +18,10 @@ moved toward the closed-form phi+ heuristic as far as stays strictly inside.
 Each Newton step updates the allocation and the constraints' multipliers
 together, raises the barrier parameter t from the current duality gap (ten
 times further after a full step), evaluates each of its terms once, reading
-the slacks and payments from the line search's accepted trial, and
-assembles its matrix from the pairs of nonzeros that share a constraint or
-payment row (one ``bincount``); the Bayesian monotonicity and payment rows,
-which act on the interim rule and so are dense over the contexts, add their
-term as one product of those rows of the constraint matrix.  A step whose
+the slacks and payments from the line search's accepted trial, and forms
+its matrix as one product of the dense constraint and payment rows, each
+scaled by its curvature (the Bayesian monotonicity and payment rows act on
+the interim rule and so are dense over the contexts).  A step whose
 multipliers' bound already certifies builds no matrix.  The verifier checks
 IC a slice of contexts at a time.  The solver returns the better of its last
 iterate and that iterate rounded to the grid
@@ -38,7 +37,6 @@ finite are refused with an explanation.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -210,8 +208,8 @@ class _Blocks:
     per block on its own types, applied along every context, and supply adds
     each cell, times its ``multiplicity``, to its ``profile``'s row.  All
     are read in (row, column) order off one layout of the space's ``index``.
-    The solver scatters them into G and pairs their nonzeros (``_gram``); the
-    exporter prints them: each constraint defined once, exports sized by their text.
+    The solver stacks them, dense, into G; the exporter prints their
+    nonzeros: each constraint defined once, exports sized by their text.
     """
 
     def __init__(self, space: ProfileSpace):
@@ -283,32 +281,16 @@ class _Blocks:
         return per_type if hat else per_type[self.x[0]] * self.chance
 
 
-def _gram(rows, cols, vals, width: int) -> Callable[[np.ndarray], np.ndarray]:
-    """c -> M.T @ diag(c) @ M for M of nonzeros (rows, cols, vals) sorted by row, from
-    the pairs of nonzeros that share a row: entry (i, j) sums c[r] m[r, i] m[r, j]."""
-    count = np.bincount(rows)
-    start, per = count.cumsum() - count, count * count
-    # pair k of row r is its entries k // count[r] and k % count[r]
-    row = np.arange(len(count)).repeat(per)
-    k = np.arange(len(row)) - (per.cumsum() - per).repeat(per)
-    a = start[row] + k // count[row]
-    b = start[row] + k % count[row]
-    flat, coef = cols[a] * width + cols[b], vals[a] * vals[b]
-    return lambda c: np.bincount(flat, coef * c[row], width * width).reshape(width, width)
-
-
 @dataclass(frozen=True)
 class _Program:
     """maximize w . sqrt(q) (w . q if linear) over the allocation table x,
     flattened in its space's order, subject to s >= 0: z = h - G x stacks
     the slacks s (first ``m`` entries) of x >= 0, supply and monotonicity,
     then the payments q, so with g = dR/dq the residual grad R - A^T mu of
-    slack multipliers mu is the one product -G^T [mu; g] (``_system``).
-
-    ``gram`` assembles the Newton matrix of the first ``paired`` rows of G
-    from pairs of their nonzeros (``_gram``).  The rows after them, the
-    Bayesian program's monotonicity and payment rows, act on x̂ = C x and
-    are dense on x; ``_system`` takes their term from G itself.
+    slack multipliers mu is the one product -G^T [mu; g], and the Newton
+    matrix the one product G_k^T diag(curvature) G_k over its first k rows
+    (``_system``).  G is dense: the Bayesian program's monotonicity and
+    payment rows act on x̂ = C x and so are dense over the contexts.
     """
 
     G: np.ndarray
@@ -317,8 +299,6 @@ class _Program:
     first: list[int]  # the first row of each of the ``_PIECES`` of G
     w: np.ndarray
     linear: bool
-    gram: Callable[[np.ndarray], np.ndarray]
-    paired: int
 
     def z(self, x: np.ndarray) -> np.ndarray:
         """h - G x: the slacks s (first ``m`` entries), then the payments q."""
@@ -340,19 +320,12 @@ def _program(blk: _Blocks, mode: str) -> _Program:
     # slacks), then the payments negated; in brm the last two act on x̂ = C x
     pieces = [_Sparse(one, one, -np.ones(size), (size, size)), blk.supply(), blk.mono(hat),
               _Sparse(chain.rows, chain.cols, -chain.vals, chain.shape)]
-    first = np.cumsum([0] + [p.shape[0] for p in pieces]).tolist()
-    rows, cols, vals = (np.concatenate(a) for a in zip(*((p.rows + f, p.cols, p.vals)
-                                                         for p, f in zip(pieces, first))))
-    on_x = rows.searchsorted(first[2] if hat else first[-1])  # the entries on x
-    G = _Sparse(rows[:on_x], cols[:on_x], vals[:on_x], (first[-1], size)).dense()
+    dense = [p.dense() for p in pieces]
     if hat:  # C's one nonzero per column: the cell's chance, in its x̂ entry's row
-        on_hat = _Sparse(rows[on_x:] - first[2], cols[on_x:], vals[on_x:],
-                         (first[-1] - first[2], blk.hat_size)).dense()
-        G[first[2] :] = on_hat[:, blk.x[0]] * blk.chance
+        dense[2:] = [d[:, blk.x[0]] * blk.chance for d in dense[2:]]
+    first = np.cumsum([0] + [len(d) for d in dense]).tolist()
     h = np.repeat([0.0, 1.0, 0.0, 0.0], np.diff(first))
-    paired = first[2] if hat else first[3 if linear else 4]
-    gram = _gram(*(a[: rows.searchsorted(paired)] for a in (rows, cols, vals)), size)
-    return _Program(G, h, first[3], first[:4], blk.weights(hat)[priced], linear, gram, paired)
+    return _Program(np.vstack(dense), h, first[3], first[:4], blk.weights(hat)[priced], linear)
 
 
 def _reach(level: np.ndarray, fall: np.ndarray) -> float:
@@ -384,10 +357,9 @@ def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: fl
 
         H = A^T diag(lam / s) A + Q^T diag(g / (2 q)) Q,  rhs = r(1 / (t s))
 
-    with A = G[:m] and Q = -G[m:] (no Q term when linear), assembled from the
-    program's pair lists, row curvature times pair coefficient, for its first
-    ``paired`` rows, and as G_r^T diag(curvature) G_r for the rows G_r after
-    them, dense on x.  The step's t is factor * m / max(lam.s, box), or the
+    with A = G[:m] and Q = -G[m:] (no Q term when linear), formed as the one
+    product G_k^T diag(curvature) G_k over the k rows of G that have a
+    curvature.  The step's t is factor * m / max(lam.s, box), or the
     previous t if larger: lam.s alone can reach zero while the residual part
     stays, and a falling t lets full steps cycle.
     """
@@ -408,10 +380,8 @@ def _system(prog: _Program, x: np.ndarray, z: np.ndarray, lam: np.ndarray, t: fl
     if _closes(value, value + dual + box):
         return value, r, dual + box, t, None, None, None
     inv = 1 / (t * s)
-    H, dense = prog.gram(curv), prog.G[prog.paired : len(curv)]
-    if len(dense):
-        H += dense.T @ (curv[prog.paired :, None] * dense)
-    return value, r, dual + box, t, inv, H, r(inv)
+    rows = prog.G[: len(curv)]
+    return value, r, dual + box, t, inv, rows.T @ (curv[:, None] * rows), r(inv)
 
 
 def _barrier(prog: _Program, x: np.ndarray) -> tuple[np.ndarray, float, int]:

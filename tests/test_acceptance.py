@@ -188,7 +188,7 @@ def test_criterion_8_greedy_closed_form_agreement():
         remaining -= rows
         scores = rng.uniform(0.05, 10.0, size=(rows, n))
         greedy = eqp_solver_batch(scores, cfg)
-        closed = closed_form_alloc_batch(scores, 0.5)
+        closed = closed_form_alloc_batch(scores)
         worst = max(worst, float(np.abs(greedy - closed).max()))
     assert worst <= 2e-3
     _report(8, f"greedy vs closed form worst entry gap {worst:.2e} <= 2e-3 on 500 vectors")

@@ -116,7 +116,7 @@ class TestEqpSolver:
         for n in range(1, 7):
             scores = rng.uniform(0.05, 10.0, size=(30, n))
             greedy = eqp_solver_batch(scores, cfg)
-            closed = closed_form_alloc_batch(scores, 0.5)
+            closed = closed_form_alloc_batch(scores)
             assert np.abs(greedy - closed).max() <= 2 * cfg.epsilon
 
 
@@ -210,15 +210,6 @@ class TestClosedForm:
         np.testing.assert_allclose(closed_form_alloc([100.0, 100.0]), [0.5, 0.5])
         np.testing.assert_allclose(closed_form_alloc([100.0, 0.0]), [1.0, 0.0])
 
-    def test_alpha_two_thirds(self):
-        x = closed_form_alloc([2.0, 1.0], alpha=2 / 3)
-        np.testing.assert_allclose(x, [0.8, 0.2], atol=1e-12)
-        # independent oracle: fine grid search over the power objective
-        grid = np.linspace(0.0, 1.0, 100001)
-        objective = (2.0 ** (2 / 3)) * grid ** (2 / 3) + (1.0 - grid) ** (2 / 3)
-        best = grid[np.argmax(objective)]
-        assert abs(best - x[0]) <= 1e-4
-
     def test_sums_to_one_or_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -238,10 +229,6 @@ class TestClosedForm:
             np.testing.assert_allclose(
                 closed_form_alloc(c), closed_form_alloc(lam * c), atol=1e-12
             )
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            closed_form_alloc([1.0], alpha=1.0)
 
 
 class TestExAnte:
@@ -300,6 +287,6 @@ def test_a_group_of_m_stands_for_m_equal_columns(eps, cols):
         got = engine(scores[None, :], sizes[None, :])[0][live]
         want = engine(expanded)[0][first]
         assert got.tobytes() == want.tobytes(), (scores, sizes, got, want)
-    got = closed_form_alloc_batch(scores[None, :], 0.5, sizes[None, :])[0][live]
-    want = closed_form_alloc_batch(expanded, 0.5)[0][first]
+    got = closed_form_alloc_batch(scores[None, :], sizes=sizes[None, :])[0][live]
+    want = closed_form_alloc_batch(expanded)[0][first]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -649,7 +649,7 @@ def _child(*args: str) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("dist, method", [("categorical:0,1e200,0.5", "exact_rrm"),
+@pytest.mark.parametrize("dist, method", [("categorical:1e-300,2e-300,0.5", "exact_rrm"),
                                            ("categorical:1e-300,2e-300,0.5", "exact_brm")])
 def test_non_finite_newton_direction_is_refused(dist, method):
     """Values that overflow the Newton system give a direction that is not
@@ -662,13 +662,28 @@ def test_non_finite_newton_direction_is_refused(dist, method):
 _HUGE = "categorical:3e100,10e100,0.8"  # revenue near 1e50, where 1e-6 is below one ulp
 
 
-def test_solver_and_revenue_disagreeing_is_refused():
+@pytest.mark.parametrize("dist, method", [("categorical:0,1e200,0.5", "exact_rrm"),
+                                           (_HUGE, "exact_brm")])
+def test_solver_and_revenue_disagreeing_is_refused(dist, method):
     """The solver's objective and the recomputed revenue differing by more
     than 1e-6 is a refusal naming both, one ``error:`` line and exit 2."""
-    done = _child("solve", "--dist", _HUGE, "--n", "2", "--method", "exact_rrm")
+    done = _child("solve", "--dist", dist, "--n", "2", "--method", method)
     assert done.returncode == 2
     assert done.stderr.startswith("error: solver objective ")
     assert done.stderr.endswith(" disagree\n") and done.stderr.count("\n") == 1
+
+
+def test_huge_values_robust_optimum_certifies():
+    """At values near 1e101 the robust solve's objective and recomputed
+    revenue agree bit for bit, and its gap is certified: 1e-9 relative to
+    the bound, plus the 1e-12 relative floating-point margin."""
+    done = _child("solve", "--dist", _HUGE, "--n", "2", "--method", "exact_rrm")
+    assert done.returncode == 0, done.stderr
+    report = dict(line.split("=", 1) for line in done.stdout.splitlines())
+    revenue, gap = float(report["revenue"]), float(report["grid_slack"])
+    assert float(report["objective"]) == revenue > 1e50
+    bound = revenue + gap
+    assert 0 <= gap <= 1e-9 * bound + 1e-12 * bound
 
 
 def test_experiment_skips_a_refused_exact_row_and_writes_the_others(tmp_path):

@@ -496,7 +496,7 @@ class TestNewtonSystem:
     def test_structured_system_matches_dense_formula(self, label, mode):
         """H = A^T diag(lam / s) A + Q^T diag(w / (4 q^1.5)) Q (no Q term when
         linear) and rhs = grad R - A^T (1 / (t s)), with A, b and Q read from
-        G and h, agree with the pair-list assembly at random strictly feasible
+        G and h, agree with ``_system``'s at random strictly feasible
         (x, lam), and the residual map gives grad R at 0; t is
         factor m / max(lam.s, box), or the previous t if that is larger, and
         lam's part of the bound is lam.s + box."""

@@ -347,7 +347,7 @@ def test_orbit_engines_on_full_profiles_equal_the_cell_rows(n, k, low, seed):
         assert tables.x.tobytes() == want.tobytes(), (tables.provenance, tables.x, want)
     for (tables, _), scores in ((heuristic_lb_rrm_tables(space), phi_plus),
                                 (pseudo_surplus_tables(space), values)):
-        want = closed_form_alloc_batch(_cell_rows(space, scores), 0.5)[:, 0].reshape(space.shape)
+        want = closed_form_alloc_batch(_cell_rows(space, scores))[:, 0].reshape(space.shape)
         assert np.all(np.abs(tables.x - want) <= TOL * np.abs(want)), (tables.x, want)
 
 
@@ -597,12 +597,21 @@ _RARE_MIDDLE = (TypeSpace(np.array([1.0, 2.0, 3.0])),
 ], ids=["virtual_surplus", "heur_lb", "heur_brm", "ex_ante", "ex_ante_trunc"])
 def test_irregular_warning_names_every_bidder_a_block_stands_for(run):
     """A rare middle type makes a bidder irregular: three such bidders warn
-    alike on the orbit and the dense space, and a class space names each
-    bidder of its irregular class."""
+    alike on the orbit and the dense space, and a class space names the run
+    of bidders its irregular class stands for."""
     instance = symmetric_instance(*_RARE_MIDDLE, 3)
     dense = run(DenseSpace(instance))[1].warnings
-    assert "irregular distribution for bidder(s) 0, 1, 2" in dense
+    assert "irregular distribution for bidder(s) 0-2" in dense
     assert run(OrbitSpace(instance))[1].warnings == dense
     mixed = AuctionInstance((make_uniform(3),) * 2 + (_RARE_MIDDLE,) * 3)
-    assert "irregular distribution for bidder(s) 2, 3, 4" in run(
+    assert "irregular distribution for bidder(s) 2-4" in run(
         ProfileSpace(mixed, (2, 3)))[1].warnings
+
+
+def test_irregular_warning_on_a_million_bidders_is_one_short_line():
+    """An orbit names its irregular bidders as one run, not one by one: the
+    warning once listed all 10^6 of them in 7.9 MB."""
+    space = OrbitSpace(symmetric_instance(*_RARE_MIDDLE, 10**6))
+    warnings = ex_ante_tables(space)[1].warnings
+    assert warnings == ("irregular distribution for bidder(s) 0-999999",)
+    assert len(warnings[0]) < 100

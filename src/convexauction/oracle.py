@@ -6,7 +6,9 @@ allocation table, subject to linear supply and own-type monotonicity
 constraints; Bayesian revenue is the same composed with the linear interim
 collapse, with interim monotonicity in place of the ex-post one.  Payments
 never need to be optimized: the payment characterization and its interim
-analogue pin them to the allocation.
+analogue pin them to the allocation.  With p = q in place of sqrt(q), the
+robust program is Myerson's linear program (mode ``rrm_linear``), the
+cross-check of the virtual-surplus pipeline.
 
 Both are composed from one set of sparse linear blocks (``_Blocks``: supply,
 monotonicity, payment chains, the interim collapse and the objective weights,
@@ -29,9 +31,9 @@ iterate and that iterate rounded to the grid
 ``grid_slack`` as a certified gap: an upper bound on the optimum, from
 Lagrangian duality at the last iterate, minus the revenue of the returned
 table, priced by the pipelines' payment step (``mechanisms``); and
-``newton_steps``, the Newton steps it took.  Instances above the variable
-cap, that the solver fails to certify, or whose Newton direction is not
-finite are refused with an explanation.
+``newton_steps``, the Newton steps it took.  Instances above
+``_MAX_CELLS`` allocation variables, that the solver fails to certify, or
+whose Newton direction is not finite are refused with an explanation.
 """
 
 from __future__ import annotations
@@ -57,22 +59,14 @@ class OracleRefusal(ValueError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Rounding grid and size cap for the exact solvers.
-
-    The solver's answer is rounded to multiples of ``grid`` (``round_table``)
-    when that keeps it feasible and does not lower revenue.  ``max_profile_vars``
-    caps the allocation variables of the program solved, the cells of its
-    profile space's table: n * K_0 * ... * K_{n-1} dense, K * C(n+K-2, K-1)
-    on orbits.
-    """
+    """Rounding grid for the exact solvers: their answer is rounded to
+    multiples of ``grid`` (``round_table``) when that keeps it feasible and
+    does not lower revenue."""
 
     grid: float = 1e-3
-    max_profile_vars: int = 64
 
     def __post_init__(self):
         grid_steps("grid", self.grid, top=0.1)
-        if self.max_profile_vars < 1:
-            raise ValueError("max_profile_vars must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +176,9 @@ _GAP_TOL = 1e-9  # stop once the certified gap is below this times max(1, bound)
 _FP_MARGIN = 1e-12  # relative floating-point margin added to every reported gap
 _RIDGE = 1e-13  # keeps the unit-diagonal Newton system non-singular
 _MAX_NEWTON = 400
+# the most allocation variables solved, the cells of the profile space's
+# table: n * K_0 * ... * K_{n-1} dense, K * C(n+K-2, K-1) on orbits
+_MAX_CELLS = 64
 _MIN_STEP = 1e-12  # the shortest step the line search halves to
 
 
@@ -479,11 +476,9 @@ def _solve(
     ``space`` at ``config.grid``, if the rounded table passes every slack row.
     """
     size = math.prod(space.shape)
-    if size > config.max_profile_vars:
-        raise OracleRefusal(
-            f"instance has {size} allocation variables, above the "
-            f"max_profile_vars cap of {config.max_profile_vars}"
-        )
+    if size > _MAX_CELLS:
+        raise OracleRefusal(f"instance has {size} allocation variables, above the cap of "
+                            f"{_MAX_CELLS}")
     blk = _Blocks(space)
     prog = _program(blk, mode)
     # x(k, c) = (k + 1) / ((K + 1) n): strictly monotone, strictly inside supply
@@ -512,11 +507,15 @@ def exact_tables(
     ``newton_steps`` the solver's Newton steps.
 
     ``mode`` is ``rrm`` (robust), ``rrm_linear`` (robust, linear perceived
-    payments) or ``brm`` (Bayesian).  By symmetry and concavity, the optimum
-    on a symmetric instance's ``OrbitSpace`` is its dense program's optimum.
+    payments) or ``brm`` (Bayesian), and names the tables
+    ``exact_<mode>[grid=...]``; any other raises ValueError.  By symmetry and
+    concavity, the optimum on a symmetric instance's ``OrbitSpace`` is its
+    dense program's optimum.
     """
+    if mode not in ("rrm", "rrm_linear", "brm"):
+        raise ValueError(f"unknown mode {mode!r}; choose rrm, rrm_linear or brm")
     x, objective, bound, steps = _solve(space, config, mode)
-    kind, name = ObjectiveKind.EXACT_ORACLE, f"exact_{mode[:3]}[grid={config.grid}]"
+    kind, name = ObjectiveKind.EXACT_ORACLE, f"exact_{mode}[grid={config.grid}]"
     if mode == "brm":
         tables, report = _interim(space, space.collapse(space.split(x)), (), kind, name, x)
     else:
@@ -532,22 +531,15 @@ def exact_tables(
 
 
 def exact_rrm(
-    instance: AuctionInstance,
-    config: OracleConfig = OracleConfig(),
-    perceived: str = "quadratic",
+    instance: AuctionInstance, config: OracleConfig = OracleConfig()
 ) -> tuple[Mechanism, MechanismReport]:
     """Certified robust revenue maximization.
 
-    Maximizes over monotone, ex-post feasible allocation tables and pins
-    payments via the payment characterization.  ``perceived`` selects
-    quadratic (p = sqrt(q)) or linear (p = q) payments; the linear mode is
-    the classic Myerson problem (a linear program) and serves as a
-    cross-check oracle.
+    Maximizes over monotone, ex-post feasible allocation tables and pins the
+    payments p = sqrt(q) via the payment characterization.  Its linear
+    analogue is ``exact_tables``' ``rrm_linear`` mode.
     """
-    if perceived not in ("quadratic", "linear"):
-        raise ValueError("perceived must be 'quadratic' or 'linear'")
-    mode = "rrm" if perceived == "quadratic" else "rrm_linear"
-    return _dense(exact_tables(DenseSpace(instance), config, mode))
+    return _dense(exact_tables(DenseSpace(instance), config))
 
 
 def exact_brm(

@@ -38,6 +38,7 @@ from convexauction.mechanisms import (
     surplus_tables,
     virtual_surplus_tables,
 )
+from convexauction import oracle
 from convexauction.oracle import check, exact_tables
 from convexauction.spaces import DenseSpace, OrbitSpace, ProfileSpace
 from conftest import (
@@ -137,11 +138,8 @@ class TestVirtualSurplusMaximizer:
 
     def test_matches_linear_oracle(self, categorical_pair):
         _, report = virtual_surplus_maximizer(categorical_pair)
-        from convexauction import OracleConfig
-
-        _, oracle_report = exact_rrm(
-            categorical_pair, OracleConfig(grid=1e-3), perceived="linear"
-        )
+        _, oracle_report = exact_tables(DenseSpace(categorical_pair), OracleConfig(grid=1e-3),
+                                        "rrm_linear")
         assert abs(report.revenue - oracle_report.revenue) <= oracle_report.grid_slack
 
     def test_revenue_equals_virtual_surplus(self):
@@ -242,7 +240,7 @@ class TestExAnteRelaxation:
         assert all(c.passed for c in checks.values())
         assert report.revenue > 0
 
-    def test_value_is_labelled_a_relaxation_not_a_bound(self):
+    def test_value_is_labelled_a_relaxation_not_a_bound(self, monkeypatch):
         """uniform:5, n = 3: a verified ex-post feasible mechanism earns more."""
         inst = symmetric_instance(*make_uniform(5), 3)
         values = []
@@ -253,8 +251,8 @@ class TestExAnteRelaxation:
             values.append(report.objective_value)
         assert math.isclose(values[0], 0.97891, abs_tol=1e-5)
         assert math.isclose(values[1], 0.94407, abs_tol=1e-5)
-        config = OracleConfig(max_profile_vars=75)
-        tables, exact = exact_tables(OrbitSpace(inst), config, "brm")
+        monkeypatch.setattr(oracle, "_MAX_CELLS", 75)
+        tables, exact = exact_tables(OrbitSpace(inst), OracleConfig(), "brm")
         assert all(c.passed for c in check(tables, ("bic", "bir", "xp")).values())
         assert math.isclose(exact.revenue, 1.06995, abs_tol=1e-5)
         assert exact.revenue > max(values)

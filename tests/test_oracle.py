@@ -323,7 +323,8 @@ class TestExactRrm:
     def test_refusal_on_large_instance(self):
         space, dist = make_uniform(5)
         inst_big = symmetric_instance(space, dist, 3)
-        with pytest.raises(OracleRefusal, match="max_profile_vars"):
+        with pytest.raises(OracleRefusal, match=r"^instance has 375 allocation variables, above "
+                                                r"the cap of 64$"):
             exact_rrm(inst_big, OracleConfig(grid=0.1))
 
     def test_no_random_monotone_table_beats_the_oracle(self, categorical_pair):
@@ -351,11 +352,15 @@ class TestExactRrm:
         with pytest.raises(ValueError):
             OracleConfig(grid=0.007)
 
-    def test_size_cap_and_perceived_validation(self):
-        with pytest.raises(ValueError, match="max_profile_vars must be positive"):
-            OracleConfig(max_profile_vars=0)
-        with pytest.raises(ValueError, match="perceived must be 'quadratic' or 'linear'"):
-            exact_rrm(two_value_uniform(0, 1), perceived="cubic")
+    @pytest.mark.parametrize("mode", ["cubic", "bogus", "rrm_lin", "RRM"])
+    def test_unknown_mode_is_refused_before_solving(self, monkeypatch, mode):
+        def solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(oracle, "_solve", solve)
+        with pytest.raises(ValueError, match=rf"^unknown mode '{mode}'; choose rrm, rrm_linear "
+                                             r"or brm$"):
+            oracle.exact_tables(DenseSpace(two_value_uniform(0, 1)), OracleConfig(), mode)
 
     def test_single_bidder_three_types_analytic_optimum(self):
         # types {0, 1/2, 1}, uniform pmf: q_2 = x_2/2 - x_1/2 and
@@ -448,8 +453,12 @@ class TestLinearOracle:
         from convexauction import virtual_surplus_maximizer
 
         _, vs = virtual_surplus_maximizer(categorical_pair)
-        _, lin = exact_rrm(categorical_pair, OracleConfig(grid=1e-3), perceived="linear")
+        tables, lin = oracle.exact_tables(DenseSpace(categorical_pair), OracleConfig(grid=1e-3),
+                                          "rrm_linear")
         assert abs(vs.revenue - lin.revenue) <= lin.grid_slack
+        # named as the linear program it solves, not as the robust one
+        assert tables.provenance == "exact_rrm_linear[grid=0.001]"
+        assert tables.perceived == "linear"
 
 
 def _interior_point(blk, rng):
@@ -567,6 +576,24 @@ class TestNewtonSystem:
             oracle.exact_tables(NEWTON_SPACES["categorical n=3"](), OracleConfig(), "rrm")
 
     @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
+    def test_singular_newton_system_is_refused(self, monkeypatch, mode):
+        """A Newton system that LU finds singular is refused, naming LU's
+        reason, from whichever step it arises at."""
+        solves, real = [], np.linalg.solve
+
+        def solve(a, b):
+            solves.append(a.shape)
+            if len(solves) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(OracleRefusal, match=r"^interior-point Newton system is singular: "
+                                                r"Singular matrix$"):
+            oracle.exact_tables(NEWTON_SPACES["categorical n=3"](), OracleConfig(), mode)
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("mode", ["rrm", "rrm_linear", "brm"])
     @pytest.mark.parametrize("label", NEWTON_SPACES)
     def test_certified_at_lam_skips_the_last_system(self, monkeypatch, label, mode):
         """Only the last step may skip its Newton system, and only where
@@ -582,8 +609,8 @@ class TestNewtonSystem:
             return out
 
         monkeypatch.setattr(oracle, "_system", spy)
-        _, report = oracle.exact_tables(NEWTON_SPACES[label](), OracleConfig(max_profile_vars=400),
-                                        mode)
+        monkeypatch.setattr(oracle, "_MAX_CELLS", 400)
+        _, report = oracle.exact_tables(NEWTON_SPACES[label](), OracleConfig(), mode)
         assert len(skipped) == report.newton_steps and not any(skipped[:-1])
         assert skipped[-1] or mode == "rrm_linear"
         assert _certified(report)
@@ -668,20 +695,22 @@ ORBIT_OPTIMA = {
 
 
 @pytest.mark.parametrize("n, mode", ORBIT_OPTIMA)
-def test_large_orbit_programs_certify_and_agree(n, mode):
+def test_large_orbit_programs_certify_and_agree(monkeypatch, n, mode):
     """categorical:3,10,0.8 at n = 100 and 200 (200 and 400 orbit cells)."""
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 400)
     space = OrbitSpace(symmetric_instance(*make_categorical(3, 10, 0.8), n))
-    _, report = oracle.exact_tables(space, OracleConfig(max_profile_vars=400), mode)
+    _, report = oracle.exact_tables(space, OracleConfig(), mode)
     assert _certified(report)
     value, gap = ORBIT_OPTIMA[n, mode]
     assert abs(report.revenue - value) <= report.grid_slack + gap
 
 
-def test_orbit_linear_program_certifies_within_30_newton_steps():
+def test_orbit_linear_program_certifies_within_30_newton_steps(monkeypatch):
     """The linear program's endgame on orbits: categorical:3,10,0.8 at
     n = 100 took 42 steps from the fixed start with a tenfold t update."""
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 400)
     space = OrbitSpace(symmetric_instance(*make_categorical(3, 10, 0.8), 100))
-    _, report = oracle.exact_tables(space, OracleConfig(max_profile_vars=400), "rrm_linear")
+    _, report = oracle.exact_tables(space, OracleConfig(), "rrm_linear")
     assert _certified(report)
     assert report.newton_steps <= 30
 

@@ -21,6 +21,7 @@ from convexauction import (
     virtual_values,
 )
 from convexauction.mechanisms import heuristic_brm_tables, heuristic_lb_rrm_tables
+from convexauction import oracle
 from convexauction.oracle import check, exact_tables
 from convexauction.spaces import DenseSpace, OrbitSpace
 
@@ -67,7 +68,7 @@ def orbit_instances(draw):
     """n = 2..12 copies of one regular bidder with K = 2..4 types, whose orbit
     table, K * C(n+K-2, K-1) cells, fits the oracle's 64-variable cap."""
     k = draw(st.integers(2, 4))
-    fits = [n for n in range(2, 13) if k * math.comb(n + k - 2, k - 1) <= CONFIG.max_profile_vars]
+    fits = [n for n in range(2, 13) if k * math.comb(n + k - 2, k - 1) <= oracle._MAX_CELLS]
     instance = symmetric_instance(*_bidder(draw, k), draw(st.sampled_from(fits)))
     assume(is_regular(virtual_values(instance))[0])
     return instance

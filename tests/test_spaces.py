@@ -20,6 +20,7 @@ from convexauction import (
     TypeSpace,
     is_regular,
     make_binomial,
+    make_categorical,
     make_uniform,
     symmetric_instance,
     virtual_values,
@@ -35,6 +36,7 @@ from convexauction.mechanisms import (
     surplus_tables,
     virtual_surplus_tables,
 )
+from convexauction import oracle
 from convexauction.oracle import OracleRefusal, check, exact_tables
 from convexauction.payments import chain
 from convexauction.spaces import DenseSpace, OrbitSpace, ProfileSpace
@@ -155,7 +157,7 @@ def test_bayesian_payments_square_to_the_expected_chain_payments(instance):
     form and greedy) and, within the solver's cap, the exact one."""
     for space in (DenseSpace(instance), OrbitSpace(instance)):
         rows = [heuristic_brm_tables(space, method, GREEDY) for method in ("closed_form", "greedy")]
-        if math.prod(space.shape) <= ORACLE.max_profile_vars:
+        if math.prod(space.shape) <= oracle._MAX_CELLS:
             rows.append(exact_tables(space, ORACLE, "brm"))
         for tables, _ in rows:
             q = [chain(x, b.values, b.gaps) for x, b in zip(space.split(tables.x), space.blocks)]
@@ -529,6 +531,45 @@ def test_greedy_methods_at_twenty_bidders_verify_at_default_epsilon(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows] == methods
     assert all(r["verified"] == "true" for r in rows)
+
+
+_GREEDY_METHODS = ("heur_lb_greedy", "pseudo_surplus_greedy", "heur_brm_greedy")
+# the orbit grid the README's safe greedy increments are measured on: 81 rows
+_GREEDY_GRID = ([("uniform:5", make_uniform(5), n) for n in range(2, 13)]
+                + [("categorical:3,10,0.8", make_categorical(3, 10, 0.8), n) for n in range(2, 13)]
+                + [("binomial:9,0.5", make_binomial(9, 0.5), n) for n in range(2, 7)])
+
+
+def _greedy_row(bidder, n, method, epsilon):
+    space = OrbitSpace(symmetric_instance(*bidder, n))
+    tables, report = METHODS[method](space, GreedyConfig(epsilon=epsilon), ORACLE)
+    return check(tables), report
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
+def test_greedy_methods_verify_on_the_orbit_grid_at_safe_epsilon(epsilon):
+    """At eps = 1e-3 and 1e-2 every greedy row of the grid verifies, unwarned."""
+    failed = []
+    for label, bidder, n in _GREEDY_GRID:
+        for method in _GREEDY_METHODS:
+            checks, report = _greedy_row(bidder, n, method, epsilon)
+            if report.warnings or not all(c.passed for c in checks.values()):
+                failed.append((label, n, method))
+    assert failed == []
+
+
+def test_greedy_pseudo_surplus_fails_ic_at_epsilon_five_hundredths():
+    """At eps = 0.05 the first failing row of the grid: uniform:5 at n = 7,
+    whose greedy pseudo-surplus rule is not monotone, warns and fails IC by
+    about 1.8e-3; at n = 6 it still verifies."""
+    checks, report = _greedy_row(make_uniform(5), 7, "pseudo_surplus_greedy", 0.05)
+    assert report.warnings == ("allocation is not monotone; payments clamped, "
+                               "IC/IR not guaranteed",)
+    assert not checks["ic"].passed
+    assert math.isclose(checks["ic"].worst_violation, 1.7857e-3, abs_tol=1e-7)
+    assert checks["ir"].passed and checks["xp"].passed
+    checks, _ = _greedy_row(make_uniform(5), 6, "pseudo_surplus_greedy", 0.05)
+    assert all(c.passed for c in checks.values())
 
 
 _SHARED = make_uniform(3)[0]  # one type space, given two pmfs below
